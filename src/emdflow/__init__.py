@@ -16,7 +16,7 @@ from .diff import (EmdGradients, KktSystem, SingularKktError, grad_objective,
                    jacobian_flows, backward_similarity)
 from .metric import (EmbeddingSet, ExtractionConfig, cost_matrix,
                      cross_reference_weights, emd_similarity, pair_similarity,
-                     similarity_node_grads, extract, extract_pyramid)
+                     similarity_matrix, similarity_node_grads, extract, extract_pyramid)
 from .fewshot import (Episode, SfcPrototypes, ProjectionModel, sample_episode,
                       classify_1shot, classify_kshot, fit_sfc, train_projection,
                       mean_ci95)

@@ -28,10 +28,6 @@ _NUMERICAL_ERRORS = (diff.SingularKktError, fewshot.DivergenceError,
                      transport.IterationLimitError, transport.CyclingError)
 
 
-def _solver_name(flag: str) -> str:
-    return "interior_point" if flag == "ipm" else flag
-
-
 def _load_problem(path) -> transport.TransportProblem:
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -89,7 +85,7 @@ def _add_extraction_flags(p: argparse.ArgumentParser):
 
 def cmd_solve(args) -> int:
     p = _load_problem(args.problem)
-    sol = transport.solve(p, _solver_name(args.solver), tol=args.tol)
+    sol = transport.solve(p, args.solver, tol=args.tol)
     print(f"objective {sol.objective:.10g}")
     print("flows:")
     for row in sol.flows:
@@ -121,7 +117,7 @@ def cmd_gradcheck(args) -> int:
         p = _load_problem(args.problem)
     else:
         p = _random_problem(rng, args.size, args.size)
-    sol = transport.solve(p, _solver_name(args.solver), tol=args.tol)
+    sol = transport.solve(p, args.solver, tol=args.tol)
 
     if args.mode == "envelope":
         g = diff.backward_similarity(1.0, sol, p, mode="envelope")
@@ -176,15 +172,14 @@ def cmd_gen(args) -> int:
 def cmd_episodes(args) -> int:
     col = tensor_io.load_collection(args.collection)
     cfg = _extraction_config(args)
-    solver = _solver_name(args.solver)
     rows, accs = [], []
     for e in range(args.episodes):
         ep = fewshot.sample_episode(col, args.n_way, args.k_shot, args.q,
                                     seed=args.seed + e, cfg=cfg)
         if args.method == "1shot":
-            _, acc = fewshot.classify_1shot(ep, weighting=args.weighting, solver=solver)
+            _, acc = fewshot.classify_1shot(ep, weighting=args.weighting, solver=args.solver)
         else:
-            acc = fewshot.classify_kshot(ep, method=args.method, solver=solver)
+            acc = fewshot.classify_kshot(ep, method=args.method, solver=args.solver)
         rows.append([e, args.method, args.n_way, args.k_shot, f"{acc:.6f}"])
         accs.append(acc)
     _write_csv(rows, ["episode_id", "method", "n_way", "k_shot", "accuracy"],
@@ -202,9 +197,8 @@ def cmd_episodes(args) -> int:
 def cmd_retrieve(args) -> int:
     col = tensor_io.load_collection(args.collection)
     cfg = _extraction_config(args)
-    items = [(label, fewshot.extract_set(t, cfg)) for label, t in col.sets]
-    run = retrieval.rank_gallery(items, items, weighting=args.weighting,
-                                 solver=_solver_name(args.solver))
+    items = [(label, metric.extract(t, cfg)) for label, t in col.sets]
+    run = retrieval.rank_gallery(items, items, weighting=args.weighting, solver=args.solver)
     p1, rp, mapr = retrieval.metrics(run)
     rows = [[qi, run.query_labels[qi], " ".join(map(str, run.ranking[qi]))]
             for qi in range(len(items))]
@@ -219,7 +213,7 @@ def cmd_train(args) -> int:
     model = fewshot.train_projection(
         col, epochs=args.epochs, lr=args.lr, temperature=args.temperature,
         seed=args.seed, n_way=args.n_way, cfg=_extraction_config(args),
-        solver=_solver_name(args.solver),
+        solver=args.solver,
     )
     _write_json({"loss_curve": model.loss_curve,
                  "temperature": model.temperature,
@@ -235,11 +229,11 @@ def cmd_train(args) -> int:
 
 def cmd_flows(args) -> int:
     cfg = _extraction_config(args)
-    a = fewshot.extract_set(tensor_io.load_tensor(args.query), cfg)
-    b = fewshot.extract_set(tensor_io.load_tensor(args.support), cfg)
+    a = metric.extract(tensor_io.load_tensor(args.query), cfg)
+    b = metric.extract(tensor_io.load_tensor(args.support), cfg)
     wa, wb = metric.cross_reference_weights(a, b)
     sim, sol = metric.emd_similarity(a.with_weights(wa), b.with_weights(wb),
-                                     solver=_solver_name(args.solver))
+                                     solver=args.solver)
     best = np.argmax(sol.flows, axis=1)
     payload = _write_json({
         "nodes_a": a.vectors.tolist(), "nodes_b": b.vectors.tolist(),
@@ -268,12 +262,11 @@ def cmd_bench(args) -> int:
             b = metric.EmbeddingSet(feats_b)
             wa, wb = metric.cross_reference_weights(a, b)
             for solver in args.solvers:
-                name = _solver_name(solver)
                 times = []
                 for _ in range(args.repeats):
                     t0 = time.perf_counter()
                     metric.emd_similarity(a.with_weights(wa), b.with_weights(wb),
-                                          solver=name)
+                                          solver=solver)
                     times.append(time.perf_counter() - t0)
                 med = statistics.median(times)
                 rows.append([size, dim, solver, args.repeats, f"{med * 1e3:.4f}"])

@@ -146,17 +146,6 @@ class FlowJacobian:
         delta = sysm.solve(rhs)
         return delta[:sysm.n].reshape(sysm.m, sysm.k)
 
-    def apply_full(self, d_cost, d_supply, d_demand):
-        """Like ``apply`` but also returns the multiplier/potential deltas."""
-        sysm = self.system
-        rhs = sysm.parameter_rhs(d_cost, d_supply, d_demand)
-        delta = sysm.solve(rhs)
-        n = sysm.n
-        d_flows = delta[:n].reshape(sysm.m, sysm.k)
-        d_lam = delta[n:2 * n].reshape(sysm.m, sysm.k)
-        d_pot = np.concatenate([delta[2 * n:], [0.0]])
-        return d_flows, d_lam, d_pot
-
 
 def jacobian_flows(sol: TransportSolution, p: TransportProblem) -> FlowJacobian:
     """Flow Jacobian at a strictly complementary, nondegenerate optimum.

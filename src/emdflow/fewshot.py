@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_io import LabeledSetCollection
-from .metric import (EmbeddingSet, ExtractionConfig, extract, extract_pyramid,
-                     pair_similarity, similarity_node_grads)
+from .metric import (EmbeddingSet, ExtractionConfig, extract, similarity_matrix,
+                     similarity_node_grads)
+from .metric import pair_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
 KSHOT_METHODS = ("sfc", "nn", "fusion", "merge", "prototype")
 
@@ -83,13 +84,7 @@ class ProjectionModel:
     loss_curve: list = field(default_factory=list)
 
     def apply(self, es: EmbeddingSet) -> EmbeddingSet:
-        return EmbeddingSet(vectors=es.vectors @ self.weight, source_tag=es.source_tag)
-
-
-def extract_set(tensor, cfg: ExtractionConfig) -> EmbeddingSet:
-    if cfg.pyramid_levels:
-        return extract_pyramid(tensor, cfg.pyramid_levels)
-    return extract(tensor, cfg)
+        return EmbeddingSet(vectors=es.vectors @ self.weight)
 
 
 def sample_episode(col: LabeledSetCollection, n_way: int, k_shot: int,
@@ -114,17 +109,21 @@ def sample_episode(col: LabeledSetCollection, n_way: int, k_shot: int,
         sets = by_class[int(cls)]
         idx = rng.choice(len(sets), size=need, replace=False)
         for i in idx[:k_shot]:
-            support.append((new_label, extract_set(sets[i], cfg)))
+            support.append((new_label, extract(sets[i], cfg)))
         for i in idx[k_shot:]:
-            query.append((new_label, extract_set(sets[i], cfg)))
+            query.append((new_label, extract(sets[i], cfg)))
     return Episode(n_way=n_way, k_shot=k_shot, q_per_class=q_per_class,
                    support=tuple(support), query=tuple(query))
 
 
-def _predict(similarities) -> int:
-    """Argmax with ties broken by lowest class id."""
-    sims = np.asarray(similarities, dtype=float)
-    return int(np.argmax(sims))
+def _predictions(ep: Episode, sims: np.ndarray):
+    """Per-query argmax of a Q x n_way score matrix, and the accuracy.
+
+    ``np.argmax`` breaks ties toward the lowest class id.
+    """
+    preds = np.argmax(sims, axis=1)
+    labels = np.array([label for label, _ in ep.query])
+    return preds, int(np.count_nonzero(preds == labels)) / len(ep.query)
 
 
 def classify_1shot(ep: Episode, weighting: str = "cross_reference",
@@ -136,14 +135,9 @@ def classify_1shot(ep: Episode, weighting: str = "cross_reference",
     if ep.k_shot != 1:
         raise ValueError(f"classify_1shot requires k_shot = 1, got {ep.k_shot}")
     supports = [sets[0] for sets in ep.support_by_class()]
-    preds = np.empty(len(ep.query), dtype=int)
-    hits = 0
-    for qi, (label, q) in enumerate(ep.query):
-        sims = [pair_similarity(q, s, weighting=weighting, solver=solver)[0]
-                for s in supports]
-        preds[qi] = _predict(sims)
-        hits += int(preds[qi] == label)
-    return preds, hits / len(ep.query)
+    sims = similarity_matrix([q for _, q in ep.query], supports,
+                             weighting=weighting, solver=solver)
+    return _predictions(ep, sims)
 
 
 def _global_mean(es: EmbeddingSet) -> np.ndarray:
@@ -154,6 +148,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def _cross_entropy(sims: np.ndarray, label: int, temperature: float):
+    """Softmax cross-entropy of sims / temperature against ``label``.
+
+    Returns (loss, d loss / d sims).
+    """
+    probs = _softmax(sims / temperature)
+    d_sims = probs.copy()
+    d_sims[label] -= 1.0
+    return -float(np.log(max(probs[label], 1e-300))), d_sims / temperature
 
 
 def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
@@ -187,11 +192,10 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
                     es, EmbeddingSet(vectors=proto), solver=solver)
                 sims[c] = sim
                 proto_grads.append(g_proto)
-            probs = _softmax(sims / temperature)
-            batch_loss -= float(np.log(max(probs[label], 1e-300)))
+            loss, d_sims = _cross_entropy(sims, label, temperature)
+            batch_loss += loss
             for c in range(ep.n_way):
-                coeff = (probs[c] - (1.0 if c == label else 0.0)) / temperature
-                grads[c] += coeff * proto_grads[c]
+                grads[c] += d_sims[c] * proto_grads[c]
         batch_loss /= batch_size
         if not np.isfinite(batch_loss):
             raise DivergenceError(it)
@@ -204,12 +208,11 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
 def support_cross_entropy(ep: Episode, protos, temperature: float = 0.1,
                           solver: str = "simplex") -> float:
     """Mean cross-entropy of the full support set against prototypes."""
+    sims = similarity_matrix([es for _, es in ep.support],
+                             [EmbeddingSet(vectors=p) for p in protos], solver=solver)
     total = 0.0
-    for label, es in ep.support:
-        sims = np.array([pair_similarity(es, EmbeddingSet(vectors=p), solver=solver)[0]
-                         for p in protos])
-        probs = _softmax(sims / temperature)
-        total -= float(np.log(max(probs[label], 1e-300)))
+    for (label, _), row in zip(ep.support, sims):
+        total += _cross_entropy(row, label, temperature)[0]
     return total / len(ep.support)
 
 
@@ -219,15 +222,16 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
     if method not in KSHOT_METHODS:
         raise ValueError(f"unknown method {method!r}")
     groups = ep.support_by_class()
+    queries = [q for _, q in ep.query]
 
     if method == "sfc":
         fitted = fit_sfc(ep, solver=solver, **(sfc_kwargs or {}))
-        refs = [EmbeddingSet(vectors=p) for p in fitted.per_class]
-        score = lambda q, c: pair_similarity(q, refs[c], solver=solver)[0]
+        sims = similarity_matrix(queries, [EmbeddingSet(vectors=p) for p in fitted.per_class],
+                                 solver=solver)
     elif method == "merge":
         merged = [EmbeddingSet(vectors=np.concatenate([es.vectors for es in sets]))
                   for sets in groups]
-        score = lambda q, c: pair_similarity(q, merged[c], solver=solver)[0]
+        sims = similarity_matrix(queries, merged, solver=solver)
     elif method == "prototype":
         means = [np.mean([_global_mean(es) for es in sets], axis=0) for sets in groups]
 
@@ -235,18 +239,17 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
             qm = _global_mean(q)
             denom = np.linalg.norm(qm) * np.linalg.norm(means[c])
             return float(qm @ means[c] / denom) if denom > 0 else 0.0
-    elif method == "nn":
-        score = lambda q, c: max(pair_similarity(q, s, solver=solver)[0]
-                                 for s in groups[c])
-    else:  # fusion: total similarity across the class's supports
-        score = lambda q, c: sum(pair_similarity(q, s, solver=solver)[0]
-                                 for s in groups[c])
-
-    hits = 0
-    for label, q in ep.query:
-        sims = [score(q, c) for c in range(ep.n_way)]
-        hits += int(_predict(sims) == label)
-    return hits / len(ep.query)
+        sims = np.array([[score(q, c) for c in range(ep.n_way)] for q in queries])
+    else:
+        # nn: best support of the class; fusion: total over its supports,
+        # summed in support order.
+        per_support = similarity_matrix(queries, [es for sets in groups for es in sets],
+                                        solver=solver)
+        reduce = max if method == "nn" else sum
+        splits = np.cumsum([len(sets) for sets in groups])[:-1]
+        sims = np.array([[reduce(part) for part in np.split(row, splits)]
+                         for row in per_support])
+    return _predictions(ep, sims)[1]
 
 
 def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
@@ -269,12 +272,11 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
             sim, _, gq, gs = similarity_node_grads(pq, proj_sup[c], solver=solver)
             sims[c] = sim
             pair_grads.append((gq, gs))
-        probs = _softmax(sims / temperature)
-        loss -= float(np.log(max(probs[label], 1e-300)))
+        q_loss, d_sims = _cross_entropy(sims, label, temperature)
+        loss += q_loss
         for c in range(ep.n_way):
-            coeff = (probs[c] - (1.0 if c == label else 0.0)) / temperature
             gq, gs = pair_grads[c]
-            grad += coeff * (q.vectors.T @ gq + supports[c].vectors.T @ gs)
+            grad += d_sims[c] * (q.vectors.T @ gq + supports[c].vectors.T @ gs)
     n = len(ep.query)
     return loss / n, grad / n
 

@@ -9,15 +9,13 @@ and multi-scale pyramids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tensor_io import DenseTensor
-from .transport import TransportProblem, TransportSolution, solve
+from .transport import TransportProblem, solve
 from .diff import backward_similarity
-
-SOURCE_TAGS = ("fcn", "grid", "sampling", "pyramid", "raw")
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,6 @@ class EmbeddingSet:
 
     vectors: np.ndarray
     weights: np.ndarray = None
-    source_tag: str = "raw"
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=np.float64)
@@ -47,8 +44,6 @@ class EmbeddingSet:
             raise ValueError(f"weights shape {w.shape} does not match {vec.shape[0]} nodes")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be finite and >= 0")
-        if self.source_tag not in SOURCE_TAGS:
-            raise ValueError(f"unknown source_tag {self.source_tag!r}")
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "weights", w)
 
@@ -90,6 +85,11 @@ class ExtractionConfig:
         object.__setattr__(self, "pyramid_levels", tuple(self.pyramid_levels))
 
 
+def _check_channels(a: EmbeddingSet, b: EmbeddingSet):
+    if a.channels != b.channels:
+        raise ValueError(f"channel mismatch: {a.channels} vs {b.channels}")
+
+
 def _unit_rows(mat: np.ndarray):
     """Row-normalize, mapping zero rows to zero (treated as orthogonal)."""
     norms = np.linalg.norm(mat, axis=1)
@@ -97,17 +97,39 @@ def _unit_rows(mat: np.ndarray):
     return mat / safe[:, None], norms
 
 
+def _cosine(U: np.ndarray, V: np.ndarray):
+    """Unit rows and norms of both node matrices, their cosines, and the cost.
+
+    Returns (uhat, unorm, vhat, vnorm, cos, cost) with cost = clip(1 - cos).
+    """
+    uhat, unorm = _unit_rows(U)
+    vhat, vnorm = _unit_rows(V)
+    cos = uhat @ vhat.T
+    return uhat, unorm, vhat, vnorm, cos, np.clip(1.0 - cos, 0.0, 2.0)
+
+
+def _relevance(U: np.ndarray, V: np.ndarray):
+    """Clamped raw relevance max(u_i . mean(V), 0) of each side, and the means.
+
+    Returns (raw_u, raw_v, mean_u, mean_v).
+    """
+    mean_u, mean_v = U.mean(axis=0), V.mean(axis=0)
+    return np.maximum(U @ mean_v, 0.0), np.maximum(V @ mean_u, 0.0), mean_u, mean_v
+
+
+def _normalize(raw: np.ndarray):
+    """(raw / sum(raw), sum(raw)); an all-zero side falls back to uniform."""
+    total = raw.sum()
+    return (raw / total if total > 0 else np.full(raw.size, 1.0 / raw.size)), total
+
+
 def cost_matrix(a: EmbeddingSet, b: EmbeddingSet) -> np.ndarray:
     """Cosine ground cost c_ij = 1 - cos(u_i, v_j), in [0, 2].
 
     Zero-norm vectors get cost 1 against everything (orthogonal limit).
     """
-    if a.channels != b.channels:
-        raise ValueError(f"channel mismatch: {a.channels} vs {b.channels}")
-    ua, _ = _unit_rows(a.vectors)
-    vb, _ = _unit_rows(b.vectors)
-    cos = ua @ vb.T
-    return np.clip(1.0 - cos, 0.0, 2.0)
+    _check_channels(a, b)
+    return _cosine(a.vectors, b.vectors)[-1]
 
 
 def cross_reference_weights(a: EmbeddingSet, b: EmbeddingSet):
@@ -117,17 +139,9 @@ def cross_reference_weights(a: EmbeddingSet, b: EmbeddingSet):
     A side whose raw scores are all zero falls back to uniform weights.
     Returns (weights_a, weights_b).
     """
-    if a.channels != b.channels:
-        raise ValueError(f"channel mismatch: {a.channels} vs {b.channels}")
-    mean_b = b.vectors.mean(axis=0)
-    mean_a = a.vectors.mean(axis=0)
-    raw_a = np.maximum(a.vectors @ mean_b, 0.0)
-    raw_b = np.maximum(b.vectors @ mean_a, 0.0)
-    out = []
-    for raw, m in ((raw_a, a.node_count), (raw_b, b.node_count)):
-        total = raw.sum()
-        out.append(raw / total if total > 0 else np.full(m, 1.0 / m))
-    return out[0], out[1]
+    _check_channels(a, b)
+    raw_a, raw_b, _, _ = _relevance(a.vectors, b.vectors)
+    return _normalize(raw_a)[0], _normalize(raw_b)[0]
 
 
 def uniform_weights(a: EmbeddingSet, b: EmbeddingSet):
@@ -136,15 +150,22 @@ def uniform_weights(a: EmbeddingSet, b: EmbeddingSet):
             np.full(b.node_count, 1.0 / b.node_count))
 
 
+def _solve_and_score(cost: np.ndarray, supply, demand, solver: str):
+    """Solve the transport problem and score it as sum((1 - c) * flows).
+
+    Returns (similarity, solution, problem).
+    """
+    p = TransportProblem(cost=cost, supply=supply, demand=demand)
+    sol = solve(p, solver)
+    return float(np.sum((1.0 - cost) * sol.flows)), sol, p
+
+
 def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     """Similarity sum((1 - c) * flows) under the sets' current weights.
 
     Weights must be balanced (equal totals).  Returns (similarity, solution).
     """
-    cost = cost_matrix(a, b)
-    p = TransportProblem(cost=cost, supply=a.weights, demand=b.weights)
-    sol = solve(p, solver)
-    sim = float(np.sum((1.0 - cost) * sol.flows))
+    sim, sol, _ = _solve_and_score(cost_matrix(a, b), a.weights, b.weights, solver)
     return sim, sol
 
 
@@ -162,13 +183,52 @@ def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_re
     return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
 
 
+def similarity_matrix(queries, refs, weighting: str = "cross_reference",
+                      solver: str = "simplex", skip_diagonal: bool = False) -> np.ndarray:
+    """:func:`pair_similarity` of every query x reference pair, as a Q x R array.
+
+    ``queries`` and ``refs`` are sequences of :class:`EmbeddingSet`.  With
+    ``skip_diagonal`` the index-identical pairs (i, i) are not solved and
+    hold -inf.
+    """
+    sim = np.empty((len(queries), len(refs)))
+    for i, q in enumerate(queries):
+        for j, r in enumerate(refs):
+            if skip_diagonal and i == j:
+                sim[i, j] = -np.inf
+            else:
+                sim[i, j] = pair_similarity(q, r, weighting=weighting, solver=solver)[0]
+    return sim
+
+
 # ---------------------------------------------------------------------------
 # Backward chain: similarity -> (cost, weights) -> node matrices.
 
 
-def _normalization_vjp(grad_norm: np.ndarray, normalized: np.ndarray, total: float):
-    """Pull a gradient back through w -> w / sum(w)."""
-    return (grad_norm - float(grad_norm @ normalized)) / total
+def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
+    """Pull g_cos back to the rows x of cos = xhat @ yhat.T.
+
+    d cos_ij / d x_i = (yhat_j - cos_ij * xhat_i) / |x_i|; zero-norm rows
+    are flat (cost pinned at 1).
+    """
+    safe = np.where(xnorm > 0, xnorm, 1.0)
+    grad = (g_cos @ yhat - (g_cos * cos).sum(axis=1)[:, None] * xhat) / safe[:, None]
+    grad[xnorm == 0] = 0.0
+    return grad
+
+
+def _weight_vjp(grad_w, w, raw, total, X, mean_other, grad_x, grad_other):
+    """Accumulate the pullback through w = normalize(max(X @ mean_other, 0)).
+
+    Adds into ``grad_x`` (X's rows) and ``grad_other`` (the rows of the
+    set whose mean is ``mean_other``).  The uniform fallback carries no
+    gradient.
+    """
+    if total > 0:
+        g_raw = (grad_w - float(grad_w @ w)) / total * (raw > 0)
+        grad_x += g_raw[:, None] * mean_other[None, :]
+        n_other = grad_other.shape[0]
+        grad_other += np.outer(np.ones(n_other), g_raw @ X) / n_other
 
 
 def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
@@ -179,49 +239,20 @@ def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simpl
     LP value.  Returns (similarity, solution, grad_a, grad_b) where grad_a
     is d similarity / d a.vectors (M_a x C), likewise grad_b.
     """
-    if a.channels != b.channels:
-        raise ValueError(f"channel mismatch: {a.channels} vs {b.channels}")
+    _check_channels(a, b)
     U, V = a.vectors, b.vectors
-    ma, mb = U.shape[0], V.shape[0]
-
-    mean_b = V.mean(axis=0)
-    mean_a = U.mean(axis=0)
-    raw_a = np.maximum(U @ mean_b, 0.0)
-    raw_b = np.maximum(V @ mean_a, 0.0)
-    tot_a, tot_b = raw_a.sum(), raw_b.sum()
-    wa = raw_a / tot_a if tot_a > 0 else np.full(ma, 1.0 / ma)
-    wb = raw_b / tot_b if tot_b > 0 else np.full(mb, 1.0 / mb)
-
-    uhat, unorm = _unit_rows(U)
-    vhat, vnorm = _unit_rows(V)
-    cos = uhat @ vhat.T
-    cost = np.clip(1.0 - cos, 0.0, 2.0)
-
-    p = TransportProblem(cost=cost, supply=wa, demand=wb)
-    sol = solve(p, solver)
-    sim = float(np.sum((1.0 - cost) * sol.flows))
+    raw_a, raw_b, mean_a, mean_b = _relevance(U, V)
+    wa, tot_a = _normalize(raw_a)
+    wb, tot_b = _normalize(raw_b)
+    uhat, unorm, vhat, vnorm, cos, cost = _cosine(U, V)
+    sim, sol, p = _solve_and_score(cost, wa, wb, solver)
     env = backward_similarity(1.0, sol, p, mode="envelope")
 
-    # Cost path.  d cos_ij / d u_i = (vhat_j - cos_ij * uhat_i) / |u_i|;
-    # zero-norm rows are flat (cost pinned at 1).
     g_cos = -env.d_cost
-    ua_safe = np.where(unorm > 0, unorm, 1.0)
-    vb_safe = np.where(vnorm > 0, vnorm, 1.0)
-    grad_a = (g_cos @ vhat - (g_cos * cos).sum(axis=1)[:, None] * uhat) / ua_safe[:, None]
-    grad_a[unorm == 0] = 0.0
-    g_cos_t = g_cos.T
-    grad_b = (g_cos_t @ uhat - (g_cos_t * cos.T).sum(axis=1)[:, None] * vhat) / vb_safe[:, None]
-    grad_b[vnorm == 0] = 0.0
-
-    # Weight path (uniform fallback carries no gradient).
-    if tot_a > 0:
-        g_raw_a = _normalization_vjp(env.d_supply, wa, tot_a) * (raw_a > 0)
-        grad_a += g_raw_a[:, None] * mean_b[None, :]
-        grad_b += np.outer(np.ones(mb), g_raw_a @ U) / mb
-    if tot_b > 0:
-        g_raw_b = _normalization_vjp(env.d_demand, wb, tot_b) * (raw_b > 0)
-        grad_b += g_raw_b[:, None] * mean_a[None, :]
-        grad_a += np.outer(np.ones(ma), g_raw_b @ V) / ma
+    grad_a = _cosine_vjp(g_cos, cos, uhat, unorm, vhat)
+    grad_b = _cosine_vjp(g_cos.T, cos.T, vhat, vnorm, uhat)
+    _weight_vjp(env.d_supply, wa, raw_a, tot_a, U, mean_b, grad_a, grad_b)
+    _weight_vjp(env.d_demand, wb, raw_b, tot_b, V, mean_a, grad_b, grad_a)
     return sim, sol, grad_a, grad_b
 
 
@@ -285,8 +316,12 @@ def extract(feature_map, cfg: ExtractionConfig) -> EmbeddingSet:
 
     ``fcn`` keeps every spatial vector (row-major); ``grid`` averages
     context-enlarged cells of a rows x cols partition; ``sampling`` averages
-    seeded random rectangles.  Weights are left at 1 for every node.
+    seeded random rectangles.  A non-empty ``cfg.pyramid_levels`` replaces
+    the strategy with :func:`extract_pyramid`.  Weights are left at 1 for
+    every node.
     """
+    if cfg.pyramid_levels:
+        return extract_pyramid(feature_map, cfg.pyramid_levels)
     arr = _as_map(feature_map)
     h, w, _ = arr.shape
     if cfg.strategy == "fcn":
@@ -295,10 +330,10 @@ def extract(feature_map, cfg: ExtractionConfig) -> EmbeddingSet:
         nodes = _grid_nodes(arr, cfg.grid_rows, cfg.grid_cols, cfg.context_enlarge)
     else:
         nodes = _sampled_nodes(arr, cfg)
-    return EmbeddingSet(vectors=nodes, source_tag=cfg.strategy)
+    return EmbeddingSet(vectors=nodes)
 
 
-def extract_pyramid(feature_map, levels, base: ExtractionConfig = None) -> EmbeddingSet:
+def extract_pyramid(feature_map, levels) -> EmbeddingSet:
     """Multi-scale node set: level L contributes an L x L pooled grid.
 
     Levels pool with adaptive average windows, so levels [H] on a square
@@ -314,4 +349,4 @@ def extract_pyramid(feature_map, levels, base: ExtractionConfig = None) -> Embed
         if lv < 1 or lv > min(h, w):
             raise ValueError(f"pyramid level {lv} exceeds spatial extent {h}x{w}")
         parts.append(_grid_nodes(arr, lv, lv, 1.0))
-    return EmbeddingSet(vectors=np.concatenate(parts, axis=0), source_tag="pyramid")
+    return EmbeddingSet(vectors=np.concatenate(parts, axis=0))

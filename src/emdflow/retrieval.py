@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import EmbeddingSet, pair_similarity
+from .metric import similarity_matrix
+from .metric import pair_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,8 @@ def rank_gallery(queries, gallery, weighting: str = "cross_reference",
         self_match = queries is gallery
     q_labels = np.array([label for label, _ in queries])
     g_labels = np.array([label for label, _ in gallery])
-    sim = np.empty((len(queries), len(gallery)))
-    for i, (_, q) in enumerate(queries):
-        for j, (_, g) in enumerate(gallery):
-            if self_match and i == j:
-                sim[i, j] = -np.inf
-            else:
-                sim[i, j], _ = pair_similarity(q, g, weighting=weighting, solver=solver)
+    sim = similarity_matrix([q for _, q in queries], [g for _, g in gallery],
+                            weighting=weighting, solver=solver, skip_diagonal=self_match)
     return RetrievalRun(query_labels=q_labels, gallery_labels=g_labels,
                         similarity=sim, ranking=_rank_rows(sim))
 

@@ -2,7 +2,7 @@
 
 Three routes to the same optimum:
 
-* :func:`solve_simplex` — transportation simplex (northwest-corner start,
+* :func:`solve_simplex` — transportation simplex (least-cost start,
   Bland's rule against cycling).  Fast path for inference.
 * :func:`solve_interior_point` — primal-dual path following with
   Mehrotra-style centering.  Its converged duals feed differentiation.
@@ -102,39 +102,6 @@ class TransportSolution:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class CanonicalLp:
-    """Generic-LP view: min c.x s.t. Ax=b, Gx<=h with G=-I, h=0."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    G: np.ndarray
-    h: np.ndarray
-
-
-def canonicalize(p: TransportProblem) -> CanonicalLp:
-    """Flatten the m x k problem into the compact constraint form.
-
-    Flow cell (i, j) maps to flat column i*k + j.  Each column of A has a
-    1 in supplier row i and a 1 in demander row m + j.
-    """
-    m, k = p.m, p.k
-    n = m * k
-    A = np.zeros((m + k, n))
-    for i in range(m):
-        A[i, i * k:(i + 1) * k] = 1.0
-    for j in range(k):
-        A[m + j, j::k] = 1.0
-    return CanonicalLp(
-        c=p.cost.ravel().copy(),
-        A=A,
-        b=np.concatenate([p.supply, p.demand]),
-        G=-np.eye(n),
-        h=np.zeros(n),
-    )
-
-
 def reduced_incidence(m: int, k: int) -> np.ndarray:
     """Equality matrix with the redundant last demand row dropped (full rank)."""
     A = np.zeros((m + k - 1, m * k))
@@ -180,34 +147,6 @@ def _least_cost_start(cost, supply, demand):
         else:
             masked[:, j] = np.inf
             active_cols -= 1
-    return flows, basis
-
-
-def _northwest_corner(supply, demand):
-    """Initial basic feasible solution; returns (flows, basis cells)."""
-    m, k = len(supply), len(demand)
-    a = supply.copy()
-    b = demand.copy()
-    flows = np.zeros((m, k))
-    basis = []
-    i = j = 0
-    while i < m and j < k:
-        x = min(a[i], b[j])
-        flows[i, j] = x
-        basis.append((i, j))
-        a[i] -= x
-        b[j] -= x
-        if i == m - 1 and j == k - 1:
-            break
-        # Advance exactly one index per step so the basis keeps m+k-1 cells.
-        if i == m - 1:
-            j += 1
-        elif j == k - 1:
-            i += 1
-        elif a[i] <= b[j]:
-            i += 1
-        else:
-            j += 1
     return flows, basis
 
 
@@ -331,10 +270,9 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
     cost = p.cost
     flows_np, basis_cells = _least_cost_start(cost, p.supply, p.demand)
     flows = flows_np.tolist()  # scalar cell updates are hot; stay in pure python
-    basis = set(basis_cells)
     tree = _BasisTree(m, k, cost.tolist(), basis_cells)
     in_basis = np.zeros(m * k, dtype=bool)
-    in_basis[[i * k + j for (i, j) in basis]] = True
+    in_basis[[i * k + j for (i, j) in basis_cells]] = True
 
     stall = 0
     stall_limit = m + k + 2
@@ -349,7 +287,7 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
                 duals_eq=np.concatenate([tree.u, tree.v]),
                 duals_ineq=np.maximum(red.reshape(m, k), 0.0),
                 solver_tag="simplex",
-                degenerate=bool(min(flows[i][j] for (i, j) in basis) < 1e-9),
+                degenerate=bool(flows_np.ravel()[in_basis].min() < 1e-9),
             )
         if stall >= stall_limit:
             enter_flat = int(candidates[0])  # Bland: lowest flat index
@@ -368,8 +306,6 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
         for idx, (i, j) in enumerate(cycle):
             flows[i][j] += theta if idx % 2 == 0 else -theta
         flows[leave[0]][leave[1]] = 0.0
-        basis.remove(leave)
-        basis.add(enter)
         in_basis[leave[0] * k + leave[1]] = False
         in_basis[enter_flat] = True
         tree.replace_edge(leave, enter)

@@ -136,7 +136,11 @@ def test_node_grads_match_finite_differences():
     for _ in range(10):
         U = rng.standard_normal((3, 5)) + 0.4
         V = rng.standard_normal((4, 5)) + 0.4
-        _, _, ga, gb = similarity_node_grads(EmbeddingSet(U), EmbeddingSet(V))
+        sim, sol, ga, gb = similarity_node_grads(EmbeddingSet(U), EmbeddingSet(V))
+        # Training differentiates exactly the score inference computes.
+        ref_sim, ref_sol = pair_similarity(EmbeddingSet(U), EmbeddingSet(V))
+        assert sim == ref_sim
+        assert np.array_equal(sol.flows, ref_sol.flows)
         dU, dV = rng.standard_normal(U.shape), rng.standard_normal(V.shape)
 
         def f(Uq, Vq):
@@ -216,6 +220,12 @@ def test_pyramid_full_level_equals_fcn():
     es = extract_pyramid(DenseTensor.from_array(arr), [4])
     fcn = extract(DenseTensor.from_array(arr), ExtractionConfig("fcn"))
     assert np.allclose(es.vectors, fcn.vectors)
+
+
+def test_extract_honours_pyramid_levels():
+    t = DenseTensor.from_array(np.random.default_rng(15).standard_normal((4, 4, 3)))
+    es = extract(t, ExtractionConfig(pyramid_levels=(2, 1)))
+    assert np.array_equal(es.vectors, extract_pyramid(t, [2, 1]).vectors)
 
 
 def test_pyramid_level_exceeds_extent():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from emdflow.transport import (
     InstanceTooLargeError, IterationLimitError, TransportProblem,
-    UnbalancedProblemError, canonicalize, reduced_incidence, solve,
+    UnbalancedProblemError, reduced_incidence, solve,
     solve_interior_point, solve_oracle, solve_simplex,
 )
 
@@ -39,21 +39,6 @@ def test_identity_assignment():
     sol = solve_simplex(p)
     assert np.allclose(sol.flows, np.eye(2))
     assert sol.objective == pytest.approx(5.0)
-
-
-def test_canonicalize_structure():
-    rng = np.random.default_rng(0)
-    p = random_problem(rng, 3, 4)
-    lp = canonicalize(p)
-    n = 12
-    assert lp.A.shape == (7, n)
-    # two unit entries per column: one supply row, one demand row
-    assert np.all(lp.A.sum(axis=0) == 2)
-    assert np.array_equal(lp.G, -np.eye(n))
-    assert np.array_equal(lp.h, np.zeros(n))
-    assert np.array_equal(lp.b, np.concatenate([p.supply, p.demand]))
-    flat = np.outer(p.supply, p.demand).ravel() / p.supply.sum()
-    assert np.allclose(lp.A @ flat, lp.b)
 
 
 def test_reduced_incidence_full_rank():
