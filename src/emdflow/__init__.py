@@ -12,8 +12,8 @@ from .transport import (TransportProblem, TransportSolution, solve, solve_simple
                         solve_interior_point, solve_oracle,
                         UnbalancedProblemError, InstanceTooLargeError,
                         IterationLimitError, CyclingError)
-from .diff import (EmdGradients, KktSystem, SingularKktError, grad_objective,
-                   jacobian_flows, backward_similarity)
+from .diff import (EmdGradients, SingularKktError, grad_objective, jacobian_flows,
+                   backward_similarity)
 from .metric import (EmbeddingSet, ExtractionConfig, cost_matrix,
                      cross_reference_weights, emd_similarity, pair_similarity,
                      similarity_matrix, similarity_node_grads, extract, extract_pyramid)

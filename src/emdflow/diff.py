@@ -4,15 +4,18 @@ Two routes:
 
 * the envelope (Danskin) gradient of the optimal value — free, exact for
   losses of the value itself;
-* the full implicit-function Jacobian of the optimal flows, obtained by
-  linearizing the KKT optimality system at the optimum and solving the
-  resulting linear system.
+* the implicit-function Jacobian of the optimal flows, read off the
+  optimal basis tree.
 
-The optimality system stacks stationarity, scaled complementarity, and
-the equality constraints.  One equality row of the balanced problem is
-redundant, so the linearization is solved on the reduced system with the
-last demand potential pinned to zero; this leaves the primal block of the
-Jacobian unchanged for balanced parameter perturbations.
+At a strictly complementary optimum the KKT linearization collapses onto
+the basis B: the m+k-1 cells where the flow exceeds its multiplier, which
+form a spanning tree of the m+k bipartite nodes.  Nonbasic flows stay at
+zero, so d flows / d cost = 0 and d flows_B / d (supply, demand) = B^-1.
+One equality row of the balanced problem is redundant; it is dropped by
+rooting the tree at the last demander, which pins that node's potential
+to zero.  B^-1 is then a leaf-to-root flow walk and its transpose a
+root-to-leaf potential walk, both O(m+k).  The x > lambda partition also
+crosses interior-point solutions over to their basis.
 """
 
 from __future__ import annotations
@@ -20,13 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .transport import TransportProblem, TransportSolution, reduced_incidence
+from .transport import TransportProblem, TransportSolution
 
 COMPLEMENTARITY_GATE = 1e-8
-CONDITION_GATE = 1e12
-SUPPORT_TOL = 1e-6
 
 
 class SingularKktError(RuntimeError):
@@ -56,21 +56,17 @@ def grad_objective(sol: TransportSolution, p: TransportProblem) -> EmdGradients:
     )
 
 
-class KktSystem:
-    """Linearized optimality system at an LP optimum.
+class FlowJacobian:
+    """Flow Jacobian at a nondegenerate optimum, held as its basis tree.
 
-    Holds the LU factorization of the reduced Jacobian so that multiple
-    parameter directions (or the adjoint) reuse one factorization.
-    Blocks, with n = m*k primal flows, n multipliers, m+k-1 potentials:
-
-        [ 0          -I     A_r^T ]
-        [ -diag(lam) -diag(x)  0  ]
-        [ A_r         0        0  ]
+    Nodes 0..m-1 are suppliers and m..m+k-1 demanders.  Every node but the
+    root (the last demander) carries the basic cell joining it to its
+    parent.  ``apply`` maps a parameter direction to the change in the
+    optimal flows; ``vjp`` maps a flow cotangent back to supply and demand.
     """
 
     def __init__(self, sol: TransportSolution, p: TransportProblem):
         m, k = p.m, p.k
-        n = m * k
         x = sol.flows.ravel()
         lam = sol.duals_ineq.ravel()
 
@@ -79,72 +75,63 @@ class KktSystem:
             raise SingularKktError(
                 f"strict complementarity fails (min x+lambda = {gap:.3e})"
             )
-        # A vertex optimum has at most m+k-1 active flows; more means the
-        # optimal face is not a point and the Jacobian does not exist.
-        support = int(np.count_nonzero(x > SUPPORT_TOL * max(x.max(), 1e-300)))
-        if support > m + k - 1:
+        basis = np.flatnonzero(x > lam).tolist()
+        if len(basis) != m + k - 1:
             raise SingularKktError(
-                f"optimal flow support {support} exceeds basis size {m + k - 1}; "
+                f"optimal basis has {len(basis)} cells, a vertex has {m + k - 1}; "
                 "multiple optimal flows"
             )
-
-        A = reduced_incidence(m, k)
-        nr = m + k - 1
-        size = 2 * n + nr
-        J = np.zeros((size, size))
-        J[:n, n:2 * n] = -np.eye(n)
-        J[:n, 2 * n:] = A.T
-        J[n:2 * n, :n] = -np.diag(lam)
-        J[n:2 * n, n:2 * n] = -np.diag(x)
-        J[2 * n:, :n] = A
-
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > CONDITION_GATE:
-            raise SingularKktError(f"KKT matrix condition estimate {cond:.3e}")
-
-        self.m, self.k, self.n = m, k, n
-        self.jac_x = J
-        self.condition = float(cond)
-        self._lu = scipy.linalg.lu_factor(J, check_finite=False)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-
-    def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs, trans=1, check_finite=False)
-
-    def parameter_rhs(self, d_cost, d_supply, d_demand) -> np.ndarray:
-        """Right-hand side -J_theta g . v for a parameter direction v.
-
-        Cost enters stationarity with identity; supply/demand enter the
-        equality block with -identity (last demand row dropped).
-        """
-        m, k, n = self.m, self.k, self.n
-        rhs = np.zeros(2 * n + m + k - 1)
-        rhs[:n] = -np.asarray(d_cost, dtype=float).ravel()
-        db = np.concatenate([np.asarray(d_supply, dtype=float),
-                             np.asarray(d_demand, dtype=float)[:k - 1]])
-        rhs[2 * n:] = db
-        return rhs
-
-
-class FlowJacobian:
-    """Action of the flow Jacobian on parameter perturbations.
-
-    ``apply`` maps a direction (d_cost, d_supply, d_demand) to the induced
-    first-order change in the optimal flows.  Weight perturbations must be
-    balanced (sum of d_supply equal to sum of d_demand) to stay inside the
-    feasible family.
-    """
-
-    def __init__(self, system: KktSystem):
-        self.system = system
+        adj = [[] for _ in range(m + k)]
+        for cell in basis:
+            i, j = divmod(cell, k)
+            adj[i].append((m + j, cell))
+            adj[m + j].append((i, cell))
+        root = m + k - 1
+        parent = [-1] * (m + k)
+        edge = [-1] * (m + k)
+        order = [root]
+        for node in order:  # breadth first; ``order`` grows while it is read
+            for nbr, cell in adj[node]:
+                if nbr != root and parent[nbr] == -1:
+                    parent[nbr] = node
+                    edge[nbr] = cell
+                    order.append(nbr)
+        # m+k-1 cells reaching all m+k nodes form a tree.
+        if len(order) != m + k:
+            raise SingularKktError("optimal basis cells do not form a spanning tree")
+        self.m, self.k = m, k
+        self._order = order[1:]
+        self._parent = parent
+        self._edge = edge
 
     def apply(self, d_cost, d_supply, d_demand) -> np.ndarray:
-        sysm = self.system
-        rhs = sysm.parameter_rhs(d_cost, d_supply, d_demand)
-        delta = sysm.solve(rhs)
-        return delta[:sysm.n].reshape(sysm.m, sysm.k)
+        """First-order change in the optimal flows along a parameter direction.
+
+        Flows are constant in cost, so ``d_cost`` has no effect.  The flow
+        on each node's parent edge is what the node still needs after its
+        children; the root's own balance (the dropped row) is not imposed,
+        so weight perturbations should be balanced (sum of d_supply equal to
+        sum of d_demand) to stay inside the feasible family.
+        """
+        rest = np.concatenate([np.asarray(d_supply, dtype=float),
+                               np.asarray(d_demand, dtype=float)])
+        d_flows = np.zeros(self.m * self.k)
+        for node in reversed(self._order):
+            d_flows[self._edge[node]] = rest[node]
+            rest[self._parent[node]] -= rest[node]
+        return d_flows.reshape(self.m, self.k)
+
+    def vjp(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """Pull a flow cotangent ``w`` (m, k) back to (d_supply, d_demand).
+
+        Solves B^T y = w_B: potentials with y_i + y_j = w_ij on basic cells
+        and the last demand potential pinned to zero.
+        """
+        w = np.asarray(w, dtype=float).ravel()
+        y = np.zeros(self.m + self.k)
+        for node in self._order:
+            y[node] = w[self._edge[node]] - y[self._parent[node]]
+        return y[:self.m], y[self.m:]
 
 
 def jacobian_flows(sol: TransportSolution, p: TransportProblem) -> FlowJacobian:
@@ -152,25 +139,23 @@ def jacobian_flows(sol: TransportSolution, p: TransportProblem) -> FlowJacobian:
 
     Raises :class:`SingularKktError` when the degeneracy gate trips.
     """
-    return FlowJacobian(KktSystem(sol, p))
+    return FlowJacobian(sol, p)
 
 
 def backward_similarity(upstream: float, sol: TransportSolution,
                         p: TransportProblem, mode: str = "envelope") -> EmdGradients:
     """Gradients of a loss through the similarity score sum((1-c) * flows).
 
-    The similarity equals total flow minus objective.  Total flow is fixed
-    by the weights; its unit contribution is attributed to the supply side,
-    which is immaterial for balanced weight perturbations.
-
     ``envelope`` uses the value-function gradient (exact for losses of the
-    similarity).  ``full`` additionally routes through the flow Jacobian,
-    which validates the implicit-function route and is required when the
-    loss touches individual flows.
+    similarity).  It writes the similarity as total flow minus objective and
+    attributes the total flow to the supply side.  ``full`` routes through
+    the flow Jacobian instead: d_cost is the direct term -flows, and the
+    weight gradients are the tree potentials of upstream * (1 - c), which
+    already count total flow.  It validates the implicit-function route
+    and is required when the loss touches individual flows.
     """
-    m, k = p.m, p.k
-    n = m * k
     if mode == "envelope":
+        m = p.m
         return EmdGradients(
             d_cost=-upstream * sol.flows,
             d_supply=upstream * (1.0 - sol.duals_eq[:m]),
@@ -179,17 +164,5 @@ def backward_similarity(upstream: float, sol: TransportSolution,
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
 
-    system = KktSystem(sol, p)
-    # Adjoint solve: w is the sensitivity of the similarity to each flow.
-    w = upstream * (1.0 - p.cost).ravel()
-    rhs = np.zeros(2 * n + m + k - 1)
-    rhs[:n] = w
-    y = system.solve_transpose(rhs)
-    d_cost = -upstream * sol.flows - y[:n].reshape(m, k)
-    d_supply = upstream * np.ones(m) + y[2 * n:2 * n + m]
-    d_demand = np.concatenate([y[2 * n + m:], [0.0]])
-    grads = EmdGradients(d_cost=d_cost, d_supply=d_supply, d_demand=d_demand)
-    for arr in (grads.d_cost, grads.d_supply, grads.d_demand):
-        if not np.all(np.isfinite(arr)):
-            raise SingularKktError("non-finite gradient from KKT solve")
-    return grads
+    d_supply, d_demand = jacobian_flows(sol, p).vjp(upstream * (1.0 - p.cost))
+    return EmdGradients(d_cost=-upstream * sol.flows, d_supply=d_supply, d_demand=d_demand)

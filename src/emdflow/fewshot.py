@@ -93,8 +93,12 @@ def sample_episode(col: LabeledSetCollection, n_way: int, k_shot: int,
     """Draw an N-way K-shot episode, deterministic under ``seed``.
 
     Classes and per-class sets are sampled without replacement; sampled
-    classes are relabeled 0..n_way-1 in draw order.
+    classes are relabeled 0..n_way-1 in draw order.  Raises ValueError
+    unless ``n_way``, ``k_shot`` and ``q_per_class`` are all at least 1.
     """
+    if min(n_way, k_shot, q_per_class) < 1:
+        raise ValueError(f"an episode needs n_way, k_shot and q_per_class >= 1, "
+                         f"got {n_way}, {k_shot}, {q_per_class}")
     rng = np.random.default_rng(seed)
     by_class = col.by_class()
     need = k_shot + q_per_class

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 BALANCE_RTOL = 1e-9
+DEGENERATE_RTOL = 1e-9  # basic flows below this share of total mass count as zero
 ORACLE_MAX_CELLS = 16
 
 
@@ -287,7 +288,8 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
                 duals_eq=np.concatenate([tree.u, tree.v]),
                 duals_ineq=np.maximum(red.reshape(m, k), 0.0),
                 solver_tag="simplex",
-                degenerate=bool(flows_np.ravel()[in_basis].min() < 1e-9),
+                degenerate=bool(flows_np.ravel()[in_basis].min()
+                                < DEGENERATE_RTOL * p.supply.sum()),
             )
         if stall >= stall_limit:
             enter_flat = int(candidates[0])  # Bland: lowest flat index
@@ -451,7 +453,8 @@ def solve_oracle(p: TransportProblem) -> TransportSolution:
     cells, inverses = _tree_bases(m, k)
     b_red = np.concatenate([p.supply, p.demand[:k - 1]])
     basic_flows = inverses @ b_red                    # (T, nb)
-    feasible = np.all(basic_flows >= -1e-12, axis=1)
+    total = float(p.supply.sum())
+    feasible = np.all(basic_flows >= -1e-12 * total, axis=1)
     costs = p.cost.ravel()[cells]                     # (T, nb)
     objectives = np.einsum("tb,tb->t", costs, basic_flows)
     objectives = np.where(feasible, objectives, np.inf)
@@ -469,7 +472,7 @@ def solve_oracle(p: TransportProblem) -> TransportSolution:
         duals_eq=duals_eq,
         duals_ineq=np.maximum(red, 0.0),
         solver_tag="oracle",
-        degenerate=bool(np.min(basic_flows[best]) < 1e-9),
+        degenerate=bool(np.min(basic_flows[best]) < DEGENERATE_RTOL * total),
     )
 
 

@@ -115,6 +115,12 @@ def test_episodes_zero_is_ok(tmp_path):
     assert len(rows) == 1  # header only
 
 
+def test_episodes_without_queries_rejected(tmp_path, capsys):
+    manifest = _gen_collection(tmp_path)
+    assert main(["episodes", "--collection", manifest, "--q", "0"]) == 1
+    assert "q_per_class" in capsys.readouterr().err
+
+
 def test_episodes_deterministic_bytes(tmp_path):
     manifest = _gen_collection(tmp_path)
     outs = []

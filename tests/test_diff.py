@@ -3,7 +3,8 @@ import pytest
 
 from emdflow.diff import (EmdGradients, SingularKktError, backward_similarity,
                           grad_objective, jacobian_flows)
-from emdflow.transport import TransportProblem, solve, solve_oracle
+from emdflow.transport import (ORACLE_MAX_CELLS, TransportProblem, TransportSolution,
+                               _tree_bases, solve, solve_oracle)
 
 from conftest import random_problem
 
@@ -122,21 +123,46 @@ def test_constant_cost_is_gated():
         jacobian_flows(solve(p, "interior_point"), p)
 
 
-def test_kkt_residual_small():
+def test_tree_jacobian_matches_oracle_basis_inverse():
+    """Tree walks against the explicit inverse of the oracle's winning basis."""
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        p = random_problem(rng, 3, 4)
-        sol = solve(p, "simplex")
-        try:
+    checked = 0
+    for m, k in ((1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (2, 8), (4, 4)):
+        assert m * k <= ORACLE_MAX_CELLS
+        cells, inverses = _tree_bases(m, k)
+        for _ in range(5):
+            p = random_problem(rng, m, k)
+            sol = solve_oracle(p)
             jac = jacobian_flows(sol, p)
-        except SingularKktError:
-            continue
-        dc = rng.standard_normal((3, 4))
-        ds, dd = _balanced_directions(rng, 3, 4)
-        rhs = jac.system.parameter_rhs(dc, ds, dd)
-        delta = jac.system.solve(rhs)
-        residual = jac.system.jac_x @ delta - rhs
-        assert np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
+            basis = np.flatnonzero(sol.flows > sol.duals_ineq)
+            (t,) = np.flatnonzero(np.all(cells == basis, axis=1))
+            ds, dd = rng.standard_normal(m), rng.standard_normal(k)
+            expected = np.zeros(m * k)
+            expected[cells[t]] = inverses[t] @ np.concatenate([ds, dd[:k - 1]])
+            assert np.allclose(jac.apply(np.zeros((m, k)), ds, dd).ravel(), expected,
+                               rtol=0.0, atol=1e-12)
+            w = rng.standard_normal((m, k))
+            y = inverses[t].T @ w.ravel()[cells[t]]
+            d_supply, d_demand = jac.vjp(w)
+            assert np.allclose(d_supply, y[:m], rtol=0.0, atol=1e-12)
+            assert np.allclose(d_demand, np.append(y[m:], 0.0), rtol=0.0, atol=1e-12)
+            checked += 1
+    assert checked == 40
+
+
+def test_non_tree_support_is_gated():
+    """A support with the right cell count but a cycle is not a basis."""
+    p = TransportProblem(cost=np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]]),
+                         supply=np.array([0.5, 0.5]), demand=np.array([0.5, 0.5, 0.0]))
+    flows = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
+    sol = TransportSolution(flows=flows, objective=float(np.sum(p.cost * flows)),
+                            duals_eq=np.array([0.0, 0.0, 1.0, 1.0, 0.0]),
+                            duals_ineq=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]),
+                            solver_tag="hand")
+    with pytest.raises(SingularKktError, match="spanning tree"):
+        jacobian_flows(sol, p)
+    with pytest.raises(SingularKktError, match="spanning tree"):
+        backward_similarity(1.0, sol, p, mode="full")
 
 
 def test_envelope_d_cost_is_negative_flows_bitwise():
@@ -174,6 +200,25 @@ def test_full_mode_matches_finite_differences():
         pred = float(np.sum(g.d_cost * dc))
         assert pred == pytest.approx(fd, rel=1e-3, abs=1e-6)
     assert checked >= 10
+
+
+def test_full_mode_weight_gradient_matches_finite_differences():
+    """Balanced directions that change total mass (sum ds = sum dd != 0)."""
+    rng = np.random.default_rng(11)
+    for _ in range(15):
+        p = random_problem(rng, 3, 4)
+        sol = solve(p, "simplex")
+        g = backward_similarity(1.5, sol, p, mode="full")
+        ds = rng.uniform(0.2, 1.0, 3)
+        dd = rng.standard_normal(4)
+        dd += (ds.sum() - dd.sum()) / 4
+        plus = TransportProblem(cost=p.cost, supply=p.supply + EPS * ds,
+                                demand=p.demand + EPS * dd)
+        minus = TransportProblem(cost=p.cost, supply=p.supply - EPS * ds,
+                                 demand=p.demand - EPS * dd)
+        fd = 1.5 * (_similarity(plus) - _similarity(minus)) / (2 * EPS)
+        pred = float(g.d_supply @ ds + g.d_demand @ dd)
+        assert pred == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_envelope_weight_path_matches_finite_differences():

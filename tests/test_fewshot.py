@@ -59,6 +59,12 @@ def test_sample_episode_insufficient(separable_col):
         sample_episode(separable_col, 5, 5, 6, seed=0)
 
 
+@pytest.mark.parametrize("n_way, k_shot, q_per_class", [(0, 1, 1), (3, 0, 1), (3, 1, 0)])
+def test_sample_episode_rejects_empty(separable_col, n_way, k_shot, q_per_class):
+    with pytest.raises(ValueError, match="q_per_class >= 1"):
+        sample_episode(separable_col, n_way, k_shot, q_per_class, seed=0)
+
+
 def test_episode_label_validation():
     es = EmbeddingSet(np.ones((1, 2)))
     with pytest.raises(ValueError):

@@ -175,6 +175,17 @@ def test_weight_scale_equivariance():
     assert np.allclose(sb.flows, beta * sa.flows, rtol=1e-8, atol=1e-10)
 
 
+@pytest.mark.parametrize("solver", ["simplex", "oracle"])
+def test_degenerate_flag_is_scale_relative(solver):
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        p = random_problem(rng, 4, 4)
+        tiny = TransportProblem(cost=p.cost, supply=1e-12 * p.supply,
+                                demand=1e-12 * p.demand)
+        assert not solve(p, solver).degenerate
+        assert not solve(tiny, solver).degenerate
+
+
 def test_objective_consistent_with_flows():
     rng = np.random.default_rng(23)
     for solver in ("simplex", "interior_point"):
