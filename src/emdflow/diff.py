@@ -11,11 +11,14 @@ At a strictly complementary optimum the KKT linearization collapses onto
 the basis B: the m+k-1 cells where the flow exceeds its multiplier, which
 form a spanning tree of the m+k bipartite nodes.  Nonbasic flows stay at
 zero, so d flows / d cost = 0 and d flows_B / d (supply, demand) = B^-1.
-One equality row of the balanced problem is redundant; it is dropped by
-rooting the tree at the last demander, which pins that node's potential
-to zero.  B^-1 is then a leaf-to-root flow walk and its transpose a
-root-to-leaf potential walk, both O(m+k).  The x > lambda partition also
-crosses interior-point solutions over to their basis.
+The tree is the simplex's own ``transport._BasisTree``, hung from the last
+demander, whose redundant equality row is dropped; that pins its potential
+to zero, the gauge every solver reports.  B^-1 is a leaf-to-root pass over
+the tree's order, and its transpose is the tree's potential recurrence with
+the flow cotangent in place of cost, both O(m+k).  Flows are compared in
+units of total mass and multipliers in units of max|cost|, so the gate does
+not move with scale.  The x > lambda partition also crosses interior-point
+solutions over to their basis.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import TransportProblem, TransportSolution
+from .transport import BasisError, TransportProblem, TransportSolution, _BasisTree
 
 COMPLEMENTARITY_GATE = 1e-8
 
@@ -59,21 +62,20 @@ def grad_objective(sol: TransportSolution, p: TransportProblem) -> EmdGradients:
 class FlowJacobian:
     """Flow Jacobian at a nondegenerate optimum, held as its basis tree.
 
-    Nodes 0..m-1 are suppliers and m..m+k-1 demanders.  Every node but the
-    root (the last demander) carries the basic cell joining it to its
-    parent.  ``apply`` maps a parameter direction to the change in the
-    optimal flows; ``vjp`` maps a flow cotangent back to supply and demand.
+    ``apply`` maps a parameter direction to the change in the optimal
+    flows; ``vjp`` maps a flow cotangent back to supply and demand.
     """
 
     def __init__(self, sol: TransportSolution, p: TransportProblem):
         m, k = p.m, p.k
-        x = sol.flows.ravel()
-        lam = sol.duals_ineq.ravel()
+        # Flows in units of mass and multipliers in units of cost.
+        x = sol.flows.ravel() / p.supply.sum()
+        lam = sol.duals_ineq.ravel() / (np.abs(p.cost).max() or 1.0)
 
         gap = float(np.min(x + lam))
         if gap <= COMPLEMENTARITY_GATE:
             raise SingularKktError(
-                f"strict complementarity fails (min x+lambda = {gap:.3e})"
+                f"strict complementarity fails (min x/mass + lambda/max|c| = {gap:.3e})"
             )
         basis = np.flatnonzero(x > lam).tolist()
         if len(basis) != m + k - 1:
@@ -81,28 +83,11 @@ class FlowJacobian:
                 f"optimal basis has {len(basis)} cells, a vertex has {m + k - 1}; "
                 "multiple optimal flows"
             )
-        adj = [[] for _ in range(m + k)]
-        for cell in basis:
-            i, j = divmod(cell, k)
-            adj[i].append((m + j, cell))
-            adj[m + j].append((i, cell))
-        root = m + k - 1
-        parent = [-1] * (m + k)
-        edge = [-1] * (m + k)
-        order = [root]
-        for node in order:  # breadth first; ``order`` grows while it is read
-            for nbr, cell in adj[node]:
-                if nbr != root and parent[nbr] == -1:
-                    parent[nbr] = node
-                    edge[nbr] = cell
-                    order.append(nbr)
-        # m+k-1 cells reaching all m+k nodes form a tree.
-        if len(order) != m + k:
-            raise SingularKktError("optimal basis cells do not form a spanning tree")
-        self.m, self.k = m, k
-        self._order = order[1:]
-        self._parent = parent
-        self._edge = edge
+        try:
+            self._tree = _BasisTree(m, k, basis)
+        except BasisError as exc:
+            raise SingularKktError(
+                "optimal basis cells do not form a spanning tree") from exc
 
     def apply(self, d_cost, d_supply, d_demand) -> np.ndarray:
         """First-order change in the optimal flows along a parameter direction.
@@ -113,13 +98,14 @@ class FlowJacobian:
         so weight perturbations should be balanced (sum of d_supply equal to
         sum of d_demand) to stay inside the feasible family.
         """
+        tree = self._tree
         rest = np.concatenate([np.asarray(d_supply, dtype=float),
                                np.asarray(d_demand, dtype=float)])
-        d_flows = np.zeros(self.m * self.k)
-        for node in reversed(self._order):
-            d_flows[self._edge[node]] = rest[node]
-            rest[self._parent[node]] -= rest[node]
-        return d_flows.reshape(self.m, self.k)
+        d_flows = np.zeros(tree.m * tree.k)
+        for node in reversed(tree.order):
+            d_flows[tree.edge[node]] = rest[node]
+            rest[tree.parent[node]] -= rest[node]
+        return d_flows.reshape(tree.m, tree.k)
 
     def vjp(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Pull a flow cotangent ``w`` (m, k) back to (d_supply, d_demand).
@@ -127,11 +113,10 @@ class FlowJacobian:
         Solves B^T y = w_B: potentials with y_i + y_j = w_ij on basic cells
         and the last demand potential pinned to zero.
         """
-        w = np.asarray(w, dtype=float).ravel()
-        y = np.zeros(self.m + self.k)
-        for node in self._order:
-            y[node] = w[self._edge[node]] - y[self._parent[node]]
-        return y[:self.m], y[self.m:]
+        tree = self._tree
+        y = tree.potentials(np.asarray(w, dtype=float).ravel(),
+                            np.zeros(tree.m + tree.k), tree.order)
+        return y[:tree.m], y[tree.m:]
 
 
 def jacobian_flows(sol: TransportSolution, p: TransportProblem) -> FlowJacobian:

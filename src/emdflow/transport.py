@@ -5,7 +5,7 @@ Three routes to the same optimum:
 * :func:`solve_simplex` — transportation simplex (least-cost start,
   Bland's rule against cycling).  Fast path for inference.
 * :func:`solve_interior_point` — primal-dual path following with
-  Mehrotra-style centering.  Its converged duals feed differentiation.
+  Mehrotra-style centering.
 * :func:`solve_oracle` — exhaustive spanning-tree enumeration for tiny
   instances; the verification reference for both solvers above.
 """
@@ -43,6 +43,10 @@ class InstanceTooLargeError(ValueError):
     """Oracle enumeration is restricted to m*k <= 16 cells."""
 
 
+class BasisError(ValueError):
+    """Basic cells do not form a spanning tree of the m+k nodes."""
+
+
 @dataclass(frozen=True)
 class TransportProblem:
     """Balanced transportation LP: cost (m,k), supply (m,), demand (k,)."""
@@ -59,8 +63,8 @@ class TransportProblem:
             raise ValueError(f"cost must be m x k with m,k >= 1, got {cost.shape}")
         if supply.shape != (cost.shape[0],) or demand.shape != (cost.shape[1],):
             raise ValueError("supply/demand lengths must match cost dimensions")
-        if not np.all(np.isfinite(cost)):
-            raise ValueError("cost entries must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (cost, supply, demand)):
+            raise ValueError("cost, supply and demand entries must be finite")
         if np.any(supply < 0) or np.any(demand < 0):
             raise ValueError("supply and demand must be non-negative")
         ts, td = float(supply.sum()), float(demand.sum())
@@ -90,9 +94,10 @@ class TransportSolution:
     ``duals_eq`` holds the supplier potentials followed by the demander
     potentials, in the sign convention where they are marginal prices:
     the derivative of the optimal objective with respect to supply i is
-    ``duals_eq[i]`` (up to the usual constant-shift gauge of balanced
-    problems).  ``duals_ineq`` are the non-negativity multipliers, equal
-    to clamped reduced costs for basis solvers.
+    ``duals_eq[i]``.  Balanced problems leave one constant shift free;
+    every solver fixes it the same way, with the last demand potential
+    at 0.  ``duals_ineq`` are the non-negativity multipliers, equal to
+    clamped reduced costs for basis solvers.
     """
 
     flows: np.ndarray
@@ -122,6 +127,7 @@ def _least_cost_start(cost, supply, demand):
 
     Same triangular-basis guarantee as the northwest-corner rule but
     starts much closer to the optimum, cutting pivot counts roughly 3x.
+    Returns the flows and the flat indices of the m+k-1 basic cells.
     """
     m, k = cost.shape
     a = supply.copy()
@@ -136,7 +142,7 @@ def _least_cost_start(cost, supply, demand):
         i, j = idx // k, idx % k
         x = min(a[i], b[j])
         flows[i, j] = x
-        basis.append((i, j))
+        basis.append(idx)
         a[i] -= x
         b[j] -= x
         if active_rows == 1 and active_cols == 1:
@@ -152,165 +158,153 @@ def _least_cost_start(cost, supply, demand):
 
 
 class _BasisTree:
-    """Rooted spanning tree of the m+k bipartite nodes backing the simplex.
+    """Spanning tree of the m+k bipartite nodes over flat basic cells.
 
-    Nodes 0..m-1 are suppliers, m..m+k-1 demanders.  Maintains parent,
-    depth, and potential per node; pivots only rescan the re-hung subtree.
+    Nodes 0..m-1 are suppliers, m..m+k-1 demanders.  The tree hangs from
+    the last demander, the node whose row :func:`reduced_incidence` drops,
+    so potentials computed on it pin that demander's potential to zero.
+    Per node it keeps the ``parent``, the flat cell ``edge`` joining the
+    node to its parent, and the ``depth``; ``order`` lists every node but
+    the root, each after its parent, as first built (pivots do not update
+    it).  Raises :class:`BasisError` when the cells hold a cycle or miss a
+    node.
     """
 
-    def __init__(self, m, k, cost_rows, basis_cells):
-        self.m = m
-        self.k = k
-        self.cost_rows = cost_rows
+    def __init__(self, m, k, cells):
+        self.m, self.k = m, k
         n = m + k
-        self.adj = [set() for _ in range(n)]
-        for (i, j) in basis_cells:
-            self.adj[i].add(m + j)
-            self.adj[m + j].add(i)
+        self.adj = [{} for _ in range(n)]  # neighbour -> flat cell
+        for cell in cells:
+            i, j = divmod(cell, k)
+            self.adj[i][m + j] = cell
+            self.adj[m + j][i] = cell
         self.parent = [-1] * n
+        self.edge = [-1] * n
         self.depth = [0] * n
-        self.pot = [0.0] * n
-        self.u = np.zeros(m)
-        self.v = np.zeros(k)
-        self.rescan(0, -1)
+        self.order = self._hang(n - 1)
+        if len(self.order) != n - 1:
+            raise BasisError("basic cells do not form a spanning tree")
 
-    def _edge_cost(self, a, b):
-        return (self.cost_rows[a][b - self.m] if a < self.m
-                else self.cost_rows[b][a - self.m])
-
-    def rescan(self, root, attach_to):
-        """Recompute parent/depth/potential below ``root`` hung on ``attach_to``."""
-        parent, depth, pot = self.parent, self.depth, self.pot
-        parent[root] = attach_to
-        if attach_to == -1:
-            depth[root] = 0
-            pot[root] = 0.0
-        else:
-            depth[root] = depth[attach_to] + 1
-            # u_i + v_j = c_ij on basic cells
-            pot[root] = self._edge_cost(root, attach_to) - pot[attach_to]
-        self._store(root)
-        stack = [root]
+    def _hang(self, top):
+        """Re-hang the nodes below ``top``, whose parent link is set; return
+        them, each after its parent."""
+        parent, edge, depth, adj = self.parent, self.edge, self.depth, self.adj
+        hung, seen, stack = [], {top}, [top]
         while stack:
             node = stack.pop()
-            pn = pot[node]
-            dn = depth[node]
-            for nbr in self.adj[node]:
-                if nbr != parent[node]:
-                    parent[nbr] = node
-                    depth[nbr] = dn + 1
-                    pot[nbr] = self._edge_cost(node, nbr) - pn
-                    self._store(nbr)
-                    stack.append(nbr)
+            for nbr, cell in adj[node].items():
+                if nbr == parent[node]:
+                    continue
+                if nbr in seen:
+                    raise BasisError("basic cells hold a cycle, not a spanning tree")
+                seen.add(nbr)
+                parent[nbr], edge[nbr], depth[nbr] = node, cell, depth[node] + 1
+                hung.append(nbr)
+                stack.append(nbr)
+        return hung
 
-    def _store(self, node):
-        if node < self.m:
-            self.u[node] = self.pot[node]
-        else:
-            self.v[node - self.m] = self.pot[node]
+    def potentials(self, values, pot, nodes):
+        """Solve pot[i] + pot[j] = values[cell] on the parent cells of ``nodes``
+        (each listed after its parent), in place; return ``pot``."""
+        edge, parent = self.edge, self.parent
+        for node in nodes:
+            pot[node] = values[edge[node]] - pot[parent[node]]
+        return pot
 
-    def cycle_cells(self, ei, ej):
-        """Cells of the unique basis cycle closed by entering cell (ei, ej).
+    def cycle(self, cell):
+        """Flat cells of the basis cycle closed by entering ``cell``.
 
         Ordered along the cycle starting at the entering cell, so signs
         alternate +, -, +, ...
         """
-        m = self.m
-        parent, depth = self.parent, self.depth
-        a, b = ei, m + ej
-        path_a, path_b = [], []
+        parent, edge, depth = self.parent, self.edge, self.depth
+        a, b = divmod(cell, self.k)
+        b += self.m
+        up_a, up_b = [], []
         while depth[a] > depth[b]:
-            path_a.append(a)
+            up_a.append(edge[a])
             a = parent[a]
         while depth[b] > depth[a]:
-            path_b.append(b)
+            up_b.append(edge[b])
             b = parent[b]
         while a != b:
-            path_a.append(a)
+            up_a.append(edge[a])
             a = parent[a]
-            path_b.append(b)
+            up_b.append(edge[b])
             b = parent[b]
-        nodes = path_a + [a] + path_b[::-1]  # ei ... lca ... m+ej
-        cells = [(ei, ej)]
-        for x, y in zip(nodes, nodes[1:]):
-            cells.append((x, y - m) if x < m else (y, x - m))
-        return cells
+        return [cell] + up_a + up_b[::-1]
 
     def replace_edge(self, leave, enter):
-        """Swap basis edges and re-hang the detached subtree."""
-        m = self.m
-        l1, l2 = leave[0], m + leave[1]
-        e1, e2 = enter[0], m + enter[1]
-        self.adj[l1].discard(l2)
-        self.adj[l2].discard(l1)
-        self.adj[e1].add(e2)
-        self.adj[e2].add(e1)
+        """Swap basis cells and re-hang the detached subtree; return its nodes."""
+        m, k, adj = self.m, self.k, self.adj
+        l1, l2 = leave // k, m + leave % k
+        e1, e2 = enter // k, m + enter % k
+        del adj[l1][l2], adj[l2][l1]
+        adj[e1][e2] = adj[e2][e1] = enter
         cut_child = l1 if self.parent[l1] == l2 else l2
         # The entering endpoint inside the detached subtree becomes its root.
-        node, in_sub = e1, False
-        while node != -1:
-            if node == cut_child:
-                in_sub = True
-                break
+        node = e1
+        while node != -1 and node != cut_child:
             node = self.parent[node]
-        if in_sub:
-            self.rescan(e1, e2)
-        else:
-            self.rescan(e2, e1)
+        top, attach_to = (e1, e2) if node == cut_child else (e2, e1)
+        self.parent[top], self.edge[top] = attach_to, enter
+        self.depth[top] = self.depth[attach_to] + 1
+        return [top] + self._hang(top)
 
 
 def solve_simplex(p: TransportProblem, tol: float = 1e-10,
                   max_pivots: int = 100_000) -> TransportSolution:
     """Transportation simplex.
 
-    Entering variable is the most negative reduced cost (ties by lowest
-    flat index).  After a run of degenerate pivots the rule falls back to
-    Bland's lowest-index selection, which guarantees termination.
+    Entering variable is the most negative reduced cost below
+    ``-tol * max|cost|`` (ties by lowest flat index).  After a run of
+    degenerate pivots the rule falls back to Bland's lowest-index
+    selection, which guarantees termination.
     """
     m, k = p.m, p.k
     cost = p.cost
-    flows_np, basis_cells = _least_cost_start(cost, p.supply, p.demand)
-    flows = flows_np.tolist()  # scalar cell updates are hot; stay in pure python
-    tree = _BasisTree(m, k, cost.tolist(), basis_cells)
+    total = float(p.supply.sum())
+    flows_np, basis = _least_cost_start(cost, p.supply, p.demand)
+    flows = flows_np.ravel().tolist()  # scalar cell updates are hot; stay in pure python
+    values = cost.ravel().tolist()
+    tree = _BasisTree(m, k, basis)
+    pot = tree.potentials(values, np.zeros(m + k), tree.order)
     in_basis = np.zeros(m * k, dtype=bool)
-    in_basis[[i * k + j for (i, j) in basis_cells]] = True
+    in_basis[basis] = True
+    price_tol = tol * float(np.abs(cost).max())
 
     stall = 0
     stall_limit = m + k + 2
     for _ in range(max_pivots):
-        red = (cost - tree.u[:, None] - tree.v[None, :]).ravel()
-        candidates = np.flatnonzero((red < -tol) & ~in_basis)
+        red = (cost - pot[:m, None] - pot[None, m:]).ravel()
+        candidates = np.flatnonzero((red < -price_tol) & ~in_basis)
         if candidates.size == 0:
-            flows_np = np.array(flows)
+            flows_np = np.array(flows).reshape(m, k)
             return TransportSolution(
                 flows=flows_np,
                 objective=float(np.sum(cost * flows_np)),
-                duals_eq=np.concatenate([tree.u, tree.v]),
+                duals_eq=pot,
                 duals_ineq=np.maximum(red.reshape(m, k), 0.0),
                 solver_tag="simplex",
                 degenerate=bool(flows_np.ravel()[in_basis].min()
-                                < DEGENERATE_RTOL * p.supply.sum()),
+                                < DEGENERATE_RTOL * total),
             )
         if stall >= stall_limit:
-            enter_flat = int(candidates[0])  # Bland: lowest flat index
+            enter = int(candidates[0])  # Bland: lowest flat index
         else:
-            enter_flat = int(candidates[np.argmin(red[candidates])])
-        enter = (enter_flat // k, enter_flat % k)
-        cycle = tree.cycle_cells(*enter)
+            enter = int(candidates[np.argmin(red[candidates])])
+        cycle = tree.cycle(enter)
         minus = cycle[1::2]
-        theta = min(flows[i][j] for (i, j) in minus)
-        stall = stall + 1 if theta < 1e-12 else 0
+        theta = min(flows[c] for c in minus)
+        stall = stall + 1 if theta < 1e-12 * total else 0
         # Bland again on the leaving tie: lowest flat index among argmins.
-        leave = min(
-            (c for c in minus if flows[c[0]][c[1]] <= theta + 1e-15),
-            key=lambda c: c[0] * k + c[1],
-        )
-        for idx, (i, j) in enumerate(cycle):
-            flows[i][j] += theta if idx % 2 == 0 else -theta
-        flows[leave[0]][leave[1]] = 0.0
-        in_basis[leave[0] * k + leave[1]] = False
-        in_basis[enter_flat] = True
-        tree.replace_edge(leave, enter)
+        leave = min(c for c in minus if flows[c] <= theta + 1e-15 * total)
+        for idx, c in enumerate(cycle):
+            flows[c] += theta if idx % 2 == 0 else -theta
+        flows[leave] = 0.0
+        in_basis[leave] = False
+        in_basis[enter] = True
+        tree.potentials(values, pot, tree.replace_edge(leave, enter))
     raise CyclingError("simplex exceeded pivot limit")
 
 

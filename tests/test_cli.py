@@ -55,6 +55,14 @@ def test_solve_unbalanced_file(tmp_path):
     assert main(["solve", prob]) == 1
 
 
+@pytest.mark.parametrize("supply", [[float("nan"), 1.0], [float("inf"), 1.0]])
+def test_solve_nonfinite_mass_rejected(tmp_path, capsys, supply):
+    prob = _write_problem(tmp_path, {"cost": [[1.0, 2.0], [2.0, 1.0]],
+                                     "supply": supply, "demand": [1.0, 1.0]})
+    assert main(["solve", prob]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_gradcheck_full_passes(capsys):
     assert main(["--seed", "3", "gradcheck", "--size", "3", "--mode", "full"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -63,6 +71,18 @@ def test_gradcheck_full_passes(capsys):
 def test_gradcheck_envelope_exact(capsys):
     assert main(["gradcheck", "--mode", "envelope"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_gradcheck_envelope_writes_json(tmp_path):
+    prob = _write_problem(tmp_path, {"cost": [[0.2, 0.9, 0.5], [0.7, 0.1, 0.4]],
+                                     "supply": [0.4, 0.6], "demand": [0.3, 0.3, 0.4]})
+    out = tmp_path / "gc"
+    assert main(["gradcheck", "--problem", prob, "--mode", "envelope", "--out", str(out)]) == 0
+    payload = json.loads((out / "gradcheck.json").read_text())
+    assert payload["mode"] == "envelope"
+    assert payload["size"] == [2, 3]
+    assert payload["passed"] is True
+    assert payload["max_relative_error"] < 1e-6
 
 
 def test_gradcheck_degenerate_skipped(tmp_path, capsys):

@@ -165,6 +165,37 @@ def test_non_tree_support_is_gated():
         backward_similarity(1.0, sol, p, mode="full")
 
 
+@pytest.mark.parametrize("solver", ["simplex", "oracle"])
+def test_gate_is_scale_invariant(solver):
+    """Scaling mass or cost changes neither the gate's verdict nor B^-1.
+
+    The interior point is left out: its stopping test is still absolute.
+    """
+    rng = np.random.default_rng(12)
+    problems = [random_problem(rng, 3, 3) for _ in range(5)]
+    problems.append(TransportProblem(cost=np.ones((2, 2)), supply=np.array([0.5, 0.5]),
+                                     demand=np.array([0.5, 0.5])))
+    accepted = 0
+    for p in problems:
+        ds, dd = _balanced_directions(rng, p.m, p.k)
+        try:
+            unit = jacobian_flows(solve(p, solver), p).apply(0.0, ds, dd)
+        except SingularKktError:
+            unit = None
+        accepted += unit is not None
+        for mass, cost in ((1e-12, 1.0), (1e-6, 1.0), (1e6, 1.0), (1.0, 1e-12), (1.0, 1e12)):
+            q = TransportProblem(cost=cost * p.cost, supply=mass * p.supply,
+                                 demand=mass * p.demand)
+            try:
+                scaled = jacobian_flows(solve(q, solver), q).apply(0.0, ds, dd)
+            except SingularKktError:
+                assert unit is None, (mass, cost)
+                continue
+            assert unit is not None, (mass, cost)
+            assert np.allclose(scaled, unit, rtol=0.0, atol=1e-9)
+    assert accepted >= 3
+
+
 def test_envelope_d_cost_is_negative_flows_bitwise():
     rng = np.random.default_rng(5)
     p = random_problem(rng, 4, 3)

@@ -23,6 +23,15 @@ def test_zero_total_mass_rejected():
                          demand=np.zeros(2))
 
 
+@pytest.mark.parametrize("side", ["supply", "demand"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_mass_rejected(side, bad):
+    masses = {"supply": np.ones(2), "demand": np.ones(2)}
+    masses[side] = np.array([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        TransportProblem(cost=np.ones((2, 2)), **masses)
+
+
 def test_single_cell_forced_flow():
     p = TransportProblem(cost=np.array([[0.5]]), supply=np.array([1.0]),
                          demand=np.array([1.0]))
@@ -215,3 +224,38 @@ def test_forced_split_oracle():
     sol = solve_oracle(p)
     assert np.allclose(sol.flows, [[0.5, 0.5]])
     assert sol.objective == pytest.approx(0.5)
+
+
+SCALES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
+
+
+@pytest.mark.parametrize("cost_scale", SCALES)
+@pytest.mark.parametrize("mass_scale", SCALES)
+def test_simplex_matches_oracle_at_any_scale(mass_scale, cost_scale):
+    """Pricing is relative to max|cost|, the stall and leaving tie to mass."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        m, k = rng.integers(1, 5), rng.integers(1, 5)
+        base = random_problem(rng, m, k)
+        p = TransportProblem(cost=cost_scale * base.cost, supply=mass_scale * base.supply,
+                             demand=mass_scale * base.demand)
+        sol, ref = solve_simplex(p), solve_oracle(p)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+        assert np.allclose(sol.flows.sum(axis=1), p.supply, rtol=0.0, atol=1e-9 * mass_scale)
+        assert np.allclose(sol.flows.sum(axis=0), p.demand, rtol=0.0, atol=1e-9 * mass_scale)
+
+
+def test_duals_share_one_gauge():
+    """Every solver pins the last demand potential to 0, so duals agree."""
+    rng = np.random.default_rng(25)
+    checked = 0
+    for _ in range(30):
+        m, k = rng.integers(1, 5), rng.integers(1, 5)
+        p = random_problem(rng, m, k)
+        ref = solve_oracle(p)
+        if ref.degenerate:
+            continue
+        checked += 1
+        for solver in ("simplex", "interior_point"):
+            assert np.allclose(solve(p, solver).duals_eq, ref.duals_eq, rtol=0.0, atol=1e-7)
+    assert checked >= 20
