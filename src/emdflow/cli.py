@@ -117,10 +117,23 @@ def _random_problem(rng, m, k) -> transport.TransportProblem:
                                       demand=demand / demand.sum())
 
 
+def _mass_direction(rng, masses):
+    """Zero-sum direction over the positive masses, in units of total mass.
+
+    Zero masses stay at zero, so the perturbed problems keep the support.
+    """
+    kept = masses > 0
+    d = np.where(kept, rng.standard_normal(masses.size), 0.0)
+    d[kept] -= d[kept].mean()
+    return masses.sum() * d
+
+
 def cmd_gradcheck(args) -> int:
     """Central differences along balanced directions against the flow
     Jacobian (``full``) or the similarity gradient (``envelope``).
 
+    Directions and the error floor follow the problem's scale: cost moves
+    in units of max|cost| and supply and demand in units of total mass.
     Degenerate optima are skipped: neither derivative exists there.
     """
     rng = np.random.default_rng(args.seed)
@@ -135,8 +148,11 @@ def cmd_gradcheck(args) -> int:
         print(f"SKIP-degenerate: {exc}")
         return 0
 
+    mass = float(p.supply.sum())
+    cost_scale = float(np.abs(p.cost).max()) or 1.0
     if args.mode == "envelope":
         g = diff.backward_similarity(1.0, sol, p, mode="envelope")
+        floor = mass * max(1.0, cost_scale)
 
         def predict(dc, ds, dd):
             return np.sum(g.d_cost * dc) + g.d_supply @ ds + g.d_demand @ dd
@@ -145,6 +161,7 @@ def cmd_gradcheck(args) -> int:
             return np.sum((1.0 - q.cost) * transport.solve(q, "simplex").flows)
     else:
         predict = jac.apply
+        floor = mass
 
         def measure(q):
             return transport.solve(q, "simplex").flows
@@ -152,9 +169,9 @@ def cmd_gradcheck(args) -> int:
     eps = 1e-6
     worst = 0.0
     for _ in range(args.directions):
-        dc = rng.standard_normal(p.cost.shape)
-        ds = rng.standard_normal(p.m); ds -= ds.mean()
-        dd = rng.standard_normal(p.k); dd -= dd.mean()
+        dc = cost_scale * rng.standard_normal(p.cost.shape)
+        ds = _mass_direction(rng, p.supply)
+        dd = _mass_direction(rng, p.demand)
         pred = predict(dc, ds, dd)
         plus = transport.TransportProblem(cost=p.cost + eps * dc,
                                           supply=p.supply + eps * ds,
@@ -163,7 +180,7 @@ def cmd_gradcheck(args) -> int:
                                            supply=p.supply - eps * ds,
                                            demand=p.demand - eps * dd)
         fd = (measure(plus) - measure(minus)) / (2 * eps)
-        err = np.max(np.abs(pred - fd)) / max(1.0, np.max(np.abs(fd)))
+        err = np.max(np.abs(pred - fd)) / max(floor, np.max(np.abs(fd)))
         worst = max(worst, float(err))
     ok = worst <= 1e-3
     print(f"max relative error {worst:.3e}: {'PASS' if ok else 'FAIL'}")
@@ -391,6 +408,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if args.tol is not None and not args.tol > 0:
+        print("error: --tol must be positive", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

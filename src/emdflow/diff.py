@@ -19,6 +19,12 @@ the flow cotangent in place of cost, both O(m+k).  Flows are compared in
 units of total mass and multipliers in units of max|cost|, so the gate does
 not move with scale.  The x > lambda partition also crosses interior-point
 solutions over to their basis.
+
+Gate and basis are taken on the mass support (``transport._optimal_basis``),
+so zero-mass nodes do not make the optimum degenerate.  Each hangs from the
+tree by the zero-flow cell where its completed potential is tight: ``apply``
+returns the full m x k flows, and ``vjp`` gives it the potential across that
+cell, the one-sided derivative for growing its mass from zero.
 """
 
 from __future__ import annotations
@@ -27,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import BasisError, TransportProblem, TransportSolution, _BasisTree
-
-COMPLEMENTARITY_GATE = 1e-8
+from .transport import BasisError, TransportProblem, TransportSolution, _optimal_basis
 
 
 class SingularKktError(RuntimeError):
@@ -67,27 +71,10 @@ class FlowJacobian:
     """
 
     def __init__(self, sol: TransportSolution, p: TransportProblem):
-        m, k = p.m, p.k
-        # Flows in units of mass and multipliers in units of cost.
-        x = sol.flows.ravel() / p.supply.sum()
-        lam = sol.duals_ineq.ravel() / (np.abs(p.cost).max() or 1.0)
-
-        gap = float(np.min(x + lam))
-        if gap <= COMPLEMENTARITY_GATE:
-            raise SingularKktError(
-                f"strict complementarity fails (min x/mass + lambda/max|c| = {gap:.3e})"
-            )
-        basis = np.flatnonzero(x > lam).tolist()
-        if len(basis) != m + k - 1:
-            raise SingularKktError(
-                f"optimal basis has {len(basis)} cells, a vertex has {m + k - 1}; "
-                "multiple optimal flows"
-            )
         try:
-            self._tree = _BasisTree(m, k, basis)
+            self._tree = _optimal_basis(p, sol.flows, sol.duals_ineq)
         except BasisError as exc:
-            raise SingularKktError(
-                "optimal basis cells do not form a spanning tree") from exc
+            raise SingularKktError(f"degenerate optimum: {exc}") from exc
 
     def apply(self, d_cost, d_supply, d_demand) -> np.ndarray:
         """First-order change in the optimal flows along a parameter direction.

@@ -8,6 +8,12 @@ Three routes to the same optimum:
   Mehrotra-style centering.
 * :func:`solve_oracle` — exhaustive spanning-tree enumeration for tiny
   instances; the verification reference for both solvers above.
+
+A zero-mass node (the cross-reference ReLU clamps many) carries no flow at
+any optimum; it only adds cells and pivots and makes every optimum
+primal-degenerate.  So the simplex solves the mass support, and the
+interior point's degeneracy test and the flow-Jacobian gate read the basis
+off that support (:func:`_optimal_basis`).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import scipy.linalg
 
 BALANCE_RTOL = 1e-9
 DEGENERATE_RTOL = 1e-9  # basic flows below this share of total mass count as zero
+COMPLEMENTARITY_GATE = 1e-8  # min(x/mass + lambda/max|cost|) at or below this: not strict
 ORACLE_MAX_CELLS = 16
 
 
@@ -98,6 +105,13 @@ class TransportSolution:
     every solver fixes it the same way, with the last demand potential
     at 0.  ``duals_ineq`` are the non-negativity multipliers, equal to
     clamped reduced costs for basis solvers.
+
+    The simplex solves on the mass support: zero-mass nodes get zero flows
+    and completed potentials (:func:`_complete`), so the certificate holds
+    for the full problem.  ``degenerate`` describes the kept subproblem: a
+    zero basic flow of the simplex, or no strictly complementary tree basis
+    of the interior point (:func:`_optimal_basis`).  The oracle's flag is a
+    zero basic flow of the full problem.
     """
 
     flows: np.ndarray
@@ -116,6 +130,50 @@ def reduced_incidence(m: int, k: int) -> np.ndarray:
     for j in range(k - 1):
         A[m + j, j::k] = 1.0
     return A
+
+
+# ---------------------------------------------------------------------------
+# mass support
+
+
+def _complete(cost, rows, cols, u, v):
+    """Fill in, in place, the potentials of the nodes off ``rows`` / ``cols``.
+
+    Each dropped supplier takes u_i = min over kept j of (c_ij - v_j), then
+    each dropped demander v_j = min over all i of (c_ij - u_i): every reduced
+    cost stays >= 0, and each dropped line has a cell where it is 0.
+    """
+    drop_r, drop_c = ~rows, ~cols
+    u[drop_r] = (cost[drop_r][:, cols] - v[cols]).min(axis=1)
+    v[drop_c] = (cost[:, drop_c] - u[:, None]).min(axis=0)
+
+
+def _optimal_basis(p: TransportProblem, flows, duals_ineq) -> _BasisTree:
+    """Basis tree of an optimal solution, read off its flows and multipliers.
+
+    On the mass support the basic cells are those whose flow, in units of
+    total mass, exceeds their multiplier, in units of max|cost|.  Each
+    zero-mass node hangs, at zero flow, from the cell of least multiplier on
+    its line (a dropped supplier from a kept demander), where its completed
+    potential is tight (:func:`_complete`).  Raises :class:`BasisError` when
+    strict complementarity fails on the support or the basic cells are not
+    a spanning tree (multiple optimal flows).
+    """
+    m, k = p.m, p.k
+    rows, cols = p.supply > 0, p.demand > 0
+    kept = rows[:, None] & cols
+    x = flows / p.supply.sum()
+    lam = duals_ineq / (np.abs(p.cost).max() or 1.0)
+    gap = float(np.min((x + lam)[kept]))
+    if gap <= COMPLEMENTARITY_GATE:
+        raise BasisError(
+            f"strict complementarity fails (min x/mass + lambda/max|c| = {gap:.3e})")
+    cells = np.flatnonzero((x > lam) & kept).tolist()
+    if not kept.all():
+        drop_r, drop_c = np.flatnonzero(~rows), np.flatnonzero(~cols)
+        cells += (drop_r * k + np.where(cols, lam, np.inf)[drop_r].argmin(axis=1)).tolist()
+        cells += (lam[:, drop_c].argmin(axis=0) * k + drop_c).tolist()
+    return _BasisTree(m, k, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +317,42 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
     Entering variable is the most negative reduced cost below
     ``-tol * max|cost|`` (ties by lowest flat index).  After a run of
     degenerate pivots the rule falls back to Bland's lowest-index
-    selection, which guarantees termination.
+    selection, which guarantees termination.  Zero-mass nodes are dropped
+    before the solve; their potentials are completed after it
+    (:func:`_complete`) and pinned, like all, to the last demand potential 0.
     """
-    m, k = p.m, p.k
-    cost = p.cost
-    total = float(p.supply.sum())
-    flows_np, basis = _least_cost_start(cost, p.supply, p.demand)
+    m = p.m
+    if p.supply.all() and p.demand.all():  # masses are >= 0: no zero-mass node
+        flows, pot, degenerate = _simplex(p.cost, p.supply, p.demand, tol, max_pivots)
+    else:
+        rows, cols = p.supply > 0, p.demand > 0
+        kept = rows[:, None] & cols
+        supply, demand = p.supply[rows], p.demand[cols]
+        sub_flows, sub_pot, degenerate = _simplex(p.cost[kept].reshape(supply.size, demand.size),
+                                                  supply, demand, tol, max_pivots)
+        flows = np.zeros((m, p.k))
+        flows[kept] = sub_flows.ravel()
+        pot = np.empty(m + p.k)
+        pot[np.concatenate([rows, cols])] = sub_pot
+        _complete(p.cost, rows, cols, pot[:m], pot[m:])
+        shift = pot[-1]
+        pot[:m] += shift
+        pot[m:] -= shift
+    return TransportSolution(
+        flows=flows,
+        objective=float(np.sum(p.cost * flows)),
+        duals_eq=pot,
+        duals_ineq=np.maximum(p.cost - pot[:m, None] - pot[None, m:], 0.0),
+        solver_tag="simplex",
+        degenerate=degenerate,
+    )
+
+
+def _simplex(cost, supply, demand, tol, max_pivots):
+    """The simplex on arrays; returns (flows, potentials, degenerate)."""
+    m, k = cost.shape
+    total = float(supply.sum())
+    flows_np, basis = _least_cost_start(cost, supply, demand)
     flows = flows_np.ravel().tolist()  # scalar cell updates are hot; stay in pure python
     values = cost.ravel().tolist()
     tree = _BasisTree(m, k, basis)
@@ -280,15 +368,8 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
         candidates = np.flatnonzero((red < -price_tol) & ~in_basis)
         if candidates.size == 0:
             flows_np = np.array(flows).reshape(m, k)
-            return TransportSolution(
-                flows=flows_np,
-                objective=float(np.sum(cost * flows_np)),
-                duals_eq=pot,
-                duals_ineq=np.maximum(red.reshape(m, k), 0.0),
-                solver_tag="simplex",
-                degenerate=bool(flows_np.ravel()[in_basis].min()
-                                < DEGENERATE_RTOL * total),
-            )
+            return (flows_np, pot,
+                    bool(flows_np.ravel()[in_basis].min() < DEGENERATE_RTOL * total))
         if stall >= stall_limit:
             enter = int(candidates[0])  # Bland: lowest flat index
         else:
@@ -395,14 +476,19 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
 
     flows = x.reshape(m, k)
     duals_eq = np.concatenate([y, [0.0]])
-    support = int(np.count_nonzero(x > 1e-5 * x.max()))
+    duals_ineq = z.reshape(m, k)
+    try:
+        _optimal_basis(p, flows, duals_ineq)
+        degenerate = False
+    except BasisError:
+        degenerate = True
     return TransportSolution(
         flows=flows,
         objective=float(np.sum(p.cost * flows)),
         duals_eq=duals_eq,
-        duals_ineq=z.reshape(m, k),
+        duals_ineq=duals_ineq,
         solver_tag="interior_point",
-        degenerate=bool(support > m + k - 1 or np.min(x + z) < 1e-8),
+        degenerate=degenerate,
     )
 
 

@@ -92,6 +92,36 @@ def test_gradcheck_degenerate_skipped(tmp_path, capsys):
     assert "SKIP-degenerate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["full", "envelope"])
+def test_gradcheck_follows_mass_scale(tmp_path, capsys, mode):
+    prob = _write_problem(tmp_path, {"cost": [[0.2, 0.9, 0.5], [0.7, 0.1, 0.4]],
+                                     "supply": [4e-10, 6e-10],
+                                     "demand": [3e-10, 3e-10, 4e-10]})
+    assert main(["gradcheck", "--problem", prob, "--mode", mode]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["full", "envelope"])
+def test_gradcheck_keeps_zero_masses(tmp_path, capsys, mode):
+    """Clamped weights: the check runs on the support instead of skipping."""
+    prob = _write_problem(tmp_path, {"cost": [[0.2, 0.9, 0.5, 0.3], [0.7, 0.1, 0.4, 0.6],
+                                              [0.5, 0.5, 0.2, 0.8]],
+                                     "supply": [0.4, 0.0, 0.6],
+                                     "demand": [0.3, 0.4, 0.3, 0.0]})
+    assert main(["gradcheck", "--problem", prob, "--mode", mode]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "-1", "bench", "--sizes", "2", "--dims", "4", "--repeats", "1"],
+    ["episodes", "--collection", "missing.tsv", "--tol", "0"],
+    ["--tol", "nan", "gradcheck"],
+])
+def test_tol_validated_for_every_subcommand(argv, capsys):
+    assert main(argv) == 1
+    assert "--tol must be positive" in capsys.readouterr().err
+
+
 def _gen_collection(tmp_path, **overrides):
     out = tmp_path / "col"
     args = {"--classes": "5", "--sets-per-class": "6", "--height": "2",

@@ -3,6 +3,7 @@ import pytest
 
 from emdflow.diff import (EmdGradients, SingularKktError, backward_similarity,
                           grad_objective, jacobian_flows)
+from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (ORACLE_MAX_CELLS, TransportProblem, TransportSolution,
                                _tree_bases, solve, solve_oracle)
 
@@ -299,3 +300,41 @@ def test_unknown_mode_rejected():
     p = random_problem(rng, 2, 2)
     with pytest.raises(ValueError):
         backward_similarity(1.0, solve(p, "simplex"), p, mode="subgradient")
+
+
+@pytest.mark.parametrize("solver", ["simplex", "interior_point"])
+def test_full_mode_on_clamped_cross_reference_pairs(solver):
+    """The ReLU in the cross-reference weights leaves zero-mass nodes.
+
+    Full mode is gated on the mass support, so it accepts these pairs.  Along
+    directions that keep zero masses at zero, the flow Jacobian and the
+    full-mode similarity gradient match central differences.
+    """
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(20):
+        a = EmbeddingSet(rng.standard_normal((6, 8)))
+        b = EmbeddingSet(rng.standard_normal((5, 8)))
+        wa, wb = cross_reference_weights(a, b)
+        if wa.all() and wb.all():
+            continue
+        p = TransportProblem(cost=cost_matrix(a, b), supply=wa, demand=wb)
+        sol = solve(p, solver)
+        g = backward_similarity(1.0, sol, p, mode="full")
+        jac = jacobian_flows(sol, p)
+        dc = rng.standard_normal(p.cost.shape)
+        ds = np.where(wa > 0, rng.standard_normal(p.m), 0.0)
+        ds[wa > 0] -= ds[wa > 0].mean()
+        dd = np.where(wb > 0, rng.standard_normal(p.k), 0.0)
+        dd[wb > 0] -= dd[wb > 0].mean()
+        fd = _fd_flows(p, dc, ds, dd)
+        assert np.max(np.abs(jac.apply(dc, ds, dd) - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+        plus = TransportProblem(cost=p.cost + EPS * dc, supply=p.supply + EPS * ds,
+                                demand=p.demand + EPS * dd)
+        minus = TransportProblem(cost=p.cost - EPS * dc, supply=p.supply - EPS * ds,
+                                 demand=p.demand - EPS * dd)
+        fd_sim = (_similarity(plus) - _similarity(minus)) / (2 * EPS)
+        pred = float(np.sum(g.d_cost * dc) + g.d_supply @ ds + g.d_demand @ dd)
+        assert pred == pytest.approx(fd_sim, rel=1e-4, abs=1e-7)
+        checked += 1
+    assert checked >= 15

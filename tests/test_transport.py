@@ -259,3 +259,103 @@ def test_duals_share_one_gauge():
         for solver in ("simplex", "interior_point"):
             assert np.allclose(solve(p, solver).duals_eq, ref.duals_eq, rtol=0.0, atol=1e-7)
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# zero-mass nodes: the simplex solves the mass support, the interior point the
+# full problem; both must certify the full problem against the oracle.
+
+
+def _zero_mass_problem(rng, pattern, mass=1.0):
+    """Up to 4 x 4 problem whose zero masses follow ``pattern``."""
+    m, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    if pattern == "tied_costs":
+        cost = rng.integers(0, 3, (m, k)).astype(float)
+    else:
+        cost = rng.uniform(0.05, 1.95, (m, k))
+    supply, demand = rng.uniform(0.2, 1.0, m), rng.uniform(0.2, 1.0, k)
+    if pattern in ("zero_rows", "tied_costs"):
+        supply[rng.permutation(m)[:m // 2]] = 0.0
+    if pattern in ("zero_cols", "tied_costs"):
+        demand[rng.permutation(k)[:k // 2]] = 0.0
+    if pattern == "all_but_one":
+        supply[np.arange(m) != rng.integers(m)] = 0.0
+        demand[np.arange(k) != rng.integers(k)] = 0.0
+    if pattern == "last_demander":
+        demand[-1] = 0.0
+        supply[rng.integers(m)] = 0.0
+    return TransportProblem(cost=cost, supply=mass * supply / supply.sum(),
+                            demand=mass * demand / demand.sum())
+
+
+def _assert_certifies_full_problem(p, sol, ref, rtol):
+    """Objective, marginals and the dual certificate of ``sol`` on all of ``p``."""
+    m, mass, cmax = p.m, p.supply.sum(), np.abs(p.cost).max() or 1.0
+    assert (p.supply == 0).any() or (p.demand == 0).any()
+    assert sol.objective == pytest.approx(ref.objective, rel=rtol, abs=rtol * mass * cmax)
+    assert np.allclose(sol.flows.sum(axis=1), p.supply, rtol=0.0, atol=rtol * mass)
+    assert np.allclose(sol.flows.sum(axis=0), p.demand, rtol=0.0, atol=rtol * mass)
+    u, v = sol.duals_eq[:m], sol.duals_eq[m:]
+    assert (p.cost - u[:, None] - v).min() >= -rtol * cmax  # dropped cells included
+    assert u @ p.supply + v @ p.demand == pytest.approx(sol.objective, rel=rtol,
+                                                        abs=rtol * mass * cmax)
+    assert v[-1] == 0.0
+
+
+PATTERNS = ("zero_rows", "zero_cols", "all_but_one", "last_demander", "tied_costs")
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_property_simplex_zero_mass_nodes(pattern, seed):
+    p = _zero_mass_problem(np.random.default_rng(seed), pattern)
+    _assert_certifies_full_problem(p, solve_simplex(p), solve_oracle(p), rtol=1e-9)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_interior_point_zero_mass_nodes(pattern):
+    for seed in range(30):
+        p = _zero_mass_problem(np.random.default_rng(seed), pattern)
+        _assert_certifies_full_problem(p, solve_interior_point(p), solve_oracle(p), rtol=1e-6)
+
+
+@pytest.mark.xfail(raises=IterationLimitError, strict=True,
+                   reason="the interior point solves the full problem, whose duals are "
+                          "unbounded on zero-mass nodes; it stalls on rare cases")
+def test_interior_point_zero_mass_stall():
+    p = _zero_mass_problem(np.random.default_rng(5423), "last_demander")
+    solve_interior_point(p)
+
+
+@pytest.mark.parametrize("mass", SCALES)
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_simplex_on_support_at_any_mass(pattern, mass):
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        p = _zero_mass_problem(rng, pattern, mass)
+        _assert_certifies_full_problem(p, solve_simplex(p), solve_oracle(p), rtol=1e-9)
+
+
+def test_simplex_degenerate_flag_describes_the_support():
+    """Zero-mass rows make the full optimum degenerate, not the kept one."""
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        p = _zero_mass_problem(rng, "zero_rows")
+        assert solve_oracle(p).degenerate
+        kept = TransportProblem(cost=p.cost[p.supply > 0], supply=p.supply[p.supply > 0],
+                                demand=p.demand)
+        assert solve_simplex(p).degenerate == solve_oracle(kept).degenerate
+
+
+def test_interior_point_degenerate_flag():
+    """Read off the same x/mass vs lambda/max|c| basis as the flow Jacobian."""
+    tight = TransportProblem(cost=np.array([[0.1, 0.9], [0.8, 0.2]]),
+                             supply=np.array([0.3, 0.7]), demand=np.array([0.3, 0.7]))
+    for solver in ("simplex", "interior_point", "oracle"):
+        assert solve(tight, solver).degenerate, solver
+    tiny = TransportProblem(cost=np.array([[0.2, 0.9, 0.5], [0.7, 0.1, 0.4]]),
+                            supply=1e-9 * np.array([0.4, 0.6]),
+                            demand=1e-9 * np.array([0.3, 0.3, 0.4]))
+    for solver in ("simplex", "interior_point", "oracle"):
+        assert not solve(tiny, solver).degenerate, solver
