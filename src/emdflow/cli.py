@@ -44,10 +44,11 @@ def _load_problem(path) -> transport.TransportProblem:
 def _write_json(payload: dict, out_dir, name: str):
     payload = {"format_version": FORMAT_VERSION, **payload}
     if out_dir:
+        # No bare NaN/Infinity tokens: strict JSON parsers reject them.
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     return payload
 
 
@@ -219,7 +220,7 @@ def cmd_episodes(args) -> int:
         accs.append(acc)
     _write_csv(rows, ["episode_id", "method", "n_way", "k_shot", "accuracy"],
                args.out, "episodes.csv")
-    mean, ci = fewshot.mean_ci95(accs)
+    mean, ci = fewshot.mean_ci95(accs) if accs else (None, None)
     _write_json({"mean": mean, "ci95": ci, "episode_count": len(accs),
                  "method": args.method}, args.out, "episodes.json")
     if accs:

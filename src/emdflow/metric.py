@@ -189,13 +189,18 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
 
     ``queries`` and ``refs`` are sequences of :class:`EmbeddingSet`.  With
     ``skip_diagonal`` the index-identical pairs (i, i) are not solved and
-    hold -inf.
+    hold -inf.  When ``refs`` is ``queries`` (the same sequence object) the
+    score is symmetric in the pair, so only the pairs j >= i are solved
+    (j > i with ``skip_diagonal``) and each result is copied to (j, i).
     """
     sim = np.empty((len(queries), len(refs)))
+    mirror = queries is refs
     for i, q in enumerate(queries):
         for j, r in enumerate(refs):
             if skip_diagonal and i == j:
                 sim[i, j] = -np.inf
+            elif mirror and j < i:
+                sim[i, j] = sim[j, i]
             else:
                 sim[i, j] = pair_similarity(q, r, weighting=weighting, solver=solver)[0]
     return sim

@@ -16,7 +16,9 @@ class RetrievalRun:
 
     Rankings sort by descending similarity with ties broken by ascending
     gallery index.  Self-matches (when the gallery is the query set
-    itself) carry -inf similarity so they never rank.
+    itself) carry -inf similarity so they never rank.  When the gallery is
+    the query list object itself, each unordered pair is solved once and
+    ``similarity`` is symmetric.
     """
 
     query_labels: np.ndarray
@@ -46,13 +48,18 @@ def rank_gallery(queries, gallery, weighting: str = "cross_reference",
 
     ``queries`` and ``gallery`` are sequences of (label, EmbeddingSet).
     When the gallery is the query list itself (or ``self_match`` is set),
-    index-identical pairs are excluded from the ranking.
+    index-identical pairs are excluded from the ranking.  When it is the
+    query list object itself, each unordered pair is solved once and
+    mirrored (:func:`~emdflow.metric.similarity_matrix`); an equal but
+    distinct gallery list solves every ordered pair.
     """
     if self_match is None:
         self_match = queries is gallery
     q_labels = np.array([label for label, _ in queries])
     g_labels = np.array([label for label, _ in gallery])
-    sim = similarity_matrix([q for _, q in queries], [g for _, g in gallery],
+    q_sets = [q for _, q in queries]
+    g_sets = q_sets if queries is gallery else [g for _, g in gallery]
+    sim = similarity_matrix(q_sets, g_sets,
                             weighting=weighting, solver=solver, skip_diagonal=self_match)
     return RetrievalRun(query_labels=q_labels, gallery_labels=g_labels,
                         similarity=sim, ranking=_rank_rows(sim))

@@ -165,6 +165,22 @@ def test_episodes_zero_is_ok(tmp_path):
     assert len(rows) == 1  # header only
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_episodes_zero_writes_strict_json(tmp_path):
+    manifest = _gen_collection(tmp_path)
+    out = tmp_path / "eps0"
+    assert main(["episodes", "--collection", manifest, "--episodes", "0",
+                 "--out", str(out)]) == 0
+    payload = _strict_json(out / "episodes.json")
+    assert payload["episode_count"] == 0
+    assert payload["mean"] is None and payload["ci95"] is None
+
+
 def test_episodes_without_queries_rejected(tmp_path, capsys):
     manifest = _gen_collection(tmp_path)
     assert main(["episodes", "--collection", manifest, "--q", "0"]) == 1

@@ -113,3 +113,54 @@ def test_ranking_row_validation():
     with pytest.raises(ValueError):
         RetrievalRun(query_labels=np.array([0]), gallery_labels=np.array([0, 0]),
                      similarity=np.ones((1, 2)), ranking=np.array([[0, 0]]))
+
+
+def _counted_pair_similarity(monkeypatch):
+    from emdflow import metric
+    calls = []
+    real = metric.pair_similarity
+
+    def counted(a, b, **kwargs):
+        calls.append((a, b))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(metric, "pair_similarity", counted)
+    return calls
+
+
+def test_self_retrieval_solves_each_pair_once(monkeypatch):
+    from emdflow.metric import pair_similarity
+    rng = np.random.default_rng(6)
+    items = [(i % 2, EmbeddingSet(rng.standard_normal((4, 5)))) for i in range(5)]
+    n = len(items)
+    calls = _counted_pair_similarity(monkeypatch)
+    sim = rank_gallery(items, items).similarity
+    assert len(calls) == n * (n - 1) // 2
+    assert np.all(np.diag(sim) == -np.inf)
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(sim[off], sim.T[off])
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert sim[i, j] == pair_similarity(items[i][1], items[j][1])[0]
+
+
+def test_distinct_gallery_list_solves_every_ordered_pair(monkeypatch):
+    rng = np.random.default_rng(7)
+    items = [(i % 2, EmbeddingSet(rng.standard_normal((3, 4)))) for i in range(4)]
+    n = len(items)
+    calls = _counted_pair_similarity(monkeypatch)
+    run = rank_gallery(items, list(items), self_match=True)
+    assert len(calls) == n * (n - 1)
+    assert np.all(np.diag(run.similarity) == -np.inf)
+
+
+def test_similarity_matrix_mirror_keeps_the_diagonal(monkeypatch):
+    from emdflow.metric import similarity_matrix
+    rng = np.random.default_rng(8)
+    sets = [EmbeddingSet(rng.standard_normal((3, 4))) for _ in range(4)]
+    n = len(sets)
+    calls = _counted_pair_similarity(monkeypatch)
+    sim = similarity_matrix(sets, sets)
+    assert len(calls) == n * (n + 1) // 2
+    assert np.allclose(np.diag(sim), 1.0, atol=1e-12)
+    assert np.array_equal(sim, sim.T)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from emdflow.transport import (
     InstanceTooLargeError, IterationLimitError, TransportProblem,
     UnbalancedProblemError, reduced_incidence, solve,
-    solve_interior_point, solve_oracle, solve_simplex,
+    solve_interior_point, solve_oracle, solve_simplex, _least_cost_start,
 )
 
 from conftest import random_problem
@@ -144,6 +144,57 @@ def test_property_objective_bounds(seed, m, k):
     assert p.cost.min() * total - 1e-9 <= sol.objective <= p.cost.max() * total + 1e-9
     ref = solve_oracle(p)
     assert sol.objective == pytest.approx(ref.objective, abs=1e-7)
+
+
+def _masked_argmin_start(cost, supply, demand):
+    """Least-cost start by repeated argmin over a cost copy whose closed
+    lines are masked to inf; ties go to the lowest flat index."""
+    m, k = cost.shape
+    a, b = supply.copy(), demand.copy()
+    flows = np.zeros((m, k))
+    basis = []
+    masked = cost.copy()
+    active_rows, active_cols = m, k
+    while True:
+        idx = int(np.argmin(masked))
+        i, j = idx // k, idx % k
+        x = min(a[i], b[j])
+        flows[i, j] = x
+        basis.append(idx)
+        a[i] -= x
+        b[j] -= x
+        if active_rows == 1 and active_cols == 1:
+            return flows, basis
+        if (a[i] <= b[j] and active_rows > 1) or active_cols == 1:
+            masked[i, :] = np.inf
+            active_rows -= 1
+        else:
+            masked[:, j] = np.inf
+            active_cols -= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 6), k=st.integers(1, 6),
+       tied=st.booleans(), integer_mass=st.booleans(), exponent=st.integers(-12, 12))
+def test_least_cost_start_matches_masked_argmin(seed, m, k, tied, integer_mass, exponent):
+    rng = np.random.default_rng(seed)
+    if tied:
+        cost = rng.integers(0, 3, (m, k)).astype(float)
+    else:
+        cost = rng.uniform(0.0, 2.0, (m, k))
+    if integer_mass:  # equal partial sums exercise the a[i] == b[j] branch
+        supply = rng.integers(1, 4, m).astype(float)
+        demand = rng.multinomial(int(supply.sum()), np.full(k, 1.0 / k)).astype(float)
+    else:
+        supply, demand = rng.uniform(0.2, 1.0, m), rng.uniform(0.2, 1.0, k)
+        demand *= supply.sum() / demand.sum()
+    scale = 10.0 ** exponent
+    supply, demand = supply * scale, demand * scale
+    flows, basis = _least_cost_start(cost, supply, demand)
+    ref_flows, ref_basis = _masked_argmin_start(cost, supply, demand)
+    assert basis == ref_basis
+    assert len(basis) == m + k - 1
+    assert np.array(flows).tobytes() == ref_flows.ravel().tobytes()
 
 
 @settings(max_examples=25, deadline=None)
