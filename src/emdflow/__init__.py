@@ -14,7 +14,7 @@ from .transport import (TransportProblem, TransportSolution, solve, solve_simple
                         IterationLimitError, CyclingError)
 from .diff import (EmdGradients, SingularKktError, grad_objective, jacobian_flows,
                    backward_similarity)
-from .metric import (EmbeddingSet, ExtractionConfig, cost_matrix,
+from .metric import (EmbeddingSet, ExtractionConfig, best_match, cost_matrix,
                      cross_reference_weights, emd_similarity, pair_similarity,
                      similarity_matrix, similarity_node_grads, extract, extract_pyramid)
 from .fewshot import (Episode, SfcPrototypes, ProjectionModel, sample_episode,

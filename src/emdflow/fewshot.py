@@ -8,13 +8,14 @@ a toy end-to-end trainer for a linear projection placed before the metric.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor_io import LabeledSetCollection
-from .metric import (EmbeddingSet, ExtractionConfig, extract, similarity_matrix,
-                     similarity_node_grads)
+from .metric import (EmbeddingSet, ExtractionConfig, best_match, extract,
+                     similarity_matrix, similarity_node_grads)
 from .metric import pair_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
 KSHOT_METHODS = ("sfc", "nn", "fusion", "merge", "prototype")
@@ -32,6 +33,12 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+def _check_shape(n_way: int, k_shot: int, q_per_class: int):
+    if min(n_way, k_shot, q_per_class) < 1:
+        raise ValueError(f"an episode needs n_way, k_shot and q_per_class >= 1, "
+                         f"got {n_way}, {k_shot}, {q_per_class}")
+
+
 @dataclass(frozen=True)
 class Episode:
     """One N-way K-shot task: labeled support and query embedding sets."""
@@ -43,15 +50,18 @@ class Episode:
     query: tuple
 
     def __post_init__(self):
+        _check_shape(self.n_way, self.k_shot, self.q_per_class)
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "query", tuple(self.query))
-        if len(self.support) != self.n_way * self.k_shot:
-            raise ValueError("support size mismatch")
-        if len(self.query) != self.n_way * self.q_per_class:
-            raise ValueError("query size mismatch")
         for label, _ in (*self.support, *self.query):
             if not (0 <= label < self.n_way):
                 raise ValueError(f"label {label} outside [0, {self.n_way})")
+        for name, items, per_class in (("support", self.support, self.k_shot),
+                                       ("query", self.query, self.q_per_class)):
+            counts = Counter(label for label, _ in items)
+            if any(counts[c] != per_class for c in range(self.n_way)):
+                raise ValueError(f"{name} size mismatch: every class needs {per_class} sets, "
+                                 f"got {[counts[c] for c in range(self.n_way)]}")
 
     def support_by_class(self):
         out = [[] for _ in range(self.n_way)]
@@ -96,9 +106,7 @@ def sample_episode(col: LabeledSetCollection, n_way: int, k_shot: int,
     classes are relabeled 0..n_way-1 in draw order.  Raises ValueError
     unless ``n_way``, ``k_shot`` and ``q_per_class`` are all at least 1.
     """
-    if min(n_way, k_shot, q_per_class) < 1:
-        raise ValueError(f"an episode needs n_way, k_shot and q_per_class >= 1, "
-                         f"got {n_way}, {k_shot}, {q_per_class}")
+    _check_shape(n_way, k_shot, q_per_class)  # before sampling with them
     rng = np.random.default_rng(seed)
     by_class = col.by_class()
     need = k_shot + q_per_class
@@ -120,14 +128,10 @@ def sample_episode(col: LabeledSetCollection, n_way: int, k_shot: int,
                    support=tuple(support), query=tuple(query))
 
 
-def _predictions(ep: Episode, sims: np.ndarray):
-    """Per-query argmax of a Q x n_way score matrix, and the accuracy.
-
-    ``np.argmax`` breaks ties toward the lowest class id.
-    """
-    preds = np.argmax(sims, axis=1)
+def _accuracy(ep: Episode, preds: np.ndarray) -> float:
+    """Share of the episode's queries whose predicted class is their label."""
     labels = np.array([label for label, _ in ep.query])
-    return preds, int(np.count_nonzero(preds == labels)) / len(ep.query)
+    return int(np.count_nonzero(preds == labels)) / len(ep.query)
 
 
 def classify_1shot(ep: Episode, weighting: str = "cross_reference",
@@ -139,9 +143,9 @@ def classify_1shot(ep: Episode, weighting: str = "cross_reference",
     if ep.k_shot != 1:
         raise ValueError(f"classify_1shot requires k_shot = 1, got {ep.k_shot}")
     supports = [sets[0] for sets in ep.support_by_class()]
-    sims = similarity_matrix([q for _, q in ep.query], supports,
-                             weighting=weighting, solver=solver)
-    return _predictions(ep, sims)
+    preds, _ = best_match([q for _, q in ep.query], supports,
+                          weighting=weighting, solver=solver)
+    return preds, _accuracy(ep, preds)
 
 
 def _global_mean(es: EmbeddingSet) -> np.ndarray:
@@ -175,8 +179,6 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     temperature-scaled similarities, sampling support minibatches with
     replacement.
     """
-    if ep.k_shot < 1:
-        raise ValueError("fit_sfc requires k_shot >= 1")
     groups = ep.support_by_class()
     protos = [np.mean([es.vectors for es in sets], axis=0) for sets in groups]
     rng = np.random.default_rng(seed)
@@ -222,7 +224,13 @@ def support_cross_entropy(ep: Episode, protos, temperature: float = 0.1,
 
 def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
                    sfc_kwargs: dict = None) -> float:
-    """Accuracy of a k-shot classification rule on the episode's queries."""
+    """Accuracy of a k-shot classification rule on the episode's queries.
+
+    ``sfc``, ``merge`` and ``nn`` predict the best-matching reference
+    (:func:`~emdflow.metric.best_match`), so they solve only the pairs
+    that can still win; ``fusion`` sums scores and needs all of them.
+    Ties go to the lowest class id.
+    """
     if method not in KSHOT_METHODS:
         raise ValueError(f"unknown method {method!r}")
     groups = ep.support_by_class()
@@ -230,12 +238,17 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
 
     if method == "sfc":
         fitted = fit_sfc(ep, solver=solver, **(sfc_kwargs or {}))
-        sims = similarity_matrix(queries, [EmbeddingSet(vectors=p) for p in fitted.per_class],
-                                 solver=solver)
+        preds, _ = best_match(queries, [EmbeddingSet(vectors=p) for p in fitted.per_class],
+                              solver=solver)
     elif method == "merge":
         merged = [EmbeddingSet(vectors=np.concatenate([es.vectors for es in sets]))
                   for sets in groups]
-        sims = similarity_matrix(queries, merged, solver=solver)
+        preds, _ = best_match(queries, merged, solver=solver)
+    elif method == "nn":
+        # The supports are in class order, k_shot each, so the lowest index
+        # among the best supports belongs to the lowest class among the best.
+        best, _ = best_match(queries, [es for sets in groups for es in sets], solver=solver)
+        preds = best // ep.k_shot
     elif method == "prototype":
         means = [np.mean([_global_mean(es) for es in sets], axis=0) for sets in groups]
 
@@ -243,17 +256,15 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
             qm = _global_mean(q)
             denom = np.linalg.norm(qm) * np.linalg.norm(means[c])
             return float(qm @ means[c] / denom) if denom > 0 else 0.0
-        sims = np.array([[score(q, c) for c in range(ep.n_way)] for q in queries])
+        preds = np.argmax([[score(q, c) for c in range(ep.n_way)] for q in queries], axis=1)
     else:
-        # nn: best support of the class; fusion: total over its supports,
-        # summed in support order.
+        # fusion: total over each class's supports, summed in support order.
         per_support = similarity_matrix(queries, [es for sets in groups for es in sets],
                                         solver=solver)
-        reduce = max if method == "nn" else sum
         splits = np.cumsum([len(sets) for sets in groups])[:-1]
-        sims = np.array([[reduce(part) for part in np.split(row, splits)]
-                         for row in per_support])
-    return _predictions(ep, sims)[1]
+        preds = np.argmax([[sum(part) for part in np.split(row, splits)]
+                           for row in per_support], axis=1)
+    return _accuracy(ep, preds)
 
 
 def episode_loss_and_grad(weight: np.ndarray, ep: Episode,

@@ -14,8 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor_io import DenseTensor
-from .transport import TransportProblem, solve
+from .transport import TransportProblem, check_masses, solve
 from .diff import backward_similarity
+
+# best_match skips a pair whose similarity bound is more than this share of
+# the total mass below the best similarity so far.  It must exceed the
+# rounding of bound and score and the interior point's objective error.
+PRUNE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -169,17 +174,21 @@ def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     return sim, sol
 
 
+def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
+    """Both sets' weights under ``weighting`` (cross_reference | equal | given)."""
+    if weighting == "cross_reference":
+        return cross_reference_weights(a, b)
+    if weighting == "equal":
+        return uniform_weights(a, b)
+    if weighting == "given":
+        return a.weights, b.weights
+    raise ValueError(f"unknown weighting {weighting!r}")
+
+
 def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_reference",
                     solver: str = "simplex"):
     """Weight both sets (cross_reference | equal | given) and score them."""
-    if weighting == "cross_reference":
-        wa, wb = cross_reference_weights(a, b)
-    elif weighting == "equal":
-        wa, wb = uniform_weights(a, b)
-    elif weighting == "given":
-        wa, wb = a.weights, b.weights
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+    wa, wb = _weights(a, b, weighting)
     return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
 
 
@@ -204,6 +213,54 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
             else:
                 sim[i, j] = pair_similarity(q, r, weighting=weighting, solver=solver)[0]
     return sim
+
+
+def _similarity_bound(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
+    """Upper bound on the similarity sum((1 - c) * flows), without a solve.
+
+    On the mass support, u_i = min_j c_ij with v = 0 is dual-feasible, so
+    the EMD is at least sum_i a_i min_j c_ij, and likewise with the sides
+    swapped (the relaxed bound of Kusner et al., ICML 2015).  The
+    similarity is the total mass minus the EMD.
+    """
+    rows, cols = supply > 0, demand > 0
+    kept = cost[rows][:, cols]
+    return float(supply.sum()) - max(float(supply[rows] @ kept.min(axis=1)),
+                                     float(demand[cols] @ kept.min(axis=0)))
+
+
+def best_match(queries, refs, weighting: str = "cross_reference", solver: str = "simplex"):
+    """Per query, the most similar reference and its exact similarity.
+
+    Equal to the ``np.argmax`` of each row of :func:`similarity_matrix`,
+    exact ties to the lowest index, but solves only the pairs that can
+    still win.  Each pair is bounded without a solve
+    (:func:`_similarity_bound`); pairs are solved in descending bound
+    order, ties by index, until the next bound is more than ``PRUNE_RTOL``
+    of the total mass below the best similarity so far.  Every pair's
+    masses are checked as :class:`TransportProblem` checks them, solved or
+    not.  Returns (indices, similarities), two arrays of length Q.
+    """
+    if len(refs) == 0:
+        raise ValueError("best_match needs at least one reference")
+    index, best = np.empty(len(queries), dtype=np.intp), np.empty(len(queries))
+    for i, q in enumerate(queries):
+        pairs = []
+        for r in refs:
+            wa, wb = _weights(q, r, weighting)
+            check_masses(wa, wb)
+            pairs.append((cost_matrix(q, r), wa, wb))
+        bounds = np.array([_similarity_bound(*pair) for pair in pairs])
+        best_j, best_sim = -1, -np.inf
+        for j in np.argsort(-bounds, kind="stable"):
+            cost, wa, wb = pairs[j]
+            if bounds[j] < best_sim - PRUNE_RTOL * float(wa.sum()):
+                break
+            sim = _solve_and_score(cost, wa, wb, solver)[0]
+            if sim > best_sim or (sim == best_sim and j < best_j):
+                best_j, best_sim = int(j), sim
+        index[i], best[i] = best_j, best_sim
+    return index, best
 
 
 # ---------------------------------------------------------------------------

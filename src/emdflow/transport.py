@@ -54,6 +54,21 @@ class BasisError(ValueError):
     """Basic cells do not form a spanning tree of the m+k nodes."""
 
 
+def check_masses(supply: np.ndarray, demand: np.ndarray) -> None:
+    """Raise unless both mass vectors are finite, >= 0, positive in total and balanced."""
+    if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
+        raise ValueError("cost, supply and demand entries must be finite")
+    if np.any(supply < 0) or np.any(demand < 0):
+        raise ValueError("supply and demand must be non-negative")
+    ts, td = float(supply.sum()), float(demand.sum())
+    if ts <= 0 or td <= 0:
+        raise ValueError("total supply and total demand must be positive")
+    if abs(ts - td) > BALANCE_RTOL * max(ts, td):
+        raise UnbalancedProblemError(
+            f"unbalanced problem: total supply {ts} vs total demand {td}"
+        )
+
+
 @dataclass(frozen=True)
 class TransportProblem:
     """Balanced transportation LP: cost (m,k), supply (m,), demand (k,)."""
@@ -70,17 +85,9 @@ class TransportProblem:
             raise ValueError(f"cost must be m x k with m,k >= 1, got {cost.shape}")
         if supply.shape != (cost.shape[0],) or demand.shape != (cost.shape[1],):
             raise ValueError("supply/demand lengths must match cost dimensions")
-        if not all(np.all(np.isfinite(a)) for a in (cost, supply, demand)):
+        if not np.all(np.isfinite(cost)):
             raise ValueError("cost, supply and demand entries must be finite")
-        if np.any(supply < 0) or np.any(demand < 0):
-            raise ValueError("supply and demand must be non-negative")
-        ts, td = float(supply.sum()), float(demand.sum())
-        if ts <= 0 or td <= 0:
-            raise ValueError("total supply and total demand must be positive")
-        if abs(ts - td) > BALANCE_RTOL * max(ts, td):
-            raise UnbalancedProblemError(
-                f"unbalanced problem: total supply {ts} vs total demand {td}"
-            )
+        check_masses(supply, demand)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)

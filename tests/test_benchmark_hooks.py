@@ -40,3 +40,20 @@ def test_tracer_patches_and_restores_every_hook_point(monkeypatch):
     # Every unordered off-diagonal pair is one traced pair_similarity call.
     calls = sum(s.name == "metric.pair_similarity" for s in tracer.spans)
     assert calls == len(items) * (len(items) - 1) // 2
+
+
+def test_traced_1shot_builds_every_cost_and_prunes_solves(monkeypatch):
+    """1-shot scoring costs every pair through the traced module globals,
+    but solves only the pairs whose bound can still win."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    col = emdflow.generate(emdflow.SynthSpec(class_count=5, sets_per_class=4, spatial=(2, 2),
+                                             channels=8, cluster_sep=8.0, seed=1))
+    ep = emdflow.sample_episode(col, 5, 1, 3, seed=0)
+    tracer = Tracer(emdflow)
+    with tracer.active():
+        emdflow.fewshot.classify_1shot(ep)
+    pairs = len(ep.query) * ep.n_way
+    assert sum(s.name == "metric.cost_matrix" for s in tracer.spans) == pairs
+    assert sum(s.name == "transport.solve_simplex" for s in tracer.spans) < pairs

@@ -6,7 +6,7 @@ from emdflow.fewshot import (
     episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode,
     support_cross_entropy, train_projection,
 )
-from emdflow.metric import EmbeddingSet, ExtractionConfig
+from emdflow.metric import EmbeddingSet, ExtractionConfig, similarity_matrix
 from emdflow.synth import SynthSpec, generate
 
 
@@ -65,6 +65,27 @@ def test_sample_episode_rejects_empty(separable_col, n_way, k_shot, q_per_class)
         sample_episode(separable_col, n_way, k_shot, q_per_class, seed=0)
 
 
+@pytest.mark.parametrize("n_way, k_shot, q_per_class", [(0, 1, 1), (2, 0, 1), (2, 1, 0)])
+def test_episode_rejects_empty(n_way, k_shot, q_per_class):
+    es = EmbeddingSet(np.ones((1, 2)))
+    support = tuple((c, es) for c in range(n_way) for _ in range(k_shot))
+    query = tuple((c, es) for c in range(n_way) for _ in range(q_per_class))
+    with pytest.raises(ValueError, match="q_per_class >= 1"):
+        Episode(n_way=n_way, k_shot=k_shot, q_per_class=q_per_class,
+                support=support, query=query)
+
+
+def test_episode_rejects_uneven_classes():
+    """Class 1 has no support and two queries, so nn could never predict it."""
+    es = EmbeddingSet(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="support size mismatch"):
+        Episode(n_way=2, k_shot=1, q_per_class=1, support=((0, es), (0, es)),
+                query=((0, es), (1, es)))
+    with pytest.raises(ValueError, match="query size mismatch"):
+        Episode(n_way=2, k_shot=1, q_per_class=1, support=((0, es), (1, es)),
+                query=((1, es), (1, es)))
+
+
 def test_episode_label_validation():
     es = EmbeddingSet(np.ones((1, 2)))
     with pytest.raises(ValueError):
@@ -99,6 +120,27 @@ def test_k1_reductions_exact(background_col):
     preds, acc = classify_1shot(ep)
     for method in ("nn", "fusion", "merge"):
         assert classify_kshot(ep, method) == acc
+
+
+def test_pruned_kshot_methods_match_full_scoring(background_col):
+    """nn, merge and sfc give the accuracy of the argmax over every score."""
+    for seed in range(3):
+        ep = sample_episode(background_col, 5, 3, 2, seed=seed)
+        queries = [q for _, q in ep.query]
+        labels = np.array([label for label, _ in ep.query])
+        groups = ep.support_by_class()
+
+        def accuracy(sims):
+            return np.count_nonzero(np.argmax(sims, axis=1) == labels) / len(labels)
+
+        per_support = similarity_matrix(queries, [es for sets in groups for es in sets])
+        merged = [EmbeddingSet(np.concatenate([es.vectors for es in sets])) for sets in groups]
+        fitted = fit_sfc(ep, iterations=5)
+        protos = [EmbeddingSet(p) for p in fitted.per_class]
+        assert classify_kshot(ep, "nn") == accuracy(per_support.reshape(-1, 5, 3).max(axis=2))
+        assert classify_kshot(ep, "merge") == accuracy(similarity_matrix(queries, merged))
+        assert (classify_kshot(ep, "sfc", sfc_kwargs={"iterations": 5})
+                == accuracy(similarity_matrix(queries, protos)))
 
 
 def test_global_scale_leaves_predictions(separable_col):

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emdflow.metric import (
-    EmbeddingSet, ExtractionConfig, cost_matrix, cross_reference_weights,
-    emd_similarity, extract, extract_pyramid, pair_similarity,
-    similarity_node_grads, uniform_weights,
+    EmbeddingSet, ExtractionConfig, _similarity_bound, _solve_and_score, _weights,
+    best_match, cost_matrix, cross_reference_weights, emd_similarity, extract,
+    extract_pyramid, pair_similarity, similarity_matrix, similarity_node_grads,
+    uniform_weights,
 )
 from emdflow.tensor_io import DenseTensor
-from emdflow.transport import solve_oracle, TransportProblem
+from emdflow.transport import solve_oracle, TransportProblem, UnbalancedProblemError
 
 
 def _sets(rng, ma, mb, c):
@@ -128,6 +129,95 @@ def test_property_permutation_invariance(seed):
     s2, sol2 = pair_similarity(ap, bp)
     assert abs(s1 - s2) < 1e-10
     assert np.allclose(sol2.flows, sol1.flows[np.ix_(pi, rho)], atol=1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["random", "signed_axes", "copy"]),
+       st.sampled_from(["cross_reference", "equal", "given"]), st.integers(-12, 12))
+def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weighting, log_mass):
+    """The relaxed dual bound is never below the solved similarity.
+
+    Random vectors leave zero-mass nodes under the cross-reference ReLU;
+    signed axis vectors give tied integer costs 0, 1 and 2; ``copy`` makes
+    the reference a copy of the query; ``given`` weights zero some nodes
+    and scale the total mass to 1e-12...1e12.
+    """
+    rng = np.random.default_rng(seed)
+
+    def vectors(n):
+        if nodes == "signed_axes":
+            return np.eye(3)[rng.integers(0, 3, n)] * rng.choice([-1.0, 1.0], (n, 1))
+        return rng.standard_normal((n, 3))
+
+    def masses(n):
+        w = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.6)
+        w[rng.integers(n)] += 0.5
+        return 10.0 ** log_mass * w / w.sum()
+
+    q = EmbeddingSet(vectors(m))
+    r = EmbeddingSet(q.vectors.copy() if nodes == "copy" else vectors(k))
+    if weighting == "given":
+        q, r = q.with_weights(masses(q.node_count)), r.with_weights(masses(r.node_count))
+    wa, wb = _weights(q, r, weighting)
+    cost = cost_matrix(q, r)
+    sim = _solve_and_score(cost, wa, wb, "simplex")[0]
+    assert _similarity_bound(cost, wa, wb) >= sim - 1e-12 * wa.sum()
+
+
+def _argmax_rows(sims):
+    idx = np.argmax(sims, axis=1)
+    return idx, sims[np.arange(len(idx)), idx]
+
+
+@pytest.mark.parametrize("weighting", ["cross_reference", "equal"])
+@pytest.mark.parametrize("solver", ["simplex", "ipm"])
+def test_best_match_equals_full_argmax(weighting, solver):
+    """Index and similarity bit-equal to the argmax of the full matrix.
+
+    Each reference list holds an identical duplicate and an equal copy of
+    one reference, and one query copies a reference, so exact ties occur.
+    """
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        refs = [EmbeddingSet(rng.standard_normal((int(rng.integers(1, 6)), 4)))
+                for _ in range(4)]
+        refs += [refs[1], EmbeddingSet(refs[2].vectors.copy())]
+        queries = [EmbeddingSet(rng.standard_normal((int(rng.integers(1, 6)), 4)))
+                   for _ in range(3)] + [refs[2]]
+        full = similarity_matrix(queries, refs, weighting=weighting, solver=solver)
+        idx, sims = best_match(queries, refs, weighting=weighting, solver=solver)
+        want_idx, want_sims = _argmax_rows(full)
+        assert idx.tolist() == want_idx.tolist()
+        assert sims.tobytes() == want_sims.tobytes()
+
+
+def test_best_match_exact_tie_with_a_looser_bound_picks_the_lowest_index():
+    """Reference 1 has the higher bound and is solved first; both score 0."""
+    e1, e2, e3 = np.eye(3)
+    half = np.array([0.5, 0.5])
+    query = EmbeddingSet(np.array([e1, -e2]), weights=half)
+    refs = [EmbeddingSet(np.array([e3]), weights=np.array([1.0])),
+            EmbeddingSet(np.array([e1, e2]), weights=half)]
+    bounds = [_similarity_bound(cost_matrix(query, r), half, r.weights) for r in refs]
+    assert bounds[1] > bounds[0]
+    full = similarity_matrix([query], refs, weighting="given")
+    assert full[0, 0] == full[0, 1]
+    idx, sims = best_match([query], refs, weighting="given")
+    assert (idx[0], sims[0]) == (0, full[0, 0])
+
+
+def test_best_match_checks_every_pair():
+    """A pair pruned by its bound is still rejected as the full matrix rejects it."""
+    rng = np.random.default_rng(9)
+    query = EmbeddingSet(rng.standard_normal((3, 4)), weights=np.full(3, 1 / 3))
+    far = EmbeddingSet(-query.vectors, weights=np.full(3, 2 / 3))
+    with pytest.raises(UnbalancedProblemError):
+        similarity_matrix([query], [query, far], weighting="given")
+    with pytest.raises(UnbalancedProblemError):
+        best_match([query], [query, far], weighting="given")
+    with pytest.raises(ValueError, match="at least one reference"):
+        best_match([query], [])
 
 
 def test_node_grads_match_finite_differences():
