@@ -5,7 +5,10 @@ Three routes to the same optimum:
 * :func:`solve_simplex` — transportation simplex (least-cost start,
   Bland's rule against cycling).  Fast path for inference.
 * :func:`solve_interior_point` — primal-dual path following with
-  Mehrotra-style centering.
+  Mehrotra-style centering.  Its normal equations are built from the row
+  and column sums of the m x k grid, never from the incidence matrix, and it
+  iterates on mass and cost scaled to unit size, stopping on the largest of
+  the primal and dual residuals and the duality gap Σ x∘z.
 * :func:`solve_oracle` — exhaustive spanning-tree enumeration for tiny
   instances; the verification reference for both solvers above.
 
@@ -39,7 +42,12 @@ class CyclingError(RuntimeError):
 
 
 class IterationLimitError(RuntimeError):
-    """Interior point hit the iteration cap before reaching tolerance."""
+    """Interior point hit the iteration cap before reaching tolerance.
+
+    ``residual`` is the stopping measure of the last iterate: the largest of
+    the primal residual in units of total mass, the dual residual in units of
+    max|cost|, and the duality gap Σ x∘z in units of both.
+    """
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -411,69 +419,86 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     """Mehrotra-style predictor-corrector on the reduced equality system.
 
     Works in the standard form min c.x, A x = b, x >= 0 with duals (y, z),
-    z = reduced costs >= 0.  The reported equality duals are y (marginal
+    z = reduced costs >= 0, where A is :func:`reduced_incidence`; A is never
+    built.  On the m x k grid, A x is the row sums of X followed by the column
+    sums of X[:, :k-1], and A^T y is u_i + v_j with v_k = 0.  So the normal
+    matrix A D A^T has the blocks diag(row sums of D), D[:, :k-1] and
+    diag(column sums of D[:, :k-1]); its Cholesky factor, taken once per
+    iteration and shared by predictor and corrector, is the only cubic term.
+
+    The iteration runs on mass divided by its total and cost divided by
+    max|cost|, and stops once the largest primal residual, the largest dual
+    residual and the duality gap Σ x∘z are all at most ``tol`` in those
+    units.  Flows and duals are scaled back on output, and the objective is
+    taken on the caller's cost.  The reported equality duals are y (marginal
     prices), with the dropped last demand row pinning its potential to 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m, k = p.m, p.k
     n = m * k
-    nr = m + k - 1
-    A = reduced_incidence(m, k)
-    b = np.concatenate([p.supply, p.demand[:k - 1]])
-    c = p.cost.ravel()
-    total = float(p.supply.sum())
+    mass = float(p.supply.sum())
+    scale = float(np.abs(p.cost).max()) or 1.0
+    supply, demand = p.supply / mass, p.demand / mass
+    b = np.concatenate([supply, demand[:k - 1]])
+    c = p.cost / scale
+
+    def a_dot(X):
+        return np.concatenate([X.sum(axis=1), X[:, :k - 1].sum(axis=0)])
+
+    def at_dot(y):
+        return np.add.outer(y[:m], np.append(y[m:], 0.0))
+
+    def residuals(x, y, z):
+        rb = a_dot(x) - b
+        rc = at_dot(y) + z - c
+        return rb, rc, max(np.abs(rb).max(), np.abs(rc).max(), float(np.sum(x * z)))
+
+    def max_step(w, dw):  # longest step keeping w + step * dw >= 0, for w > 0
+        shrink = float(np.min(dw / w))
+        return -1.0 / shrink if shrink < 0 else np.inf
 
     # Strictly interior start: product-form feasible point plus a shift.
-    x = np.outer(p.supply, p.demand).ravel() / total + 1e-2 * total / n
-    y = np.zeros(nr)
-    z = np.ones(n)
-
-    def kkt_residual(x, y, z):
-        rb = A @ x - b
-        rc = A.T @ y + z - c
-        return max(
-            np.abs(rb).max(initial=0.0),
-            np.abs(rc).max(initial=0.0),
-            np.abs(x * z).max(initial=0.0),
-        )
+    x = np.outer(supply, demand) + 1e-2 / n
+    y = np.zeros(m + k - 1)
+    z = np.ones((m, k))
+    M = np.zeros((m + k - 1, m + k - 1))  # normal matrix; only its blocks change
 
     for _ in range(max_iter):
-        rb = A @ x - b
-        rc = A.T @ y + z - c
-        mu = float(x @ z) / n
-        if kkt_residual(x, y, z) <= tol:
+        rb, rc, residual = residuals(x, y, z)
+        if residual <= tol:
             break
+        xz = x * z
+        mu = float(xz.sum()) / n
 
         d = x / z
-        M = (A * d) @ A.T
+        M[:m, m:] = d[:, :k - 1]
+        M[m:, :m] = d[:, :k - 1].T
+        np.fill_diagonal(M, a_dot(d))
+        try:
+            cho = scipy.linalg.cho_factor(M, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            cho = None  # numerically singular near the optimum: least squares instead
 
         def newton(r_xz):
-            rhs = -rb + A @ (r_xz / z) - (A * d) @ rc
-            try:
-                cho = scipy.linalg.cho_factor(M, check_finite=False)
+            rhs = a_dot((r_xz - x * rc) / z) - rb
+            if cho is None:  # gelsy (complete orthogonal factorization): ~1/3 of SVD's time
+                dy = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy", check_finite=False)[0]
+            else:
                 dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-            except scipy.linalg.LinAlgError:
-                dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            dz = -rc - A.T @ dy
+            dz = -rc - at_dot(dy)
             dx = -(r_xz + x * dz) / z
             return dx, dy, dz
 
-        def max_step(w, dw):
-            neg = dw < 0
-            if not np.any(neg):
-                return np.inf
-            return float(np.min(-w[neg] / dw[neg]))
-
         # Predictor
-        dx_a, dy_a, dz_a = newton(x * z)
+        dx_a, dy_a, dz_a = newton(xz)
         ap = min(1.0, max_step(x, dx_a))
         ad = min(1.0, max_step(z, dz_a))
-        mu_aff = float((x + ap * dx_a) @ (z + ad * dz_a)) / n
+        mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a))) / n
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector
-        dx, dy, dz = newton(x * z + dx_a * dz_a - sigma * mu)
+        dx, dy, dz = newton(xz + dx_a * dz_a - sigma * mu)
         eta = 0.99
         ap = min(1.0, eta * max_step(x, dx))
         ad = min(1.0, eta * max_step(z, dz))
@@ -481,15 +506,15 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
         y = y + ad * dy
         z = z + ad * dz
     else:
+        residual = residuals(x, y, z)[2]
         raise IterationLimitError(
             f"interior point did not reach tol {tol} in {max_iter} iterations "
-            f"(residual {kkt_residual(x, y, z):.3e})",
-            residual=kkt_residual(x, y, z),
+            f"(residual {residual:.3e})",
+            residual=residual,
         )
 
-    flows = x.reshape(m, k)
-    duals_eq = np.concatenate([y, [0.0]])
-    duals_ineq = z.reshape(m, k)
+    flows = mass * x
+    duals_ineq = scale * z
     try:
         _optimal_basis(p, flows, duals_ineq)
         degenerate = False
@@ -498,7 +523,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     return TransportSolution(
         flows=flows,
         objective=float(np.sum(p.cost * flows)),
-        duals_eq=duals_eq,
+        duals_eq=scale * np.append(y, 0.0),
         duals_ineq=duals_ineq,
         solver_tag="interior_point",
         degenerate=degenerate,

@@ -1,6 +1,14 @@
-import numpy as np
+import os
 
-from emdflow.transport import TransportProblem
+# One BLAS/OpenMP thread, set before numpy loads, as perfbench/run.py does:
+# with one thread per core, small dense products and factorizations swing
+# by an order of magnitude, and the timing release criterion reads them.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from emdflow.transport import TransportProblem  # noqa: E402
 
 
 def random_problem(rng, m, k, cost_lo=0.05, cost_hi=1.95):

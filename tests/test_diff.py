@@ -166,12 +166,9 @@ def test_non_tree_support_is_gated():
         backward_similarity(1.0, sol, p, mode="full")
 
 
-@pytest.mark.parametrize("solver", ["simplex", "oracle"])
+@pytest.mark.parametrize("solver", ["simplex", "oracle", "interior_point"])
 def test_gate_is_scale_invariant(solver):
-    """Scaling mass or cost changes neither the gate's verdict nor B^-1.
-
-    The interior point is left out: its stopping test is still absolute.
-    """
+    """Scaling mass or cost changes neither the gate's verdict nor B^-1."""
     rng = np.random.default_rng(12)
     problems = [random_problem(rng, 3, 3) for _ in range(5)]
     problems.append(TransportProblem(cost=np.ones((2, 2)), supply=np.array([0.5, 0.5]),

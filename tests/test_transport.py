@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (
     InstanceTooLargeError, IterationLimitError, TransportProblem,
     UnbalancedProblemError, reduced_incidence, solve,
@@ -377,6 +378,47 @@ def test_interior_point_zero_mass_nodes(pattern):
 def test_interior_point_zero_mass_stall():
     p = _zero_mass_problem(np.random.default_rng(5423), "last_demander")
     solve_interior_point(p)
+
+
+def test_interior_point_on_relu_clamped_weights():
+    """10 x 10 nodes with cross-reference weights, zero rows included."""
+    rng = np.random.default_rng(27)
+    clamped = 0
+    for _ in range(5):
+        a, b = EmbeddingSet(rng.standard_normal((10, 8))), EmbeddingSet(rng.standard_normal((10, 8)))
+        supply, demand = cross_reference_weights(a, b)
+        clamped += int((supply == 0).sum())
+        p = TransportProblem(cost=cost_matrix(a, b), supply=supply, demand=demand)
+        ref = solve_simplex(p)
+        assert solve_interior_point(p).objective == pytest.approx(ref.objective, rel=1e-8)
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 2), (1, 4), (2, 1), (4, 1)])
+def test_interior_point_edge_shapes(m, k):
+    """k = 1 leaves the normal matrix no demand block; m = 1 one supply row."""
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        p = random_problem(rng, m, k)
+        sol, ref = solve_interior_point(p), solve_oracle(p)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-8)
+        assert np.allclose(sol.flows, ref.flows, rtol=0.0, atol=1e-8)
+        assert np.allclose(sol.duals_eq, ref.duals_eq, rtol=0.0, atol=1e-7)
+        assert sol.degenerate == ref.degenerate
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), exponent=st.floats(-12.0, 12.0),
+       side=st.sampled_from(["mass", "cost"]))
+def test_property_interior_point_scale_equivariance(seed, exponent, side):
+    """Scaling mass or cost by s scales the interior point's objective by s."""
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+    s = 10.0 ** exponent
+    mass, cost = (s, 1.0) if side == "mass" else (1.0, s)
+    q = TransportProblem(cost=cost * p.cost, supply=mass * p.supply, demand=mass * p.demand)
+    unit = solve_interior_point(p).objective
+    assert solve_interior_point(q).objective == pytest.approx(s * unit, rel=1e-9)
 
 
 @pytest.mark.parametrize("mass", SCALES)
