@@ -106,6 +106,7 @@ def cmd_solve(args) -> int:
         "duals_ineq": sol.duals_ineq.tolist(),
         "solver": sol.solver_tag,
         "degenerate": sol.degenerate,
+        "stats": sol.stats._asdict(),
     }, args.out, "solution.json")
     return 0
 

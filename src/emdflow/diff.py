@@ -88,11 +88,7 @@ class FlowJacobian:
         tree = self._tree
         rest = np.concatenate([np.asarray(d_supply, dtype=float),
                                np.asarray(d_demand, dtype=float)])
-        d_flows = np.zeros(tree.m * tree.k)
-        for node in reversed(tree.order):
-            d_flows[tree.edge[node]] = rest[node]
-            rest[tree.parent[node]] -= rest[node]
-        return d_flows.reshape(tree.m, tree.k)
+        return tree.flows(rest, np.zeros(tree.m * tree.k)).reshape(tree.m, tree.k)
 
     def vjp(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Pull a flow cotangent ``w`` (m, k) back to (d_supply, d_demand).
@@ -114,6 +110,21 @@ def jacobian_flows(sol: TransportSolution, p: TransportProblem) -> FlowJacobian:
     return FlowJacobian(sol, p)
 
 
+def envelope_grads(upstream: float, flows: np.ndarray, duals: np.ndarray) -> EmdGradients:
+    """Envelope gradients of upstream * sum((1 - c) * flows) at an optimum.
+
+    ``duals`` are the supplier then demander potentials of the problem
+    ``flows`` solves.  The similarity is total flow minus objective, and
+    the total flow is attributed to the supply side.
+    """
+    m = flows.shape[0]
+    return EmdGradients(
+        d_cost=-upstream * flows,
+        d_supply=upstream * (1.0 - duals[:m]),
+        d_demand=-upstream * duals[m:],
+    )
+
+
 def backward_similarity(upstream: float, sol: TransportSolution,
                         p: TransportProblem, mode: str = "envelope") -> EmdGradients:
     """Gradients of a loss through the similarity score sum((1-c) * flows).
@@ -127,12 +138,7 @@ def backward_similarity(upstream: float, sol: TransportSolution,
     and is required when the loss touches individual flows.
     """
     if mode == "envelope":
-        m = p.m
-        return EmdGradients(
-            d_cost=-upstream * sol.flows,
-            d_supply=upstream * (1.0 - sol.duals_eq[:m]),
-            d_demand=-upstream * sol.duals_eq[m:],
-        )
+        return envelope_grads(upstream, sol.flows, sol.duals_eq)
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
 

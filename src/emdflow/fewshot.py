@@ -4,6 +4,8 @@ Covers episode sampling from a labeled collection, 1-shot classification,
 the k-shot variants (nearest support, score fusion, set merging, global
 prototypes, and the learnable structured-FC layer fine-tuned by SGD), and
 a toy end-to-end trainer for a linear projection placed before the metric.
+The SFC fit takes one fused step per picked support, against all class
+prototypes at once, with warm-started simplex solves (:func:`fit_sfc`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_io import LabeledSetCollection
-from .metric import (EmbeddingSet, ExtractionConfig, best_match, extract,
-                     similarity_matrix, similarity_node_grads)
+from .metric import (EmbeddingSet, ExtractionConfig, _fused_step, _Stack, _WarmStarts,
+                     best_match, extract, similarity_matrix, similarity_node_grads)
 from .metric import pair_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
 KSHOT_METHODS = ("sfc", "nn", "fusion", "merge", "prototype")
@@ -72,13 +74,21 @@ class Episode:
 
 @dataclass
 class SfcPrototypes:
-    """Learnable per-class node groups produced by SGD fine-tuning."""
+    """Learnable per-class node groups produced by SGD fine-tuning.
+
+    ``solves``, ``pivots`` and ``warm_starts`` count the fit's simplex
+    kernel runs, their pivots and the runs that began from a cached basis
+    (all 0 for the other solvers).
+    """
 
     per_class: list
     learning_rate: float = 0.1
     batch_size: int = 5
     iterations: int = 100
     loss_curve: list = field(default_factory=list)
+    solves: int = 0
+    pivots: int = 0
+    warm_starts: int = 0
 
     @property
     def n_way(self) -> int:
@@ -169,6 +179,20 @@ def _cross_entropy(sims: np.ndarray, label: int, temperature: float):
     return -float(np.log(max(probs[label], 1e-300))), d_sims / temperature
 
 
+def _check_training(learning_rate, temperature, steps_name, steps, batch_size=1):
+    """Raise ValueError for SGD settings that cannot train: a learning rate
+    that is not finite and >= 0, a temperature that is not finite and > 0,
+    a negative step count or a batch below 1."""
+    if not (np.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    if steps < 0:
+        raise ValueError(f"{steps_name} must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
             iterations: int = 100, temperature: float = 0.1, seed: int = 0,
             solver: str = "simplex") -> SfcPrototypes:
@@ -178,36 +202,47 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     matrices and are optimized by plain SGD on the cross-entropy of
     temperature-scaled similarities, sampling support minibatches with
     replacement.
+
+    Each step is fused: the supports' unit rows, norms and means are taken
+    once per fit and the prototypes' once per iteration, and each picked
+    support meets all prototypes in one cosine product and one relevance
+    product, one mass check, one solve per class on its mass support, and
+    prototype-side gradients batched over the classes.  The simplex
+    restarts each (support, class) solve from the basis that pair ended on
+    at its last visit, while its mass support is unchanged; ``solves``,
+    ``pivots`` and ``warm_starts`` count those kernel runs.
     """
+    _check_training(learning_rate, temperature, "iterations", iterations, batch_size)
     groups = ep.support_by_class()
     protos = [np.mean([es.vectors for es in sets], axis=0) for sets in groups]
+    starts = np.cumsum([0] + [p.shape[0] for p in protos]).tolist()
+    stacked = np.concatenate(protos)
     rng = np.random.default_rng(seed)
-    result = SfcPrototypes(per_class=protos, learning_rate=learning_rate,
-                           batch_size=batch_size, iterations=iterations)
-    support = list(ep.support)
+    result = SfcPrototypes(per_class=np.split(stacked, starts[1:-1]),
+                           learning_rate=learning_rate, batch_size=batch_size,
+                           iterations=iterations)
+    support = [(label, _Stack(es.vectors)) for label, es in ep.support]
+    warm = _WarmStarts() if solver == "simplex" else None
     for it in range(iterations):
         picks = rng.integers(0, len(support), size=batch_size)
-        grads = [np.zeros_like(p) for p in protos]
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError("non-finite node vector")
+        ys = _Stack(stacked, starts)
+        grad = np.zeros_like(stacked)
         batch_loss = 0.0
-        for pick in picks:
-            label, es = support[pick]
-            sims = np.empty(ep.n_way)
-            proto_grads = []
-            for c, proto in enumerate(protos):
-                sim, _, _, g_proto = similarity_node_grads(
-                    es, EmbeddingSet(vectors=proto), solver=solver)
-                sims[c] = sim
-                proto_grads.append(g_proto)
-            loss, d_sims = _cross_entropy(sims, label, temperature)
+        for pick in picks.tolist():
+            label, x = support[pick]
+            loss, g = _fused_step(x, ys, lambda sims: _cross_entropy(sims, label, temperature),
+                                  solver, warm, pick)
             batch_loss += loss
-            for c in range(ep.n_way):
-                grads[c] += d_sims[c] * proto_grads[c]
+            grad += g
         batch_loss /= batch_size
         if not np.isfinite(batch_loss):
             raise DivergenceError(it)
         result.loss_curve.append(batch_loss)
-        for c in range(ep.n_way):
-            protos[c] -= learning_rate * grads[c] / batch_size
+        stacked -= learning_rate * grad / batch_size  # the per_class views follow
+    if warm is not None:
+        result.solves, result.pivots, result.warm_starts = warm.solves, warm.pivots, warm.warm
     return result
 
 
@@ -302,6 +337,7 @@ def train_projection(train_col: LabeledSetCollection, epochs: int = 20,
                      cfg: ExtractionConfig = ExtractionConfig(),
                      out_dim: int = None, solver: str = "simplex") -> ProjectionModel:
     """Fit the node projection by SGD over sampled 1-shot episodes."""
+    _check_training(lr, temperature, "epochs", epochs)
     channels = train_col.channels
     if channels is None:
         raise InsufficientDataError("empty collection")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor_io import DenseTensor
-from .transport import TransportProblem, check_masses, solve
-from .diff import backward_similarity
+from .transport import TransportProblem, _simplex, check_masses, solve
+from .diff import backward_similarity, envelope_grads
 
 # best_match skips a pair whose similarity bound is more than this share of
 # the total mass below the best similarity so far.  It must exceed the
@@ -102,24 +102,18 @@ def _unit_rows(mat: np.ndarray):
     return mat / safe[:, None], norms
 
 
-def _cosine(U: np.ndarray, V: np.ndarray):
-    """Unit rows and norms of both node matrices, their cosines, and the cost.
-
-    Returns (uhat, unorm, vhat, vnorm, cos, cost) with cost = clip(1 - cos).
-    """
-    uhat, unorm = _unit_rows(U)
-    vhat, vnorm = _unit_rows(V)
+def _cosine(uhat: np.ndarray, vhat: np.ndarray):
+    """Cosines of two stacks of unit rows, and the cost clip(1 - cos, 0, 2)."""
     cos = uhat @ vhat.T
-    return uhat, unorm, vhat, vnorm, cos, np.clip(1.0 - cos, 0.0, 2.0)
+    return cos, np.clip(1.0 - cos, 0.0, 2.0)
 
 
-def _relevance(U: np.ndarray, V: np.ndarray):
-    """Clamped raw relevance max(u_i . mean(V), 0) of each side, and the means.
+def _relevance(X: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Clamped raw relevance max(x_i . mean, 0) of each row of X.
 
-    Returns (raw_u, raw_v, mean_u, mean_v).
+    ``mean`` is one mean (C) or a stack of G means (G x C, giving M x G).
     """
-    mean_u, mean_v = U.mean(axis=0), V.mean(axis=0)
-    return np.maximum(U @ mean_v, 0.0), np.maximum(V @ mean_u, 0.0), mean_u, mean_v
+    return np.maximum(X @ mean.T, 0.0)
 
 
 def _normalize(raw: np.ndarray):
@@ -134,7 +128,7 @@ def cost_matrix(a: EmbeddingSet, b: EmbeddingSet) -> np.ndarray:
     Zero-norm vectors get cost 1 against everything (orthogonal limit).
     """
     _check_channels(a, b)
-    return _cosine(a.vectors, b.vectors)[-1]
+    return _cosine(_unit_rows(a.vectors)[0], _unit_rows(b.vectors)[0])[1]
 
 
 def cross_reference_weights(a: EmbeddingSet, b: EmbeddingSet):
@@ -145,8 +139,9 @@ def cross_reference_weights(a: EmbeddingSet, b: EmbeddingSet):
     Returns (weights_a, weights_b).
     """
     _check_channels(a, b)
-    raw_a, raw_b, _, _ = _relevance(a.vectors, b.vectors)
-    return _normalize(raw_a)[0], _normalize(raw_b)[0]
+    U, V = a.vectors, b.vectors
+    return (_normalize(_relevance(U, V.mean(axis=0)))[0],
+            _normalize(_relevance(V, U.mean(axis=0)))[0])
 
 
 def uniform_weights(a: EmbeddingSet, b: EmbeddingSet):
@@ -264,7 +259,108 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
 
 
 # ---------------------------------------------------------------------------
-# Backward chain: similarity -> (cost, weights) -> node matrices.
+# One node set against a stack of others, and the backward chain:
+# similarity -> (cost, weights) -> node matrices.
+
+
+class _Stack:
+    """Node matrices stacked by rows, with their unit rows (zero rows stay
+    zero), norms and each member's node mean.
+
+    Member g is rows ``starts[g]:starts[g + 1]``, one member unless
+    ``starts`` splits them; members may differ in node count.
+    """
+
+    __slots__ = ("vectors", "starts", "unit", "norms", "means")
+
+    def __init__(self, vectors: np.ndarray, starts=None):
+        self.vectors = vectors
+        self.starts = [0, vectors.shape[0]] if starts is None else starts
+        self.unit, self.norms = _unit_rows(vectors)
+        self.means = np.array([vectors[s:e].mean(axis=0)
+                               for s, e in zip(self.starts, self.starts[1:])])
+
+
+class _Pairs:
+    """One node set x against every member of a stack ys.
+
+    ``cos`` and ``cost`` are M x N; ``w_x`` / ``raw_x`` (G x M) and
+    ``tot_x`` (G) are x's cross-reference weights against each member,
+    ``w_y`` / ``raw_y`` (N) and ``tot_y`` (G) each member's against x.  The
+    masses are checked once for all members, as
+    :func:`~emdflow.transport.check_masses` checks one problem.
+    """
+
+    __slots__ = ("cos", "cost", "w_x", "raw_x", "tot_x", "w_y", "raw_y", "tot_y")
+
+    def __init__(self, x: _Stack, ys: _Stack):
+        self.cos, self.cost = _cosine(x.unit, ys.unit)
+        self.raw_x = _relevance(x.vectors, ys.means).T
+        self.raw_y = _relevance(ys.vectors, x.means[0])
+        per_x = [_normalize(r) for r in self.raw_x]
+        per_y = [_normalize(self.raw_y[s:e]) for s, e in zip(ys.starts, ys.starts[1:])]
+        self.w_x, self.tot_x = np.array([w for w, _ in per_x]), [t for _, t in per_x]
+        self.w_y, self.tot_y = np.concatenate([w for w, _ in per_y]), [t for _, t in per_y]
+        totals = (self.w_x.sum(axis=1).tolist(), np.add.reduceat(self.w_y, ys.starts[:-1]).tolist())
+        check_masses(self.w_x, self.w_y, totals=totals)
+
+
+class _WarmStarts:
+    """Last simplex basis of each (key, member) pair, with solve counts.
+
+    A basis is offered again only while the pair's mass support, the rows
+    and columns its subproblem keeps, is unchanged.
+    """
+
+    def __init__(self):
+        self.bases = {}
+        self.solves = self.pivots = self.warm = 0
+
+    def solve(self, key, cost, supply, demand, rows, cols):
+        support = (rows.tobytes(), cols.tobytes())
+        last = self.bases.get(key)
+        run = _simplex(cost, supply, demand,
+                       start=last[1] if last is not None and last[0] == support else None)
+        self.bases[key] = (support, run.basis)
+        self.solves += 1
+        self.pivots += run.pivots
+        self.warm += run.warm
+        return run
+
+
+def _solve_members(pairs: _Pairs, ys: _Stack, solver: str, warm: _WarmStarts = None, key=None):
+    """Solve x against each member of ys; return (sims, flows, d_x, d_y, sols).
+
+    ``flows`` (M x N), ``d_x`` (G x M) and ``d_y`` (N) hold each member's
+    envelope gradient of its similarity: -d_cost, d_supply and d_demand.
+    With ``warm`` each member is solved on its mass support by the simplex
+    kernel, warm-started per (``key``, member); the gradient is
+    gauge-invariant after the weight normalization, so the kernel's own
+    potentials serve and no certificate is built.  Otherwise each member
+    goes through :class:`TransportProblem` and :func:`solve`, and its
+    solution is returned in ``sols``.
+    """
+    m, n = pairs.cost.shape
+    sims = np.empty(len(ys.starts) - 1)
+    flows, d_x, d_y = np.zeros((m, n)), np.zeros((sims.size, m)), np.zeros(n)
+    sols = []
+    for c, (s, e) in enumerate(zip(ys.starts, ys.starts[1:])):
+        if warm is None:
+            rows, cols = np.arange(m), np.arange(s, e)
+            cost = pairs.cost[:, s:e]
+            sims[c], sol, p = _solve_and_score(cost, pairs.w_x[c], pairs.w_y[s:e], solver)
+            sols.append(sol)
+            env = backward_similarity(1.0, sol, p, mode="envelope")
+        else:
+            rows, cols = np.flatnonzero(pairs.w_x[c]), s + np.flatnonzero(pairs.w_y[s:e])
+            cost = pairs.cost[rows[:, None], cols]
+            run = warm.solve((key, c), cost, pairs.w_x[c, rows], pairs.w_y[cols], rows, cols)
+            sims[c] = float(np.sum((1.0 - cost) * run.flows))
+            env = envelope_grads(1.0, run.flows, run.pot)
+        flows[rows[:, None], cols] = -env.d_cost
+        d_x[c, rows] = env.d_supply
+        d_y[cols] = env.d_demand
+    return sims, flows, d_x, d_y, sols
 
 
 def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
@@ -279,18 +375,54 @@ def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
     return grad
 
 
-def _weight_vjp(grad_w, w, raw, total, X, mean_other, grad_x, grad_other):
-    """Accumulate the pullback through w = normalize(max(X @ mean_other, 0)).
+def _weight_vjp(grad_w, w, raw, total):
+    """Pull ``grad_w`` back through w = normalize(max(r, 0)) to r, along the last axis.
 
-    Adds into ``grad_x`` (X's rows) and ``grad_other`` (the rows of the
-    set whose mean is ``mean_other``).  The uniform fallback carries no
-    gradient.
+    (grad_w - grad_w . w) / total where raw > 0; the uniform fallback
+    (total 0) carries no gradient.
     """
-    if total > 0:
-        g_raw = (grad_w - float(grad_w @ w)) / total * (raw > 0)
-        grad_x += g_raw[:, None] * mean_other[None, :]
-        n_other = grad_other.shape[0]
-        grad_other += np.outer(np.ones(n_other), g_raw @ X) / n_other
+    total = np.asarray(total)[..., None]
+    dot = (grad_w * w).sum(axis=-1, keepdims=True)
+    return (grad_w - dot) / np.where(total > 0, total, np.inf) * (raw > 0)
+
+
+def _member_grads(x: _Stack, ys: _Stack, pairs: _Pairs, flows, d_x, d_y, upstream,
+                  want_x: bool = False):
+    """Gradient of sum_g upstream[g] * sim_g wrt ys's rows (N x C), and
+    wrt x's rows too with ``want_x``: (grad_x, grad_ys).
+
+    The chain runs through the cosine cost and, on both sides, the
+    clamp/normalize weights and the mean each weight is scored against.
+    """
+    counts = np.diff(ys.starts)
+    per_col = np.repeat(upstream, counts)
+    g_cos = flows * per_col
+    g_raw_x = _weight_vjp(upstream[:, None] * d_x, pairs.w_x, pairs.raw_x, pairs.tot_x)
+    g_y = per_col * d_y
+    g_raw_y = np.concatenate([
+        _weight_vjp(g_y[s:e], pairs.w_y[s:e], pairs.raw_y[s:e], total)
+        for s, e, total in zip(ys.starts, ys.starts[1:], pairs.tot_y)])
+    grad_ys = (_cosine_vjp(g_cos.T, pairs.cos.T, ys.unit, ys.norms, x.unit)
+               + np.repeat(g_raw_x @ x.vectors / counts[:, None], counts, axis=0)
+               + g_raw_y[:, None] * x.means[0])
+    if not want_x:
+        return grad_ys
+    grad_x = (_cosine_vjp(g_cos, pairs.cos, x.unit, x.norms, ys.unit)
+              + g_raw_x.T @ ys.means
+              + g_raw_y @ ys.vectors / x.vectors.shape[0])
+    return grad_x, grad_ys
+
+
+def _fused_step(x: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts = None, key=None):
+    """One forward and backward of node set x against every member of ys.
+
+    ``loss`` maps the G similarities to (value, d value / d sims).  Returns
+    (value, d value / d ys's rows).
+    """
+    pairs = _Pairs(x, ys)
+    sims, flows, d_x, d_y, _ = _solve_members(pairs, ys, solver, warm, key)
+    value, d_sims = loss(sims)
+    return value, _member_grads(x, ys, pairs, flows, d_x, d_y, d_sims)
 
 
 def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
@@ -302,20 +434,11 @@ def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simpl
     is d similarity / d a.vectors (M_a x C), likewise grad_b.
     """
     _check_channels(a, b)
-    U, V = a.vectors, b.vectors
-    raw_a, raw_b, mean_a, mean_b = _relevance(U, V)
-    wa, tot_a = _normalize(raw_a)
-    wb, tot_b = _normalize(raw_b)
-    uhat, unorm, vhat, vnorm, cos, cost = _cosine(U, V)
-    sim, sol, p = _solve_and_score(cost, wa, wb, solver)
-    env = backward_similarity(1.0, sol, p, mode="envelope")
-
-    g_cos = -env.d_cost
-    grad_a = _cosine_vjp(g_cos, cos, uhat, unorm, vhat)
-    grad_b = _cosine_vjp(g_cos.T, cos.T, vhat, vnorm, uhat)
-    _weight_vjp(env.d_supply, wa, raw_a, tot_a, U, mean_b, grad_a, grad_b)
-    _weight_vjp(env.d_demand, wb, raw_b, tot_b, V, mean_a, grad_b, grad_a)
-    return sim, sol, grad_a, grad_b
+    x, y = _Stack(a.vectors), _Stack(b.vectors)
+    pairs = _Pairs(x, y)
+    sims, flows, d_x, d_y, sols = _solve_members(pairs, y, solver)
+    grad_a, grad_b = _member_grads(x, y, pairs, flows, d_x, d_y, np.ones(1), want_x=True)
+    return float(sims[0]), sols[0], grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Three routes to the same optimum:
 
 * :func:`solve_simplex` — transportation simplex (least-cost start,
-  Bland's rule against cycling).  Fast path for inference.
+  Bland's rule against cycling).  Fast path for inference.  Its kernel,
+  ``_simplex``, also takes a start basis (a warm start), which the SFC
+  fit uses to restart each solve from that pair's last basis.
 * :func:`solve_interior_point` — primal-dual path following with
   Mehrotra-style centering.  Its normal equations are built from the row
   and column sums of the m x k grid, never from the incidence matrix, and it
@@ -16,13 +18,15 @@ A zero-mass node (the cross-reference ReLU clamps many) carries no flow at
 any optimum; it only adds cells and pivots and makes every optimum
 primal-degenerate.  So the simplex solves the mass support, and the
 interior point's degeneracy test and the flow-Jacobian gate read the basis
-off that support (:func:`_optimal_basis`).
+off that support (:func:`_optimal_basis`).  Every solution carries a
+:class:`SolveStats` record of what its solve did.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -62,19 +66,24 @@ class BasisError(ValueError):
     """Basic cells do not form a spanning tree of the m+k nodes."""
 
 
-def check_masses(supply: np.ndarray, demand: np.ndarray) -> None:
-    """Raise unless both mass vectors are finite, >= 0, positive in total and balanced."""
+def check_masses(supply: np.ndarray, demand: np.ndarray, totals=None) -> None:
+    """Raise unless both mass vectors are finite, >= 0, positive in total and balanced.
+
+    A batch of problems passes all its supplies and all its demands at once,
+    with ``totals`` = (supply totals, demand totals), one pair per problem.
+    """
     if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
         raise ValueError("cost, supply and demand entries must be finite")
     if np.any(supply < 0) or np.any(demand < 0):
         raise ValueError("supply and demand must be non-negative")
-    ts, td = float(supply.sum()), float(demand.sum())
-    if ts <= 0 or td <= 0:
-        raise ValueError("total supply and total demand must be positive")
-    if abs(ts - td) > BALANCE_RTOL * max(ts, td):
-        raise UnbalancedProblemError(
-            f"unbalanced problem: total supply {ts} vs total demand {td}"
-        )
+    for ts, td in (zip(*totals) if totals is not None
+                   else [(float(supply.sum()), float(demand.sum()))]):
+        if ts <= 0 or td <= 0:
+            raise ValueError("total supply and total demand must be positive")
+        if abs(ts - td) > BALANCE_RTOL * max(ts, td):
+            raise UnbalancedProblemError(
+                f"unbalanced problem: total supply {ts} vs total demand {td}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,23 @@ class TransportProblem:
         return self.cost.shape[1]
 
 
+class SolveStats(NamedTuple):
+    """What one solve did.
+
+    ``kept`` is the (rows, columns) shape the solver worked on: the mass
+    support for the simplex, the whole problem otherwise.  The simplex
+    reports its ``pivots`` and whether Bland's rule took over (``bland``);
+    the interior point its ``ipm_iterations`` and the stopping measure it
+    ended on (``residual``).  Fields a solver does not report stay None.
+    """
+
+    kept: tuple
+    pivots: int = None
+    bland: bool = None
+    ipm_iterations: int = None
+    residual: float = None
+
+
 @dataclass(frozen=True)
 class TransportSolution:
     """Optimal flows plus the dual certificate.
@@ -126,7 +152,8 @@ class TransportSolution:
     for the full problem.  ``degenerate`` describes the kept subproblem: a
     zero basic flow of the simplex, or no strictly complementary tree basis
     of the interior point (:func:`_optimal_basis`).  The oracle's flag is a
-    zero basic flow of the full problem.
+    zero basic flow of the full problem.  ``stats`` (:class:`SolveStats`) is
+    set by every solver; a solution built by hand may leave it None.
     """
 
     flows: np.ndarray
@@ -135,6 +162,7 @@ class TransportSolution:
     duals_ineq: np.ndarray
     solver_tag: str
     degenerate: bool = False
+    stats: SolveStats = None
 
 
 def reduced_incidence(m: int, k: int) -> np.ndarray:
@@ -281,6 +309,20 @@ class _BasisTree:
                 stack.append(nbr)
         return hung
 
+    def flows(self, rest, out):
+        """Basic flows meeting the node balances ``rest`` (supplies, then
+        demands), written into ``out`` (flat cells); return ``out``.
+
+        A leaf-to-root pass: each node's parent cell carries what the node
+        still needs after its children.  The root's own balance is not
+        imposed.  ``rest`` is used up.
+        """
+        edge, parent = self.edge, self.parent
+        for node in reversed(self.order):
+            out[edge[node]] = rest[node]
+            rest[parent[node]] -= rest[node]
+        return out
+
     def potentials(self, values, pot, nodes):
         """Solve pot[i] + pot[j] = values[cell] on the parent cells of ``nodes``
         (each listed after its parent), in place; return ``pot``."""
@@ -343,17 +385,18 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
     """
     m = p.m
     if p.supply.all() and p.demand.all():  # masses are >= 0: no zero-mass node
-        flows, pot, degenerate = _simplex(p.cost, p.supply, p.demand, tol, max_pivots)
+        run = _simplex(p.cost, p.supply, p.demand, tol, max_pivots)
+        flows, pot = run.flows, run.pot
     else:
         rows, cols = p.supply > 0, p.demand > 0
         kept = rows[:, None] & cols
         supply, demand = p.supply[rows], p.demand[cols]
-        sub_flows, sub_pot, degenerate = _simplex(p.cost[kept].reshape(supply.size, demand.size),
-                                                  supply, demand, tol, max_pivots)
+        run = _simplex(p.cost[kept].reshape(supply.size, demand.size),
+                       supply, demand, tol, max_pivots)
         flows = np.zeros((m, p.k))
-        flows[kept] = sub_flows.ravel()
+        flows[kept] = run.flows.ravel()
         pot = np.empty(m + p.k)
-        pot[np.concatenate([rows, cols])] = sub_pot
+        pot[np.concatenate([rows, cols])] = run.pot
         _complete(p.cost, rows, cols, pot[:m], pot[m:])
         shift = pot[-1]
         pot[:m] += shift
@@ -364,17 +407,43 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
         duals_eq=pot,
         duals_ineq=np.maximum(p.cost - pot[:m, None] - pot[None, m:], 0.0),
         solver_tag="simplex",
-        degenerate=degenerate,
+        degenerate=run.degenerate,
+        stats=SolveStats(kept=run.flows.shape, pivots=run.pivots, bland=run.bland),
     )
 
 
-def _simplex(cost, supply, demand, tol, max_pivots):
-    """The simplex on arrays; returns (flows, potentials, degenerate)."""
+class _SimplexRun(NamedTuple):
+    """What :func:`_simplex` returns."""
+
+    flows: np.ndarray   # m x k optimal flows
+    pot: np.ndarray     # supplier then demander potentials, the last demander's 0
+    degenerate: bool    # a basic flow below DEGENERATE_RTOL of the total mass
+    basis: list         # flat cells of the final basis tree, a valid ``start``
+    pivots: int
+    bland: bool         # Bland's rule chose an entering cell at least once
+    warm: bool          # the run began from the given ``start``
+
+
+def _simplex(cost, supply, demand, tol=1e-10, max_pivots=100_000, start=None):
+    """The simplex on arrays; returns a :class:`_SimplexRun`.
+
+    ``start`` is an optional start basis, the flat cells of a spanning tree
+    (:class:`_BasisTree` raises :class:`BasisError` otherwise).  Its basic
+    flows come from the tree's leaf-to-root pass; it is used when all of
+    them are >= 0, and the least-cost start otherwise.  A warm start from
+    an optimal basis costs no pivot.
+    """
     m, k = cost.shape
     total = float(supply.sum())
-    flows, basis = _least_cost_start(cost, supply, demand)  # scalar cell updates are hot: lists
+    warm = start is not None
+    if warm:
+        tree, basis = _BasisTree(m, k, start), start
+        flows = tree.flows(supply.tolist() + demand.tolist(), [0.0] * (m * k))
+        warm = min([flows[c] for c in basis]) >= 0.0  # primal feasible
+    if not warm:
+        flows, basis = _least_cost_start(cost, supply, demand)  # scalar cell updates are hot: lists
+        tree = _BasisTree(m, k, basis)
     values = cost.ravel().tolist()
-    tree = _BasisTree(m, k, basis)
     pot = tree.potentials(values, np.zeros(m + k), tree.order)
     in_basis = np.zeros(m * k, dtype=bool)
     in_basis[basis] = True
@@ -382,16 +451,19 @@ def _simplex(cost, supply, demand, tol, max_pivots):
 
     stall = 0
     stall_limit = m + k + 2
-    for _ in range(max_pivots):
+    bland = False
+    for pivots in range(max_pivots):
         red = (cost - pot[:m, None] - pot[None, m:]).ravel()
         red[in_basis] = np.inf  # basic cells never enter
         enter = int(red.argmin())  # most negative, ties by lowest flat index
         if red[enter] >= -price_tol:
             flows_np = np.array(flows).reshape(m, k)
-            return (flows_np, pot,
-                    bool(flows_np.ravel()[in_basis].min() < DEGENERATE_RTOL * total))
+            return _SimplexRun(flows_np, pot,
+                               bool(flows_np.ravel()[in_basis].min() < DEGENERATE_RTOL * total),
+                               np.flatnonzero(in_basis).tolist(), pivots, bland, warm)
         if stall >= stall_limit:
             enter = int(np.flatnonzero(red < -price_tol)[0])  # Bland: lowest flat index
+            bland = True
         cycle = tree.cycle(enter)
         plus, minus = cycle[::2], cycle[1::2]
         theta = min([flows[c] for c in minus])
@@ -464,7 +536,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     z = np.ones((m, k))
     M = np.zeros((m + k - 1, m + k - 1))  # normal matrix; only its blocks change
 
-    for _ in range(max_iter):
+    for iterations in range(max_iter):
         rb, rc, residual = residuals(x, y, z)
         if residual <= tol:
             break
@@ -527,6 +599,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
         duals_ineq=duals_ineq,
         solver_tag="interior_point",
         degenerate=degenerate,
+        stats=SolveStats(kept=(m, k), ipm_iterations=iterations, residual=float(residual)),
     )
 
 
@@ -591,6 +664,7 @@ def solve_oracle(p: TransportProblem) -> TransportSolution:
         duals_ineq=np.maximum(red, 0.0),
         solver_tag="oracle",
         degenerate=bool(np.min(basic_flows[best]) < DEGENERATE_RTOL * total),
+        stats=SolveStats(kept=(m, k)),
     )
 
 

@@ -28,6 +28,24 @@ def test_solve_single_cell(single_cell, tmp_path, capsys):
     assert payload["objective"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("solver", ["simplex", "ipm"])
+def test_solve_writes_stats(tmp_path, solver):
+    """The solution JSON says what the solve did: the simplex on the mass
+    support, the interior point on the whole problem."""
+    prob = _write_problem(tmp_path, {"cost": [[0.2, 0.9, 0.5], [0.7, 0.1, 0.4]],
+                                     "supply": [0.4, 0.6], "demand": [0.5, 0.0, 0.5]})
+    assert main(["--solver", solver, "solve", prob, "--out", str(tmp_path / "o")]) == 0
+    stats = json.loads((tmp_path / "o" / "solution.json").read_text())["stats"]
+    if solver == "simplex":
+        assert stats["kept"] == [2, 2]
+        assert stats["pivots"] >= 0 and stats["bland"] is False
+        assert stats["ipm_iterations"] is None and stats["residual"] is None
+    else:
+        assert stats["kept"] == [2, 3]
+        assert stats["ipm_iterations"] > 0 and 0 <= stats["residual"] <= 1e-9
+        assert stats["pivots"] is None
+
+
 def test_solve_cross_solver_agreement(tmp_path, capsys):
     rng = np.random.default_rng(0)
     cost = rng.uniform(0.1, 1.9, (3, 3))
@@ -216,6 +234,14 @@ def test_train(tmp_path, capsys):
     payload = json.loads((out / "train.json").read_text())
     assert len(payload["loss_curve"]) == 2
     assert (out / "projection.dtn").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--temperature", "-0.1"), ("--temperature", "0"),
+                                         ("--lr", "nan"), ("--epochs", "-1")])
+def test_train_rejects_settings_that_cannot_train(tmp_path, capsys, flag, value):
+    manifest = _gen_collection(tmp_path)
+    assert main(["train", "--collection", manifest, flag, value]) == 1
+    assert "must be" in capsys.readouterr().err
 
 
 def test_flows_identity_best_match(tmp_path):

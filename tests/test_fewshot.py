@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from emdflow.fewshot import (
-    Episode, InsufficientDataError, classify_1shot, classify_kshot,
+    Episode, InsufficientDataError, _cross_entropy, classify_1shot, classify_kshot,
     episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode,
     support_cross_entropy, train_projection,
 )
-from emdflow.metric import EmbeddingSet, ExtractionConfig, similarity_matrix
+from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
+                            similarity_matrix, similarity_node_grads)
 from emdflow.synth import SynthSpec, generate
 
 
@@ -248,3 +249,133 @@ def test_mean_ci95():
     mean, ci = mean_ci95(vals)
     assert mean == 0.5
     assert ci == pytest.approx(1.96 * 0.5 / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# SGD settings that cannot train are rejected before any work.
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"batch_size": 0}, "batch_size"),
+    ({"iterations": -1}, "iterations"),
+    ({"temperature": -0.1}, "temperature"),
+    ({"temperature": 0.0}, "temperature"),
+    ({"temperature": np.inf}, "temperature"),
+    ({"learning_rate": np.nan}, "learning rate"),
+    ({"learning_rate": np.inf}, "learning rate"),
+    ({"learning_rate": -0.1}, "learning rate"),
+])
+def test_fit_sfc_rejects_settings(separable_col, kwargs, match):
+    ep = sample_episode(separable_col, 3, 2, 1, seed=0)
+    with pytest.raises(ValueError, match=match):
+        fit_sfc(ep, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        classify_kshot(ep, "sfc", sfc_kwargs=kwargs)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"epochs": -1}, "epochs"),
+    ({"temperature": -0.1}, "temperature"),
+    ({"temperature": 0.0}, "temperature"),
+    ({"temperature": np.nan}, "temperature"),
+    ({"lr": np.nan}, "learning rate"),
+    ({"lr": -0.05}, "learning rate"),
+])
+def test_train_projection_rejects_settings(separable_col, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        train_projection(separable_col, **{"epochs": 1, **kwargs})
+
+
+# ---------------------------------------------------------------------------
+# The fused SFC step against the per-pair loop it replaced.
+
+
+def _reference_fit_sfc(ep, learning_rate=0.1, batch_size=5, iterations=100,
+                       temperature=0.1, seed=0, solver="simplex"):
+    """One similarity_node_grads call per (picked support, class) pair, cold solves."""
+    groups = ep.support_by_class()
+    protos = [np.mean([es.vectors for es in sets], axis=0) for sets in groups]
+    rng = np.random.default_rng(seed)
+    support = list(ep.support)
+    curve = []
+    for _ in range(iterations):
+        picks = rng.integers(0, len(support), size=batch_size)
+        grads = [np.zeros_like(p) for p in protos]
+        batch_loss = 0.0
+        for pick in picks:
+            label, es = support[pick]
+            sims = np.empty(ep.n_way)
+            proto_grads = []
+            for c, proto in enumerate(protos):
+                sim, _, _, g_proto = similarity_node_grads(
+                    es, EmbeddingSet(vectors=proto), solver=solver)
+                sims[c] = sim
+                proto_grads.append(g_proto)
+            loss, d_sims = _cross_entropy(sims, label, temperature)
+            batch_loss += loss
+            for c in range(ep.n_way):
+                grads[c] += d_sims[c] * proto_grads[c]
+        curve.append(batch_loss / batch_size)
+        for c in range(ep.n_way):
+            protos[c] -= learning_rate * grads[c] / batch_size
+    return protos, curve
+
+
+def _episode(rng, nodes, offsets, k_shot=3, channels=6, zero_row=False):
+    """Class c's sets have nodes[c] rows around offsets[c]; with ``zero_row``
+    every set's first row is zero."""
+    def item(c):
+        vec = offsets[c] + rng.standard_normal((nodes[c], channels))
+        if zero_row:
+            vec[0] = 0.0
+        return c, EmbeddingSet(vec)
+    n_way = len(nodes)
+    return Episode(n_way=n_way, k_shot=k_shot, q_per_class=1,
+                   support=tuple(item(c) for c in range(n_way) for _ in range(k_shot)),
+                   query=tuple(item(c) for c in range(n_way)))
+
+
+def _sfc_case(name):
+    rng = np.random.default_rng(31)
+    direction = np.zeros(6)
+    direction[0] = 6.0
+    spread = [direction * s + rng.uniform(0, 1, 6) for s in (1.0, 0.6, 0.3)]
+    if name == "uniform":  # classes 0 and 1 point opposite ways: all relevances clamp to 0
+        return _episode(rng, (3, 4), (direction, -direction)), {}
+    if name == "zero_rows":
+        return _episode(rng, (4, 4, 4), spread, zero_row=True), {}
+    if name == "ipm":
+        return _episode(rng, (2, 3, 4), spread), {"solver": "ipm", "iterations": 6}
+    if name == "batch1":
+        return _episode(rng, (3, 5, 4), spread), {"batch_size": 1}
+    return _episode(rng, (2, 5, 3), spread), {}  # "sizes": node counts differ by class
+
+
+@pytest.mark.parametrize("case", ["sizes", "uniform", "zero_rows", "ipm", "batch1"])
+def test_fused_sfc_matches_per_pair_loop(case):
+    ep, kwargs = _sfc_case(case)
+    kwargs = {"iterations": 20, "seed": 2, **kwargs}
+    fitted = fit_sfc(ep, **kwargs)
+    protos, curve = _reference_fit_sfc(ep, **kwargs)
+    assert [p.shape for p in fitted.per_class] == [p.shape for p in protos]
+    for got, want in zip(fitted.per_class, protos):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(fitted.loss_curve, curve, rtol=0.0, atol=1e-12)
+    if case == "uniform":
+        sup = ep.support_by_class()
+        wa, wb = cross_reference_weights(sup[0][0], EmbeddingSet(protos[1]))
+        assert np.all(wa == wa[0]) and np.all(wb == wb[0])
+    if case == "zero_rows":
+        assert np.count_nonzero(np.linalg.norm(ep.support[0][1].vectors, axis=1) == 0) == 1
+
+
+def test_sfc_counts_its_warm_starts(background_col):
+    ep = sample_episode(background_col, 4, 3, 2, seed=9)
+    fitted = fit_sfc(ep, iterations=20, seed=1)
+    assert fitted.solves == 20 * 5 * 4
+    # A (support, class) pair's first visit has no basis to restart from.
+    rng = np.random.default_rng(1)
+    picked = {int(i) for _ in range(20) for i in rng.integers(0, len(ep.support), size=5)}
+    assert 0 < fitted.warm_starts <= fitted.solves - 4 * len(picked)
+    assert fitted.pivots < fitted.solves
+    assert fit_sfc(ep, iterations=2, solver="ipm").solves == 0

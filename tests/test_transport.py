@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (
-    InstanceTooLargeError, IterationLimitError, TransportProblem,
+    BasisError, InstanceTooLargeError, IterationLimitError, TransportProblem,
     UnbalancedProblemError, reduced_incidence, solve,
-    solve_interior_point, solve_oracle, solve_simplex, _least_cost_start,
+    solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _least_cost_start, _simplex,
 )
 
 from conftest import random_problem
@@ -452,3 +452,105 @@ def test_interior_point_degenerate_flag():
                             demand=1e-9 * np.array([0.3, 0.3, 0.4]))
     for solver in ("simplex", "interior_point", "oracle"):
         assert not solve(tiny, solver).degenerate, solver
+
+
+# ---------------------------------------------------------------------------
+# warm starts: the kernel restarted from a given basis tree
+
+
+def _random_tree(rng, m, k):
+    """Flat cells of a random spanning tree of K_{m,k} (Kruskal on shuffled cells)."""
+    root = list(range(m + k))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+    cells = []
+    for cell in rng.permutation(m * k).tolist():
+        a, b = find(cell // k), find(m + cell % k)
+        if a != b:
+            root[a] = b
+            cells.append(cell)
+    return cells
+
+
+def _warm_problem(rng, m, k, tied, integer_mass, zero_lines):
+    cost = rng.integers(0, 3, (m, k)).astype(float) if tied else rng.uniform(0.05, 1.95, (m, k))
+    if integer_mass:  # exact arithmetic: multinomial demands leave zero lines too
+        supply = rng.integers(0 if zero_lines else 1, 4, m).astype(float)
+        supply[rng.integers(m)] += 1.0
+        demand = rng.multinomial(int(supply.sum()), np.full(k, 1.0 / k)).astype(float)
+    else:
+        supply, demand = rng.uniform(0.2, 1.0, m), rng.uniform(0.2, 1.0, k)
+        if zero_lines:
+            supply[rng.permutation(m)[:m // 2]] = 0.0
+            demand[rng.permutation(k)[:k // 2]] = 0.0
+        demand *= supply.sum() / demand.sum()
+    return cost, supply, demand
+
+
+def _assert_optimal(cost, supply, demand, run, objective):
+    m, mass, cmax = cost.shape[0], supply.sum(), np.abs(cost).max() or 1.0
+    x, u, v = run.flows, run.pot[:m], run.pot[m:]
+    assert x.min() >= -1e-12 * mass
+    assert np.allclose(x.sum(axis=1), supply, rtol=0.0, atol=1e-9 * mass)
+    assert np.allclose(x.sum(axis=0), demand, rtol=0.0, atol=1e-9 * mass)
+    assert (cost - u[:, None] - v).min() >= -1e-9 * cmax
+    assert float(np.sum(cost * x)) == pytest.approx(objective, rel=1e-9, abs=1e-12 * mass * cmax)
+    assert u @ supply + v @ demand == pytest.approx(objective, rel=1e-9, abs=1e-9 * mass * cmax)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 6), k=st.integers(1, 6),
+       tied=st.booleans(), integer_mass=st.booleans(), zero_lines=st.booleans())
+def test_property_simplex_warm_start(seed, m, k, tied, integer_mass, zero_lines):
+    rng = np.random.default_rng(seed)
+    cost, supply, demand = _warm_problem(rng, m, k, tied, integer_mass, zero_lines)
+    cold = _simplex(cost, supply, demand)
+    objective = float(np.sum(cost * cold.flows))
+    # The least-cost start of another cost is a primal-feasible tree; a
+    # random tree is often infeasible.
+    for start in (_least_cost_start(rng.uniform(0.0, 2.0, (m, k)), supply, demand)[1],
+                  _random_tree(rng, m, k)):
+        basic = _BasisTree(m, k, start).flows(np.concatenate([supply, demand]), np.zeros(m * k))
+        run = _simplex(cost, supply, demand, start=start)
+        assert run.warm == bool(basic[start].min() >= 0.0)
+        if run.warm:
+            _assert_optimal(cost, supply, demand, run, objective)
+        else:  # fall back to the cold start, bit for bit
+            assert run.flows.tobytes() == cold.flows.tobytes()
+            assert run.pot.tobytes() == cold.pot.tobytes()
+            assert (run.pivots, run.basis) == (cold.pivots, cold.basis)
+    # From the cold optimum's own basis: no pivot, the same potentials, and
+    # the same flows up to the rounding of the leaf-to-root pass, exact when
+    # the masses add up exactly.
+    again = _simplex(cost, supply, demand, start=cold.basis)
+    assert again.pot.tobytes() == cold.pot.tobytes()
+    if integer_mass:
+        assert again.warm
+    if again.warm:
+        assert again.pivots == 0 and again.basis == cold.basis
+        assert np.allclose(again.flows, cold.flows, rtol=0.0, atol=1e-15 * supply.sum())
+        if integer_mass:
+            assert again.flows.tobytes() == cold.flows.tobytes()
+    # Not a spanning tree: a node left out, or a cycle.
+    with pytest.raises(BasisError):
+        _simplex(cost, supply, demand, start=cold.basis[:-1])
+    if m > 1 and k > 1:
+        extra = next(c for c in range(m * k) if c not in cold.basis)
+        with pytest.raises(BasisError, match="cycle"):
+            _simplex(cost, supply, demand, start=cold.basis + [extra])
+
+
+def test_solver_stats():
+    rng = np.random.default_rng(29)
+    p = _zero_mass_problem(rng, "zero_rows")
+    sol = solve_simplex(p)
+    assert sol.stats.kept == (int((p.supply > 0).sum()), p.k)
+    assert sol.stats.pivots >= 0 and sol.stats.bland is False
+    assert sol.stats.ipm_iterations is None and sol.stats.residual is None
+    ipm = solve_interior_point(random_problem(rng, 3, 4), tol=1e-9)
+    assert ipm.stats.kept == (3, 4) and ipm.stats.pivots is None
+    assert ipm.stats.ipm_iterations > 0 and 0 <= ipm.stats.residual <= 1e-9
+    assert solve_oracle(random_problem(rng, 2, 2)).stats.kept == (2, 2)
