@@ -136,7 +136,8 @@ def cmd_gradcheck(args) -> int:
 
     Directions and the error floor follow the problem's scale: cost moves
     in units of max|cost| and supply and demand in units of total mass.
-    Degenerate optima are skipped: neither derivative exists there.
+    Degenerate optima are skipped: neither derivative exists there, and
+    the JSON names the gate that tripped and the gap it measured.
     """
     rng = np.random.default_rng(args.seed)
     if args.problem:
@@ -144,10 +145,13 @@ def cmd_gradcheck(args) -> int:
     else:
         p = _random_problem(rng, args.size, args.size)
     sol = _solve(p, args)
+    info = {"mode": args.mode, "size": [p.m, p.k], "stats": sol.stats._asdict()}
     try:
         jac = diff.jacobian_flows(sol, p)
     except diff.SingularKktError as exc:
         print(f"SKIP-degenerate: {exc}")
+        _write_json({**info, "skipped": True, "gate": exc.gate, "gap": exc.gap},
+                    args.out, "gradcheck.json")
         return 0
 
     mass = float(p.supply.sum())
@@ -186,8 +190,8 @@ def cmd_gradcheck(args) -> int:
         worst = max(worst, float(err))
     ok = worst <= 1e-3
     print(f"max relative error {worst:.3e}: {'PASS' if ok else 'FAIL'}")
-    _write_json({"max_relative_error": worst, "mode": args.mode,
-                 "size": [p.m, p.k], "passed": ok}, args.out, "gradcheck.json")
+    _write_json({**info, "skipped": False, "max_relative_error": worst, "passed": ok},
+                args.out, "gradcheck.json")
     return 0 if ok else 1
 
 
@@ -278,6 +282,7 @@ def cmd_flows(args) -> int:
         "flow_matrix": sol.flows.tolist(),
         "best_match": best.tolist(),
         "similarity": sim,
+        "stats": sol.stats._asdict(),
     }, args.out, "flows.json")
     if not args.out:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)

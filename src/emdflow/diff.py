@@ -37,7 +37,15 @@ from .transport import BasisError, TransportProblem, TransportSolution, _optimal
 
 
 class SingularKktError(RuntimeError):
-    """Degenerate optimum: the flow Jacobian is not defined."""
+    """Degenerate optimum: the flow Jacobian is not defined.
+
+    ``gate`` and ``gap`` are those of the :class:`~emdflow.transport.BasisError`
+    that tripped.
+    """
+
+    def __init__(self, message, gate=None, gap=None):
+        super().__init__(message)
+        self.gate, self.gap = gate, gap
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class FlowJacobian:
         try:
             self._tree = _optimal_basis(p, sol.flows, sol.duals_ineq)
         except BasisError as exc:
-            raise SingularKktError(f"degenerate optimum: {exc}") from exc
+            raise SingularKktError(f"degenerate optimum: {exc}", exc.gate, exc.gap) from exc
 
     def apply(self, d_cost, d_supply, d_demand) -> np.ndarray:
         """First-order change in the optimal flows along a parameter direction.

@@ -5,6 +5,13 @@ embeddings: the cosine ground-cost matrix, cross-reference node weights,
 the similarity score, and the extraction strategies that turn a spatial
 feature map into a node set (dense, grid-pooled, randomly sampled patches,
 and multi-scale pyramids).
+
+:func:`similarity_matrix` and :func:`best_match` share one Q x R forward
+(:func:`_pair_blocks`): the references are stacked once per call and each
+query's unit rows and mean are taken once, then each pair gets its own cost
+block and weights, and the simplex kernel solves the pair's mass support
+with no :class:`TransportProblem` or certificate.  Every score is bit-equal
+to :func:`pair_similarity`, which keeps every check for outside callers.
 """
 
 from __future__ import annotations
@@ -187,6 +194,69 @@ def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_re
     return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
 
 
+def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
+                 mirror: bool = False):
+    """Per query i, the pairs it meets: yields (i, js, blocks), where
+    blocks[n] = (cost, query weights, reference weights) for reference js[n].
+
+    The references are stacked once (:class:`_Stack`) and each query's unit
+    rows and mean are taken once.  Each block is then its own product, with
+    the array shapes of :func:`cost_matrix` and
+    :func:`cross_reference_weights`, so it is bit-equal to theirs; one
+    stacked product would round differently.  With ``mirror`` (``refs`` is
+    ``queries``) only the pairs j >= i are built (j > i with
+    ``skip_diagonal``), else every pair but (i, i) with ``skip_diagonal``.
+    Each query's masses are checked in one batch, as
+    :class:`TransportProblem` checks one pair.
+    """
+    if len(refs) == 0:
+        return
+    for r in refs:
+        _check_channels(refs[0], r)
+    ys = _Stack(np.concatenate([r.vectors for r in refs]),
+                np.cumsum([0] + [r.node_count for r in refs]).tolist())
+    spans = [slice(s, e) for s, e in zip(ys.starts, ys.starts[1:])]
+    for i, q in enumerate(queries):
+        _check_channels(q, refs[0])
+        if mirror:  # a copy: on the (i, i) block, x @ x.T of one buffer takes BLAS's syrk
+            x_unit, x_mean = ys.unit[spans[i]].copy(), ys.means[i]
+        else:
+            x = _Stack(q.vectors)
+            x_unit, x_mean = x.unit, x.means[0]
+        js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
+        blocks = []
+        for j in js:
+            if weighting == "cross_reference":
+                w = (_normalize(_relevance(q.vectors, ys.means[j]))[0],
+                     _normalize(_relevance(refs[j].vectors, x_mean))[0])
+            else:
+                w = _weights(q, refs[j], weighting)
+            blocks.append((_cosine(x_unit, ys.unit[spans[j]])[1], *w))
+        if blocks:
+            supplies, demands = [b[1] for b in blocks], [b[2] for b in blocks]
+            check_masses(np.concatenate(supplies), np.concatenate(demands),
+                         totals=([float(w.sum()) for w in supplies],
+                                 [float(w.sum()) for w in demands]))
+        yield i, js, blocks
+
+
+def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
+    """:func:`emd_similarity` of one checked block, bit for bit.
+
+    The simplex kernel solves the mass support, and its flows are scattered
+    into the full block as :func:`~emdflow.transport.solve_simplex` does;
+    no certificate is built.  Other solvers go through :func:`solve`.
+    """
+    if solver != "simplex":
+        return _solve_and_score(cost, supply, demand, solver)[0]
+    rows, cols = supply > 0, demand > 0
+    kept = rows[:, None] & cols
+    flows = np.zeros(cost.shape)
+    flows[kept] = _simplex(cost[kept].reshape(np.count_nonzero(rows), -1),
+                           supply[rows], demand[cols]).flows.ravel()
+    return float(np.sum((1.0 - cost) * flows))
+
+
 def similarity_matrix(queries, refs, weighting: str = "cross_reference",
                       solver: str = "simplex", skip_diagonal: bool = False) -> np.ndarray:
     """:func:`pair_similarity` of every query x reference pair, as a Q x R array.
@@ -196,17 +266,15 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     hold -inf.  When ``refs`` is ``queries`` (the same sequence object) the
     score is symmetric in the pair, so only the pairs j >= i are solved
     (j > i with ``skip_diagonal``) and each result is copied to (j, i).
+    Every entry is bit-equal to :func:`pair_similarity`'s.
     """
-    sim = np.empty((len(queries), len(refs)))
+    sim = np.full((len(queries), len(refs)), -np.inf)
     mirror = queries is refs
-    for i, q in enumerate(queries):
-        for j, r in enumerate(refs):
-            if skip_diagonal and i == j:
-                sim[i, j] = -np.inf
-            elif mirror and j < i:
-                sim[i, j] = sim[j, i]
-            else:
-                sim[i, j] = pair_similarity(q, r, weighting=weighting, solver=solver)[0]
+    for i, js, blocks in _pair_blocks(queries, refs, weighting, skip_diagonal, mirror):
+        sim[i, js] = [_pair_score(*block, solver) for block in blocks]
+    if mirror:
+        lower = np.tril_indices(len(refs), -1)
+        sim[lower] = sim.T[lower]
     return sim
 
 
@@ -232,26 +300,22 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     still win.  Each pair is bounded without a solve
     (:func:`_similarity_bound`); pairs are solved in descending bound
     order, ties by index, until the next bound is more than ``PRUNE_RTOL``
-    of the total mass below the best similarity so far.  Every pair's
-    masses are checked as :class:`TransportProblem` checks them, solved or
-    not.  Returns (indices, similarities), two arrays of length Q.
+    of the total mass below the best similarity so far.  Bounds and solves
+    share :func:`similarity_matrix`'s forward, so every pair's masses are
+    checked, solved or not.  Returns (indices, similarities), two arrays of
+    length Q.
     """
     if len(refs) == 0:
         raise ValueError("best_match needs at least one reference")
     index, best = np.empty(len(queries), dtype=np.intp), np.empty(len(queries))
-    for i, q in enumerate(queries):
-        pairs = []
-        for r in refs:
-            wa, wb = _weights(q, r, weighting)
-            check_masses(wa, wb)
-            pairs.append((cost_matrix(q, r), wa, wb))
-        bounds = np.array([_similarity_bound(*pair) for pair in pairs])
+    for i, _, blocks in _pair_blocks(queries, refs, weighting):
+        bounds = np.array([_similarity_bound(*block) for block in blocks])
         best_j, best_sim = -1, -np.inf
         for j in np.argsort(-bounds, kind="stable"):
-            cost, wa, wb = pairs[j]
+            cost, wa, wb = blocks[j]
             if bounds[j] < best_sim - PRUNE_RTOL * float(wa.sum()):
                 break
-            sim = _solve_and_score(cost, wa, wb, solver)[0]
+            sim = _pair_score(cost, wa, wb, solver)
             if sim > best_sim or (sim == best_sim and j < best_j):
                 best_j, best_sim = int(j), sim
         index[i], best[i] = best_j, best_sim

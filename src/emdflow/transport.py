@@ -63,7 +63,17 @@ class InstanceTooLargeError(ValueError):
 
 
 class BasisError(ValueError):
-    """Basic cells do not form a spanning tree of the m+k nodes."""
+    """No strictly complementary spanning-tree basis of the m+k nodes.
+
+    ``gate`` names the test that failed: ``"complementarity"``,
+    ``"spanning_tree"`` (a node is missing) or ``"cycle"``.  ``gap`` is the
+    measured min x/mass + lambda/max|c| where the gate took it
+    (:func:`_optimal_basis`), else None.
+    """
+
+    def __init__(self, message, gate=None, gap=None):
+        super().__init__(message)
+        self.gate, self.gap = gate, gap
 
 
 def check_masses(supply: np.ndarray, demand: np.ndarray, totals=None) -> None:
@@ -123,13 +133,16 @@ class SolveStats(NamedTuple):
 
     ``kept`` is the (rows, columns) shape the solver worked on: the mass
     support for the simplex, the whole problem otherwise.  The simplex
-    reports its ``pivots`` and whether Bland's rule took over (``bland``);
-    the interior point its ``ipm_iterations`` and the stopping measure it
-    ended on (``residual``).  Fields a solver does not report stay None.
+    reports its ``pivots``, how many of them moved less than 1e-12 of the
+    total mass (``degenerate_pivots``) and whether Bland's rule took over
+    (``bland``); the interior point its ``ipm_iterations`` and the stopping
+    measure it ended on (``residual``).  Fields a solver does not report
+    stay None.
     """
 
     kept: tuple
     pivots: int = None
+    degenerate_pivots: int = None
     bland: bool = None
     ipm_iterations: int = None
     residual: float = None
@@ -210,13 +223,18 @@ def _optimal_basis(p: TransportProblem, flows, duals_ineq) -> _BasisTree:
     gap = float(np.min((x + lam)[kept]))
     if gap <= COMPLEMENTARITY_GATE:
         raise BasisError(
-            f"strict complementarity fails (min x/mass + lambda/max|c| = {gap:.3e})")
+            f"strict complementarity fails (min x/mass + lambda/max|c| = {gap:.3e})",
+            "complementarity", gap)
     cells = np.flatnonzero((x > lam) & kept).tolist()
     if not kept.all():
         drop_r, drop_c = np.flatnonzero(~rows), np.flatnonzero(~cols)
         cells += (drop_r * k + np.where(cols, lam, np.inf)[drop_r].argmin(axis=1)).tolist()
         cells += (lam[:, drop_c].argmin(axis=0) * k + drop_c).tolist()
-    return _BasisTree(m, k, cells)
+    try:
+        return _BasisTree(m, k, cells)
+    except BasisError as exc:
+        exc.gap = gap  # complementarity held at this gap
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +307,7 @@ class _BasisTree:
         self.depth = [0] * n
         self.order = self._hang(n - 1)
         if len(self.order) != n - 1:
-            raise BasisError("basic cells do not form a spanning tree")
+            raise BasisError("basic cells do not form a spanning tree", "spanning_tree")
 
     def _hang(self, top):
         """Re-hang the nodes below ``top``, whose parent link is set; return
@@ -302,7 +320,7 @@ class _BasisTree:
                 if nbr == parent[node]:
                     continue
                 if nbr in seen:
-                    raise BasisError("basic cells hold a cycle, not a spanning tree")
+                    raise BasisError("basic cells hold a cycle, not a spanning tree", "cycle")
                 seen.add(nbr)
                 parent[nbr], edge[nbr], depth[nbr] = node, cell, depth[node] + 1
                 hung.append(nbr)
@@ -408,7 +426,8 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
         duals_ineq=np.maximum(p.cost - pot[:m, None] - pot[None, m:], 0.0),
         solver_tag="simplex",
         degenerate=run.degenerate,
-        stats=SolveStats(kept=run.flows.shape, pivots=run.pivots, bland=run.bland),
+        stats=SolveStats(kept=run.flows.shape, pivots=run.pivots,
+                         degenerate_pivots=run.degenerate_pivots, bland=run.bland),
     )
 
 
@@ -420,6 +439,7 @@ class _SimplexRun(NamedTuple):
     degenerate: bool    # a basic flow below DEGENERATE_RTOL of the total mass
     basis: list         # flat cells of the final basis tree, a valid ``start``
     pivots: int
+    degenerate_pivots: int  # pivots whose step moved less than 1e-12 of the total mass
     bland: bool         # Bland's rule chose an entering cell at least once
     warm: bool          # the run began from the given ``start``
 
@@ -449,7 +469,7 @@ def _simplex(cost, supply, demand, tol=1e-10, max_pivots=100_000, start=None):
     in_basis[basis] = True
     price_tol = tol * float(np.abs(cost).max())
 
-    stall = 0
+    stall = degenerate_pivots = 0
     stall_limit = m + k + 2
     bland = False
     for pivots in range(max_pivots):
@@ -460,7 +480,8 @@ def _simplex(cost, supply, demand, tol=1e-10, max_pivots=100_000, start=None):
             flows_np = np.array(flows).reshape(m, k)
             return _SimplexRun(flows_np, pot,
                                bool(flows_np.ravel()[in_basis].min() < DEGENERATE_RTOL * total),
-                               np.flatnonzero(in_basis).tolist(), pivots, bland, warm)
+                               np.flatnonzero(in_basis).tolist(), pivots, degenerate_pivots,
+                               bland, warm)
         if stall >= stall_limit:
             enter = int(np.flatnonzero(red < -price_tol)[0])  # Bland: lowest flat index
             bland = True
@@ -468,6 +489,7 @@ def _simplex(cost, supply, demand, tol=1e-10, max_pivots=100_000, start=None):
         plus, minus = cycle[::2], cycle[1::2]
         theta = min([flows[c] for c in minus])
         stall = stall + 1 if theta < 1e-12 * total else 0
+        degenerate_pivots += stall > 0
         # Bland again on the leaving tie: lowest flat index among argmins.
         bound = theta + 1e-15 * total
         leave = min([c for c in minus if flows[c] <= bound])

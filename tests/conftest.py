@@ -11,6 +11,20 @@ import numpy as np  # noqa: E402
 from emdflow.transport import TransportProblem  # noqa: E402
 
 
+def counted_calls(monkeypatch, module, name):
+    """Record the positional arguments of every call of ``module.name``
+    while the test runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_problem(rng, m, k, cost_lo=0.05, cost_hi=1.95):
     """Balanced random instance with unit total mass."""
     cost = rng.uniform(cost_lo, cost_hi, (m, k))

@@ -13,6 +13,8 @@ import numpy as np
 import emdflow
 from emdflow.metric import EmbeddingSet
 
+from conftest import counted_calls
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -33,18 +35,18 @@ def test_tracer_patches_and_restores_every_hook_point(monkeypatch):
     before = [_current(owner, key) for owner, key in points]
     rng = np.random.default_rng(0)
     items = [(i, EmbeddingSet(rng.standard_normal((3, 4)))) for i in range(3)]
+    solves = counted_calls(monkeypatch, emdflow.metric, "_simplex")
     with tracer.active():
         assert all(_current(o, k) is not b for (o, k), b in zip(points, before))
         emdflow.retrieval.rank_gallery(items, items)
     assert all(_current(o, k) is b for (o, k), b in zip(points, before))
-    # Every unordered off-diagonal pair is one traced pair_similarity call.
-    calls = sum(s.name == "metric.pair_similarity" for s in tracer.spans)
-    assert calls == len(items) * (len(items) - 1) // 2
+    # Every unordered off-diagonal pair is one simplex kernel run.
+    assert len(solves) == len(items) * (len(items) - 1) // 2
 
 
 def test_traced_1shot_builds_every_cost_and_prunes_solves(monkeypatch):
-    """1-shot scoring costs every pair through the traced module globals,
-    but solves only the pairs whose bound can still win."""
+    """Traced 1-shot scoring builds every pair's cost block, but runs the
+    simplex kernel only on the pairs whose bound can still win."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -52,8 +54,10 @@ def test_traced_1shot_builds_every_cost_and_prunes_solves(monkeypatch):
                                              channels=8, cluster_sep=8.0, seed=1))
     ep = emdflow.sample_episode(col, 5, 1, 3, seed=0)
     tracer = Tracer(emdflow)
+    costs = counted_calls(monkeypatch, emdflow.metric, "_cosine")
+    solves = counted_calls(monkeypatch, emdflow.metric, "_simplex")
     with tracer.active():
         emdflow.fewshot.classify_1shot(ep)
     pairs = len(ep.query) * ep.n_way
-    assert sum(s.name == "metric.cost_matrix" for s in tracer.spans) == pairs
-    assert sum(s.name == "transport.solve_simplex" for s in tracer.spans) < pairs
+    assert len(costs) == pairs
+    assert 0 < len(solves) < pairs

@@ -39,11 +39,12 @@ def test_solve_writes_stats(tmp_path, solver):
     if solver == "simplex":
         assert stats["kept"] == [2, 2]
         assert stats["pivots"] >= 0 and stats["bland"] is False
+        assert 0 <= stats["degenerate_pivots"] <= stats["pivots"]
         assert stats["ipm_iterations"] is None and stats["residual"] is None
     else:
         assert stats["kept"] == [2, 3]
         assert stats["ipm_iterations"] > 0 and 0 <= stats["residual"] <= 1e-9
-        assert stats["pivots"] is None
+        assert stats["pivots"] is None and stats["degenerate_pivots"] is None
 
 
 def test_solve_cross_solver_agreement(tmp_path, capsys):
@@ -101,6 +102,7 @@ def test_gradcheck_envelope_writes_json(tmp_path):
     assert payload["size"] == [2, 3]
     assert payload["passed"] is True
     assert payload["max_relative_error"] < 1e-6
+    assert payload["skipped"] is False
 
 
 def test_gradcheck_degenerate_skipped(tmp_path, capsys):
@@ -108,6 +110,21 @@ def test_gradcheck_degenerate_skipped(tmp_path, capsys):
                                      "supply": [0.5, 0.5], "demand": [0.5, 0.5]})
     assert main(["gradcheck", "--problem", prob, "--mode", "full"]) == 0
     assert "SKIP-degenerate" in capsys.readouterr().out
+
+
+def test_gradcheck_degenerate_writes_json(tmp_path):
+    """A skipped check still writes its JSON: the gate that tripped, the gap
+    it measured and the solve's stats."""
+    prob = _write_problem(tmp_path, {"cost": [[1.0, 1.0], [1.0, 1.0]],
+                                     "supply": [0.5, 0.5], "demand": [0.5, 0.5]})
+    out = tmp_path / "gc"
+    assert main(["gradcheck", "--problem", prob, "--mode", "full", "--out", str(out)]) == 0
+    payload = json.loads((out / "gradcheck.json").read_text())
+    assert payload["skipped"] is True
+    assert payload["gate"] == "complementarity" and payload["gap"] == 0.0
+    assert payload["size"] == [2, 2] and payload["mode"] == "full"
+    assert payload["stats"]["kept"] == [2, 2] and payload["stats"]["pivots"] >= 0
+    assert "passed" not in payload
 
 
 @pytest.mark.parametrize("mode", ["full", "envelope"])
@@ -259,6 +276,26 @@ def test_flows_identity_best_match(tmp_path):
     assert np.allclose(flows.sum(axis=1), payload["weights_a"], atol=1e-7)
     assert sum(payload["weights_a"]) == pytest.approx(1.0, abs=1e-12)
     assert sum(payload["weights_b"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["simplex", "ipm"])
+def test_flows_writes_stats(tmp_path, solver):
+    rng = np.random.default_rng(2)
+    paths = []
+    for name in ("a.dtn", "b.dtn"):
+        paths.append(str(tmp_path / name))
+        save_tensor(DenseTensor.from_array(rng.standard_normal((2, 3, 4))), paths[-1])
+    out = tmp_path / "fl"
+    assert main(["--solver", solver, "flows", *paths, "--out", str(out)]) == 0
+    payload = json.loads((out / "flows.json").read_text())
+    stats = payload["stats"]
+    kept = [int(np.count_nonzero(payload["weights_a"])), int(np.count_nonzero(payload["weights_b"]))]
+    if solver == "simplex":
+        assert stats["kept"] == kept and stats["pivots"] >= 0
+        assert stats["ipm_iterations"] is None
+    else:
+        assert stats["kept"] == [6, 6] and stats["ipm_iterations"] > 0
+        assert stats["pivots"] is None
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -166,6 +166,25 @@ def test_non_tree_support_is_gated():
         backward_similarity(1.0, sol, p, mode="full")
 
 
+def test_singular_kkt_error_carries_gate_and_gap():
+    """The gate that tripped and the gap it measured, as attributes."""
+    p = TransportProblem(cost=np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]]),
+                         supply=np.array([0.5, 0.5]), demand=np.array([0.5, 0.5, 0.0]))
+    flows = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
+    sol = TransportSolution(flows=flows, objective=float(np.sum(p.cost * flows)),
+                            duals_eq=np.array([0.0, 0.0, 1.0, 1.0, 0.0]),
+                            duals_ineq=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]),
+                            solver_tag="hand")
+    with pytest.raises(SingularKktError) as cycle:
+        jacobian_flows(sol, p)
+    # Complementarity held: min x/mass + lambda/max|c| over the support is 0.25.
+    assert (cycle.value.gate, cycle.value.gap) == ("cycle", 0.25)
+    tied = TransportProblem(cost=np.ones((2, 2)), supply=np.full(2, 0.5), demand=np.full(2, 0.5))
+    with pytest.raises(SingularKktError) as gap:
+        jacobian_flows(solve(tied, "simplex"), tied)
+    assert gap.value.gate == "complementarity" and gap.value.gap == 0.0
+
+
 @pytest.mark.parametrize("solver", ["simplex", "oracle", "interior_point"])
 def test_gate_is_scale_invariant(solver):
     """Scaling mass or cost changes neither the gate's verdict nor B^-1."""

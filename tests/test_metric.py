@@ -220,6 +220,87 @@ def test_best_match_checks_every_pair():
         best_match([query], [])
 
 
+def _forward_sets(rng, edge):
+    """Three or four node sets of differing node counts around one direction,
+    with the edge case ``edge`` and given weights that each sum to 1.
+
+    At 40 channels BLAS rounds x @ x.T (its syrk path) differently from the
+    product of two equal copies, which the forward must not take.
+    """
+    channels = int(rng.choice([4, 40]))
+    direction = rng.standard_normal(channels)
+    sets = []
+    for g in range(int(rng.integers(3, 5))):
+        nodes = 1 if edge == "single_node" and g % 2 == 0 else int(rng.integers(2, 6))
+        vectors = 0.5 * direction + rng.standard_normal((nodes, channels))
+        if edge == "zero_rows":
+            vectors[rng.random(nodes) < 0.4] = 0.0
+        if edge == "clamped" and g == 1:  # every relevance clamps: uniform fallback
+            vectors = -3.0 * np.abs(direction) * np.sign(direction) + 0.1 * vectors
+        weights = rng.random(nodes) * (rng.random(nodes) < 0.7)
+        weights[rng.integers(nodes)] += 0.5
+        sets.append(EmbeddingSet(vectors, weights=weights / weights.sum()))
+    return sets
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       weighting=st.sampled_from(["cross_reference", "equal", "given"]),
+       solver=st.sampled_from(["simplex", "ipm"]),
+       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped"]))
+def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solver, edge):
+    """similarity_matrix (mirrored, a distinct list, skip_diagonal) and
+    best_match give pair_similarity's similarity byte for byte."""
+    sets = _forward_sets(np.random.default_rng(seed), edge)
+    n = len(sets)
+    want = np.array([[pair_similarity(q, r, weighting=weighting, solver=solver)[0]
+                      for r in sets] for q in sets])
+    upper = np.triu_indices(n)
+    mirror = similarity_matrix(sets, sets, weighting=weighting, solver=solver)
+    assert _bytes(mirror[upper]) == _bytes(want[upper])
+    assert _bytes(mirror.T[upper]) == _bytes(want[upper])
+    distinct = similarity_matrix(sets, list(sets), weighting=weighting, solver=solver)
+    assert _bytes(distinct) == _bytes(want)
+    skipped = similarity_matrix(sets, list(sets), weighting=weighting, solver=solver,
+                                skip_diagonal=True)
+    np.fill_diagonal(want, -np.inf)
+    assert _bytes(skipped) == _bytes(want)
+    mirror_skipped = similarity_matrix(sets, sets, weighting=weighting, solver=solver,
+                                       skip_diagonal=True)
+    off = np.triu_indices(n, 1)
+    assert _bytes(mirror_skipped[off]) == _bytes(want[off])
+    assert np.all(np.diag(mirror_skipped) == -np.inf)
+    # best_match never mirrors, even when the references are the queries.
+    np.fill_diagonal(want, [pair_similarity(q, q, weighting=weighting, solver=solver)[0]
+                            for q in sets])
+    for refs in (sets, list(sets)):
+        idx, best = best_match(sets, refs, weighting=weighting, solver=solver)
+        want_idx, want_best = _argmax_rows(want)
+        assert idx.tolist() == want_idx.tolist()
+        assert _bytes(best) == _bytes(want_best)
+
+
+def test_skipped_pair_of_a_distinct_list_is_not_mass_checked():
+    """With skip_diagonal, a distinct list's (i, i) pairs are neither solved
+    nor checked: here they are the unbalanced ones."""
+    rng = np.random.default_rng(10)
+
+    def weighted(total):
+        return EmbeddingSet(rng.standard_normal((3, 4)), weights=np.full(3, total / 3))
+
+    queries, refs = [weighted(1.0), weighted(2.0)], [weighted(2.0), weighted(1.0)]
+    with pytest.raises(UnbalancedProblemError):
+        similarity_matrix(queries, refs, weighting="given")
+    sim = similarity_matrix(queries, refs, weighting="given", skip_diagonal=True)
+    assert np.all(np.diag(sim) == -np.inf)
+    assert sim[0, 1] == pair_similarity(queries[0], refs[1], weighting="given")[0]
+    assert sim[1, 0] == pair_similarity(queries[1], refs[0], weighting="given")[0]
+
+
 def test_node_grads_match_finite_differences():
     rng = np.random.default_rng(6)
     eps = 1e-6

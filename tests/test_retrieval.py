@@ -4,6 +4,8 @@ import pytest
 from emdflow.metric import EmbeddingSet
 from emdflow.retrieval import RetrievalRun, metrics, rank_gallery
 
+from conftest import counted_calls
+
 
 def _run(query_labels, gallery_labels, similarity):
     sim = np.asarray(similarity, dtype=float)
@@ -115,17 +117,10 @@ def test_ranking_row_validation():
                      similarity=np.ones((1, 2)), ranking=np.array([[0, 0]]))
 
 
-def _counted_pair_similarity(monkeypatch):
+def _counted_solves(monkeypatch):
+    """Record every simplex kernel run of the similarity forward."""
     from emdflow import metric
-    calls = []
-    real = metric.pair_similarity
-
-    def counted(a, b, **kwargs):
-        calls.append((a, b))
-        return real(a, b, **kwargs)
-
-    monkeypatch.setattr(metric, "pair_similarity", counted)
-    return calls
+    return counted_calls(monkeypatch, metric, "_simplex")
 
 
 def test_self_retrieval_solves_each_pair_once(monkeypatch):
@@ -133,7 +128,7 @@ def test_self_retrieval_solves_each_pair_once(monkeypatch):
     rng = np.random.default_rng(6)
     items = [(i % 2, EmbeddingSet(rng.standard_normal((4, 5)))) for i in range(5)]
     n = len(items)
-    calls = _counted_pair_similarity(monkeypatch)
+    calls = _counted_solves(monkeypatch)
     sim = rank_gallery(items, items).similarity
     assert len(calls) == n * (n - 1) // 2
     assert np.all(np.diag(sim) == -np.inf)
@@ -148,7 +143,7 @@ def test_distinct_gallery_list_solves_every_ordered_pair(monkeypatch):
     rng = np.random.default_rng(7)
     items = [(i % 2, EmbeddingSet(rng.standard_normal((3, 4)))) for i in range(4)]
     n = len(items)
-    calls = _counted_pair_similarity(monkeypatch)
+    calls = _counted_solves(monkeypatch)
     run = rank_gallery(items, list(items), self_match=True)
     assert len(calls) == n * (n - 1)
     assert np.all(np.diag(run.similarity) == -np.inf)
@@ -159,7 +154,7 @@ def test_similarity_matrix_mirror_keeps_the_diagonal(monkeypatch):
     rng = np.random.default_rng(8)
     sets = [EmbeddingSet(rng.standard_normal((3, 4))) for _ in range(4)]
     n = len(sets)
-    calls = _counted_pair_similarity(monkeypatch)
+    calls = _counted_solves(monkeypatch)
     sim = similarity_matrix(sets, sets)
     assert len(calls) == n * (n + 1) // 2
     assert np.allclose(np.diag(sim), 1.0, atol=1e-12)

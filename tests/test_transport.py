@@ -6,7 +6,8 @@ from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (
     BasisError, InstanceTooLargeError, IterationLimitError, TransportProblem,
     UnbalancedProblemError, reduced_incidence, solve,
-    solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _least_cost_start, _simplex,
+    solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _least_cost_start,
+    _optimal_basis, _simplex,
 )
 
 from conftest import random_problem
@@ -104,6 +105,7 @@ def test_zero_supply_row():
 def test_degenerate_integer_costs_agree():
     # heavy ties: integer costs and equal masses force degenerate pivots
     rng = np.random.default_rng(3)
+    degenerate = 0
     for _ in range(30):
         m, k = rng.integers(2, 5), rng.integers(2, 5)
         cost = rng.integers(0, 3, (m, k)).astype(float)
@@ -112,6 +114,9 @@ def test_degenerate_integer_costs_agree():
         s1 = solve_simplex(p)
         ref = solve_oracle(p)
         assert s1.objective == pytest.approx(ref.objective, abs=1e-8)
+        assert 0 <= s1.stats.degenerate_pivots <= s1.stats.pivots
+        degenerate += s1.stats.degenerate_pivots
+    assert degenerate > 0  # the stats see the degenerate pivots
 
 
 def test_interior_point_residual_tolerance():
@@ -549,8 +554,27 @@ def test_solver_stats():
     sol = solve_simplex(p)
     assert sol.stats.kept == (int((p.supply > 0).sum()), p.k)
     assert sol.stats.pivots >= 0 and sol.stats.bland is False
+    assert 0 <= sol.stats.degenerate_pivots <= sol.stats.pivots
     assert sol.stats.ipm_iterations is None and sol.stats.residual is None
     ipm = solve_interior_point(random_problem(rng, 3, 4), tol=1e-9)
     assert ipm.stats.kept == (3, 4) and ipm.stats.pivots is None
+    assert ipm.stats.degenerate_pivots is None
     assert ipm.stats.ipm_iterations > 0 and 0 <= ipm.stats.residual <= 1e-9
-    assert solve_oracle(random_problem(rng, 2, 2)).stats.kept == (2, 2)
+    oracle = solve_oracle(random_problem(rng, 2, 2)).stats
+    assert oracle.kept == (2, 2) and oracle.degenerate_pivots is None
+
+
+def test_basis_error_names_its_gate():
+    """A missing node and a cycle are told apart as attributes, with no gap
+    measured; the complementarity gate reports the gap it measured."""
+    with pytest.raises(BasisError) as missing:
+        _BasisTree(2, 2, [0, 1])
+    assert (missing.value.gate, missing.value.gap) == ("spanning_tree", None)
+    with pytest.raises(BasisError) as cycle:
+        _BasisTree(2, 2, [0, 1, 2, 3])
+    assert (cycle.value.gate, cycle.value.gap) == ("cycle", None)
+    p = TransportProblem(cost=np.ones((2, 2)), supply=np.full(2, 0.5), demand=np.full(2, 0.5))
+    sol = solve_simplex(p)
+    with pytest.raises(BasisError) as tied:
+        _optimal_basis(p, sol.flows, sol.duals_ineq)
+    assert tied.value.gate == "complementarity" and tied.value.gap == 0.0
