@@ -139,6 +139,8 @@ def cmd_gradcheck(args) -> int:
     Degenerate optima are skipped: neither derivative exists there, and
     the JSON names the gate that tripped and the gap it measured.
     """
+    if args.directions < 1:
+        raise ValueError(f"--directions must be >= 1, got {args.directions}")
     rng = np.random.default_rng(args.seed)
     if args.problem:
         p = _load_problem(args.problem)
@@ -211,6 +213,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_episodes(args) -> int:
+    if args.method != "1shot" and args.weighting != "cross_reference":
+        raise ValueError(f"--weighting {args.weighting} is honoured only by --method 1shot; "
+                         f"{args.method} scores with cross_reference weights")
     col = tensor_io.load_collection(args.collection)
     cfg = _extraction_config(args)
     rows, accs = [], []

@@ -4,8 +4,8 @@ Covers episode sampling from a labeled collection, 1-shot classification,
 the k-shot variants (nearest support, score fusion, set merging, global
 prototypes, and the learnable structured-FC layer fine-tuned by SGD), and
 a toy end-to-end trainer for a linear projection placed before the metric.
-The SFC fit takes one fused step per picked support, against all class
-prototypes at once, with warm-started simplex solves (:func:`fit_sfc`).
+Each node gradient is one fused step against all classes at once, per picked
+support in :func:`fit_sfc` (warm-started) and per query in the trainer.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .tensor_io import LabeledSetCollection
 from .metric import (EmbeddingSet, ExtractionConfig, _fused_step, _Stack, _WarmStarts,
-                     best_match, extract, similarity_matrix, similarity_node_grads)
-from .metric import pair_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
+                     best_match, extract, similarity_matrix)
+from .metric import pair_similarity, similarity_node_grads  # noqa: F401  (kept: perfbench/tracer.py patches them)
 
 KSHOT_METHODS = ("sfc", "nn", "fusion", "merge", "prototype")
 
@@ -225,15 +225,13 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     warm = _WarmStarts() if solver == "simplex" else None
     for it in range(iterations):
         picks = rng.integers(0, len(support), size=batch_size)
-        if not np.all(np.isfinite(stacked)):
-            raise ValueError("non-finite node vector")
         ys = _Stack(stacked, starts)
         grad = np.zeros_like(stacked)
         batch_loss = 0.0
         for pick in picks.tolist():
             label, x = support[pick]
-            loss, g = _fused_step(x, ys, lambda sims: _cross_entropy(sims, label, temperature),
-                                  solver, warm, pick)
+            loss, g, _ = _fused_step(x, ys, lambda sims: _cross_entropy(sims, label, temperature),
+                                     solver, warm, pick)
             batch_loss += loss
             grad += g
         batch_loss /= batch_size
@@ -306,27 +304,22 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
                           temperature: float = 0.1, solver: str = "simplex"):
     """Query cross-entropy with the projection applied, plus d loss / d weight.
 
-    Supports and queries are projected node-wise; the gradient chains the
-    similarity's node gradients back through the shared linear map.
+    Supports and queries are projected node-wise, the supports in one
+    product.  Each query takes one fused step against all supports, and its
+    node gradients chain back through the shared linear map.
     """
     weight = np.asarray(weight, dtype=float)
-    supports = [sets[0] for sets in ep.support_by_class()]
-    proj_sup = [EmbeddingSet(vectors=s.vectors @ weight) for s in supports]
+    supports = [sets[0].vectors for sets in ep.support_by_class()]
+    stacked = np.concatenate(supports)
+    ys = _Stack(stacked @ weight, np.cumsum([0] + [s.shape[0] for s in supports]).tolist())
     grad = np.zeros_like(weight)
     loss = 0.0
     for label, q in ep.query:
-        pq = EmbeddingSet(vectors=q.vectors @ weight)
-        sims = np.empty(ep.n_way)
-        pair_grads = []
-        for c in range(ep.n_way):
-            sim, _, gq, gs = similarity_node_grads(pq, proj_sup[c], solver=solver)
-            sims[c] = sim
-            pair_grads.append((gq, gs))
-        q_loss, d_sims = _cross_entropy(sims, label, temperature)
+        q_loss, (g_q, g_s), _ = _fused_step(
+            _Stack(q.vectors @ weight), ys,
+            lambda sims: _cross_entropy(sims, label, temperature), solver, want_x=True)
         loss += q_loss
-        for c in range(ep.n_way):
-            gq, gs = pair_grads[c]
-            grad += d_sims[c] * (q.vectors.T @ gq + supports[c].vectors.T @ gs)
+        grad += q.vectors.T @ g_q + stacked.T @ g_s
     n = len(ep.query)
     return loss / n, grad / n
 

@@ -199,14 +199,14 @@ def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
     """Per query i, the pairs it meets: yields (i, js, blocks), where
     blocks[n] = (cost, query weights, reference weights) for reference js[n].
 
-    The references are stacked once (:class:`_Stack`) and each query's unit
-    rows and mean are taken once.  Each block is then its own product, with
-    the array shapes of :func:`cost_matrix` and
-    :func:`cross_reference_weights`, so it is bit-equal to theirs; one
-    stacked product would round differently.  With ``mirror`` (``refs`` is
-    ``queries``) only the pairs j >= i are built (j > i with
-    ``skip_diagonal``), else every pair but (i, i) with ``skip_diagonal``.
-    Each query's masses are checked in one batch, as
+    The references are stacked once and each query is its own
+    :class:`_Stack`; its own buffer keeps a mirrored (i, i) block off BLAS's
+    syrk path.  Each block is its own product, with the array shapes of
+    :func:`cost_matrix` and :func:`cross_reference_weights`, so it is
+    bit-equal to theirs, as one stacked product would not be.  With
+    ``mirror`` (``refs`` is ``queries``) only the pairs j >= i are built
+    (j > i with ``skip_diagonal``), else every pair but (i, i) with
+    ``skip_diagonal``.  Each query's masses are checked in one batch, as
     :class:`TransportProblem` checks one pair.
     """
     if len(refs) == 0:
@@ -218,20 +218,16 @@ def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
     spans = [slice(s, e) for s, e in zip(ys.starts, ys.starts[1:])]
     for i, q in enumerate(queries):
         _check_channels(q, refs[0])
-        if mirror:  # a copy: on the (i, i) block, x @ x.T of one buffer takes BLAS's syrk
-            x_unit, x_mean = ys.unit[spans[i]].copy(), ys.means[i]
-        else:
-            x = _Stack(q.vectors)
-            x_unit, x_mean = x.unit, x.means[0]
+        x = _Stack(q.vectors)
         js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
         blocks = []
         for j in js:
             if weighting == "cross_reference":
                 w = (_normalize(_relevance(q.vectors, ys.means[j]))[0],
-                     _normalize(_relevance(refs[j].vectors, x_mean))[0])
+                     _normalize(_relevance(refs[j].vectors, x.means[0]))[0])
             else:
                 w = _weights(q, refs[j], weighting)
-            blocks.append((_cosine(x_unit, ys.unit[spans[j]])[1], *w))
+            blocks.append((_cosine(x.unit, ys.unit[spans[j]])[1], *w))
         if blocks:
             supplies, demands = [b[1] for b in blocks], [b[2] for b in blocks]
             check_masses(np.concatenate(supplies), np.concatenate(demands),
@@ -332,12 +328,15 @@ class _Stack:
     zero), norms and each member's node mean.
 
     Member g is rows ``starts[g]:starts[g + 1]``, one member unless
-    ``starts`` splits them; members may differ in node count.
+    ``starts`` splits them; members may differ in node count.  A non-finite
+    entry raises ValueError, as in :class:`EmbeddingSet`.
     """
 
     __slots__ = ("vectors", "starts", "unit", "norms", "means")
 
     def __init__(self, vectors: np.ndarray, starts=None):
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("non-finite node vector")
         self.vectors = vectors
         self.starts = [0, vectors.shape[0]] if starts is None else starts
         self.unit, self.norms = _unit_rows(vectors)
@@ -477,32 +476,33 @@ def _member_grads(x: _Stack, ys: _Stack, pairs: _Pairs, flows, d_x, d_y, upstrea
     return grad_x, grad_ys
 
 
-def _fused_step(x: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts = None, key=None):
+def _fused_step(x: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts = None, key=None,
+                want_x: bool = False):
     """One forward and backward of node set x against every member of ys.
 
     ``loss`` maps the G similarities to (value, d value / d sims).  Returns
-    (value, d value / d ys's rows).
+    (value, grads, sols): grads is d value / d ys's rows, or with ``want_x``
+    the pair (d / d x's rows, d / d ys's rows); sols as :func:`_solve_members`.
     """
     pairs = _Pairs(x, ys)
-    sims, flows, d_x, d_y, _ = _solve_members(pairs, ys, solver, warm, key)
+    sims, flows, d_x, d_y, sols = _solve_members(pairs, ys, solver, warm, key)
     value, d_sims = loss(sims)
-    return value, _member_grads(x, ys, pairs, flows, d_x, d_y, d_sims)
+    return value, _member_grads(x, ys, pairs, flows, d_x, d_y, d_sims, want_x), sols
 
 
 def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     """Similarity with gradients wrt both node matrices.
 
-    Uses cross-reference weighting; the chain runs through the cosine cost
-    and the clamp/normalize weight path, with the envelope gradient of the
-    LP value.  Returns (similarity, solution, grad_a, grad_b) where grad_a
-    is d similarity / d a.vectors (M_a x C), likewise grad_b.
+    The one-member :func:`_fused_step` under cross-reference weighting: the
+    chain runs through the cosine cost and the clamp/normalize weights, with
+    the envelope gradient of the LP value.  Returns (similarity, solution,
+    grad_a, grad_b), grad_a = d similarity / d a.vectors (M_a x C), likewise b.
     """
     _check_channels(a, b)
-    x, y = _Stack(a.vectors), _Stack(b.vectors)
-    pairs = _Pairs(x, y)
-    sims, flows, d_x, d_y, sols = _solve_members(pairs, y, solver)
-    grad_a, grad_b = _member_grads(x, y, pairs, flows, d_x, d_y, np.ones(1), want_x=True)
-    return float(sims[0]), sols[0], grad_a, grad_b
+    sim, (grad_a, grad_b), sols = _fused_step(_Stack(a.vectors), _Stack(b.vectors),
+                                              lambda sims: (float(sims[0]), np.ones(1)),
+                                              solver, want_x=True)
+    return sim, sols[0], grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,10 @@ def metrics(run: RetrievalRun):
     For each query, R is the number of same-label gallery items (minus the
     excluded self-match); every query must have R >= 1.  MAP@R sums the
     precision at the position of each of the first R hits and divides by R.
+    Raises ValueError for a run with no queries.
     """
+    if len(run.query_labels) == 0:
+        raise ValueError("retrieval metrics need at least one query")
     p1_total = rp_total = map_total = 0.0
     for qi in range(len(run.query_labels)):
         order = run.ranking[qi]

@@ -10,8 +10,8 @@ import pytest
 
 from emdflow.cli import main as cli_main
 from emdflow.diff import SingularKktError, backward_similarity, grad_objective, jacobian_flows
-from emdflow.fewshot import (classify_1shot, classify_kshot, episode_loss_and_grad,
-                             sample_episode)
+from emdflow.fewshot import (Episode, classify_1shot, classify_kshot, episode_loss_and_grad,
+                             sample_episode, train_projection)
 from emdflow.metric import EmbeddingSet, cross_reference_weights, extract_pyramid, pair_similarity
 from emdflow.retrieval import metrics, rank_gallery
 from emdflow.synth import SynthSpec, generate
@@ -245,8 +245,6 @@ def test_acceptance_09_end_to_end_differentiability():
               - episode_loss_and_grad(Wm, ep)[0]) / (2 * eps)
         worst = max(worst, abs(grad[i, j] - fd) / max(1e-3, abs(fd)))
     assert worst <= 1e-3
-
-    from emdflow.fewshot import train_projection, Episode
 
     def val_accuracy(weight):
         accs = []

@@ -127,6 +127,15 @@ def test_gradcheck_degenerate_writes_json(tmp_path):
     assert "passed" not in payload
 
 
+@pytest.mark.parametrize("directions", ["0", "-3"])
+def test_gradcheck_rejects_directions_below_one(capsys, directions):
+    """Checking no direction is an error, not a PASS."""
+    assert main(["gradcheck", "--directions", directions]) == 1
+    out, err = capsys.readouterr()
+    assert "error: --directions must be >= 1" in err
+    assert "PASS" not in out
+
+
 @pytest.mark.parametrize("mode", ["full", "envelope"])
 def test_gradcheck_follows_mass_scale(tmp_path, capsys, mode):
     prob = _write_problem(tmp_path, {"cost": [[0.2, 0.9, 0.5], [0.7, 0.1, 0.4]],
@@ -222,6 +231,26 @@ def test_episodes_without_queries_rejected(tmp_path, capsys):
     assert "q_per_class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["nn", "fusion", "merge", "sfc", "prototype"])
+def test_episodes_kshot_rejects_weighting(tmp_path, capsys, method):
+    """Only 1shot honours --weighting; the k-shot methods refuse a non-default one."""
+    manifest = _gen_collection(tmp_path)
+    out = tmp_path / "eps"
+    assert main(["episodes", "--collection", manifest, "--method", method, "--k-shot", "2",
+                 "--episodes", "1", "--weighting", "equal", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "only by --method 1shot" in err
+    assert not out.exists()
+
+
+def test_episodes_1shot_takes_weighting(tmp_path):
+    manifest = _gen_collection(tmp_path)
+    out = tmp_path / "eps"
+    assert main(["episodes", "--collection", manifest, "--episodes", "1",
+                 "--weighting", "equal", "--out", str(out)]) == 0
+    assert json.loads((out / "episodes.json").read_text())["episode_count"] == 1
+
+
 def test_episodes_deterministic_bytes(tmp_path):
     manifest = _gen_collection(tmp_path)
     outs = []
@@ -241,6 +270,14 @@ def test_retrieve(tmp_path, capsys):
     assert "P@1" in capsys.readouterr().out
     rows = list(csv.reader(open(out / "retrieval.csv")))
     assert len(rows) == 11  # header + 9 queries + summary
+
+
+def test_retrieve_empty_manifest(tmp_path, capsys):
+    """An empty collection is a validation error with a message, not a traceback."""
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("")
+    assert main(["retrieve", "--collection", str(manifest)]) == 1
+    assert "error: retrieval metrics need at least one query" in capsys.readouterr().err
 
 
 def test_train(tmp_path, capsys):

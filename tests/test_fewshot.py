@@ -224,6 +224,17 @@ def test_projection_gradient_matches_finite_difference():
         assert grad[i, j] == pytest.approx(fd, rel=1e-3, abs=1e-8)
 
 
+def test_projection_rejects_non_finite_weight():
+    """A weight that projects a node to a non-finite vector is rejected."""
+    col = generate(SynthSpec(class_count=4, sets_per_class=6, spatial=(2, 2),
+                             channels=5, cluster_sep=3.0, seed=13))
+    ep = sample_episode(col, 3, 1, 2, seed=2)
+    W = np.eye(5)
+    W[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite node vector"):
+        episode_loss_and_grad(W, ep)
+
+
 def test_train_projection_lr_zero_bitwise():
     col = generate(SynthSpec(class_count=5, sets_per_class=5, spatial=(2, 2),
                              channels=6, cluster_sep=4.0, seed=14))
@@ -367,6 +378,34 @@ def test_fused_sfc_matches_per_pair_loop(case):
         assert np.all(wa == wa[0]) and np.all(wb == wb[0])
     if case == "zero_rows":
         assert np.count_nonzero(np.linalg.norm(ep.support[0][1].vectors, axis=1) == 0) == 1
+
+
+def _reference_episode_loss_and_grad(weight, ep, temperature=0.1, solver="simplex"):
+    """One similarity_node_grads call per (query, class) pair."""
+    supports = [sets[0] for sets in ep.support_by_class()]
+    grad, loss = np.zeros_like(weight), 0.0
+    for label, q in ep.query:
+        pq = EmbeddingSet(q.vectors @ weight)
+        per_class = [similarity_node_grads(pq, EmbeddingSet(s.vectors @ weight), solver=solver)
+                     for s in supports]
+        q_loss, d_sims = _cross_entropy(np.array([r[0] for r in per_class]), label, temperature)
+        loss += q_loss
+        for c, (_, _, g_q, g_s) in enumerate(per_class):
+            grad += d_sims[c] * (q.vectors.T @ g_q + supports[c].vectors.T @ g_s)
+    return loss / len(ep.query), grad / len(ep.query)
+
+
+@pytest.mark.parametrize("case", ["sizes", "uniform", "zero_rows", "ipm"])
+def test_fused_projection_step_matches_per_pair_loop(case):
+    """One fused step per query equals the per-pair loop up to rounding: the
+    supports are projected and compared in one stacked product each."""
+    ep, kwargs = _sfc_case(case)
+    solver = kwargs.get("solver", "simplex")
+    weight = np.eye(6) + 0.05 * np.random.default_rng(4).standard_normal((6, 6))
+    loss, grad = episode_loss_and_grad(weight, ep, solver=solver)
+    ref_loss, ref_grad = _reference_episode_loss_and_grad(weight, ep, solver=solver)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 def test_sfc_counts_its_warm_starts(background_col):

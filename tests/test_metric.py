@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emdflow.metric import (
-    EmbeddingSet, ExtractionConfig, _similarity_bound, _solve_and_score, _weights,
+    EmbeddingSet, ExtractionConfig, _similarity_bound, _solve_and_score, _Stack, _weights,
     best_match, cost_matrix, cross_reference_weights, emd_similarity, extract,
     extract_pyramid, pair_similarity, similarity_matrix, similarity_node_grads,
     uniform_weights,
@@ -320,6 +320,18 @@ def test_node_grads_match_finite_differences():
         fd = (f(U + eps * dU, V + eps * dV) - f(U - eps * dU, V - eps * dV)) / (2 * eps)
         pred = float(np.sum(ga * dU) + np.sum(gb * dV))
         assert pred == pytest.approx(fd, rel=1e-3, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stack_rejects_non_finite_nodes(bad):
+    """Every node matrix of the forward and the backward enters through
+    _Stack, which rejects what EmbeddingSet rejects, with its message."""
+    vectors = np.ones((4, 3))
+    vectors[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite node vector"):
+        _Stack(vectors, [0, 2, 4])
+    with pytest.raises(ValueError, match="non-finite node vector"):
+        EmbeddingSet(vectors)
 
 
 def test_extract_fcn_row_major():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from emdflow.metric import EmbeddingSet
+from emdflow import metric
+from emdflow.metric import EmbeddingSet, pair_similarity, similarity_matrix
 from emdflow.retrieval import RetrievalRun, metrics, rank_gallery
 
 from conftest import counted_calls
@@ -38,7 +39,6 @@ def test_toy_gallery_matches_brute_force():
     query = [(0, EmbeddingSet(rng.standard_normal((3, 4))))]
     gallery = [(0, EmbeddingSet(rng.standard_normal((3, 4)))) for _ in range(3)]
     run = rank_gallery(query, gallery)
-    from emdflow.metric import pair_similarity
     sims = [pair_similarity(query[0][1], g)[0] for _, g in gallery]
     assert list(run.ranking[0]) == list(np.argsort(-np.array(sims), kind="stable"))
 
@@ -111,6 +111,14 @@ def test_query_without_positives_raises():
         metrics(run)
 
 
+def test_metrics_reject_a_run_without_queries():
+    """No queries is a ValueError, not a division by a query count of zero."""
+    run = rank_gallery([], [])
+    assert run.similarity.shape == (0, 0)
+    with pytest.raises(ValueError, match="at least one query"):
+        metrics(run)
+
+
 def test_ranking_row_validation():
     with pytest.raises(ValueError):
         RetrievalRun(query_labels=np.array([0]), gallery_labels=np.array([0, 0]),
@@ -119,12 +127,10 @@ def test_ranking_row_validation():
 
 def _counted_solves(monkeypatch):
     """Record every simplex kernel run of the similarity forward."""
-    from emdflow import metric
     return counted_calls(monkeypatch, metric, "_simplex")
 
 
 def test_self_retrieval_solves_each_pair_once(monkeypatch):
-    from emdflow.metric import pair_similarity
     rng = np.random.default_rng(6)
     items = [(i % 2, EmbeddingSet(rng.standard_normal((4, 5)))) for i in range(5)]
     n = len(items)
@@ -150,7 +156,6 @@ def test_distinct_gallery_list_solves_every_ordered_pair(monkeypatch):
 
 
 def test_similarity_matrix_mirror_keeps_the_diagonal(monkeypatch):
-    from emdflow.metric import similarity_matrix
     rng = np.random.default_rng(8)
     sets = [EmbeddingSet(rng.standard_normal((3, 4))) for _ in range(4)]
     n = len(sets)
