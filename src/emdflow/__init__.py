@@ -12,7 +12,7 @@ from .transport import (TransportProblem, TransportSolution, solve, solve_simple
                         solve_interior_point, solve_oracle,
                         UnbalancedProblemError, InstanceTooLargeError,
                         IterationLimitError, CyclingError)
-from .diff import (EmdGradients, SingularKktError, grad_objective, jacobian_flows,
+from .diff import (EmdGradients, FlowJacobian, SingularKktError, grad_objective,
                    backward_similarity)
 from .metric import (EmbeddingSet, ExtractionConfig, best_match, cost_matrix,
                      cross_reference_weights, emd_similarity, pair_similarity,

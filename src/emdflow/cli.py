@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: solve, gradcheck, gen, episodes, retrieve, train, flows,
-bench.  Structured results go to JSON, tabular results to CSV; both carry
-a format_version field.  Exit codes: 0 success, 1 validation failure,
+bench; ``--tol`` is honoured only by solve and gradcheck, and rejected by
+the others.  Structured results go to JSON, tabular results to CSV; both
+carry a format_version field.  Exit codes: 0 success, 1 validation failure,
 2 numerical failure (divergence / singular KKT / iteration limit).
 """
 
@@ -149,7 +150,7 @@ def cmd_gradcheck(args) -> int:
     sol = _solve(p, args)
     info = {"mode": args.mode, "size": [p.m, p.k], "stats": sol.stats._asdict()}
     try:
-        jac = diff.jacobian_flows(sol, p)
+        jac = diff.FlowJacobian(sol, p)
     except diff.SingularKktError as exc:
         print(f"SKIP-degenerate: {exc}")
         _write_json({**info, "skipped": True, "gate": exc.gate, "gap": exc.gap},
@@ -231,8 +232,8 @@ def cmd_episodes(args) -> int:
     _write_csv(rows, ["episode_id", "method", "n_way", "k_shot", "accuracy"],
                args.out, "episodes.csv")
     mean, ci = fewshot.mean_ci95(accs) if accs else (None, None)
-    _write_json({"mean": mean, "ci95": ci, "episode_count": len(accs),
-                 "method": args.method}, args.out, "episodes.json")
+    _write_json({"mean": mean, "ci95": ci, "episode_count": len(accs), "method": args.method,
+                 "weighting": args.weighting, "solver": args.solver}, args.out, "episodes.json")
     if accs:
         print(f"accuracy {mean:.4f} +/- {ci:.4f} over {len(accs)} episodes")
     else:
@@ -250,6 +251,8 @@ def cmd_retrieve(args) -> int:
             for qi in range(len(items))]
     rows.append(["summary", f"p_at_1={p1:.6f}", f"rp={rp:.6f} map_at_r={mapr:.6f}"])
     _write_csv(rows, ["query", "label", "ranking"], args.out, "retrieval.csv")
+    _write_json({"weighting": args.weighting, "solver": args.solver, "p_at_1": p1,
+                 "r_precision": rp, "map_at_r": mapr}, args.out, "retrieval.json")
     print(f"P@1 {p1:.4f}  RP {rp:.4f}  MAP@R {mapr:.4f}")
     return 0
 
@@ -262,7 +265,7 @@ def cmd_train(args) -> int:
         solver=args.solver,
     )
     _write_json({"loss_curve": model.loss_curve,
-                 "temperature": model.temperature,
+                 "temperature": model.temperature, "solver": args.solver,
                  "weight_shape": list(model.weight.shape)}, args.out, "train.json")
     if args.out:
         tensor_io.save_tensor(tensor_io.DenseTensor.from_array(model.weight),
@@ -330,7 +333,8 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool):
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--solver", choices=["simplex", "ipm"], default=d("simplex"))
     parser.add_argument("--out", default=d(None), help="output directory")
-    parser.add_argument("--tol", type=float, default=d(None))
+    parser.add_argument("--tol", type=float, default=d(None),
+                        help="solver tolerance; honoured only by solve and gradcheck")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,6 +426,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     if args.tol is not None and not args.tol > 0:
         print("error: --tol must be positive", file=sys.stderr)
+        return 1
+    if args.tol is not None and args.command not in ("solve", "gradcheck"):
+        print("error: --tol is honoured only by solve and gradcheck", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -76,6 +76,7 @@ class FlowJacobian:
 
     ``apply`` maps a parameter direction to the change in the optimal
     flows; ``vjp`` maps a flow cotangent back to supply and demand.
+    Raises :class:`SingularKktError` when the degeneracy gate trips.
     """
 
     def __init__(self, sol: TransportSolution, p: TransportProblem):
@@ -110,14 +111,6 @@ class FlowJacobian:
         return y[:tree.m], y[tree.m:]
 
 
-def jacobian_flows(sol: TransportSolution, p: TransportProblem) -> FlowJacobian:
-    """Flow Jacobian at a strictly complementary, nondegenerate optimum.
-
-    Raises :class:`SingularKktError` when the degeneracy gate trips.
-    """
-    return FlowJacobian(sol, p)
-
-
 def envelope_grads(upstream: float, flows: np.ndarray, duals: np.ndarray) -> EmdGradients:
     """Envelope gradients of upstream * sum((1 - c) * flows) at an optimum.
 
@@ -150,5 +143,5 @@ def backward_similarity(upstream: float, sol: TransportSolution,
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
 
-    d_supply, d_demand = jacobian_flows(sol, p).vjp(upstream * (1.0 - p.cost))
+    d_supply, d_demand = FlowJacobian(sol, p).vjp(upstream * (1.0 - p.cost))
     return EmdGradients(d_cost=-upstream * sol.flows, d_supply=d_supply, d_demand=d_demand)

@@ -5,7 +5,8 @@ the k-shot variants (nearest support, score fusion, set merging, global
 prototypes, and the learnable structured-FC layer fine-tuned by SGD), and
 a toy end-to-end trainer for a linear projection placed before the metric.
 Each node gradient is one fused step against all classes at once, per picked
-support in :func:`fit_sfc` (warm-started) and per query in the trainer.
+support in :func:`fit_sfc` and per query in the trainer, with uncertified
+simplex kernel solves: warm-started in the fit, cold in the trainer.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
                            learning_rate=learning_rate, batch_size=batch_size,
                            iterations=iterations)
     support = [(label, _Stack(es.vectors)) for label, es in ep.support]
-    warm = _WarmStarts() if solver == "simplex" else None
+    warm = _WarmStarts()
     for it in range(iterations):
         picks = rng.integers(0, len(support), size=batch_size)
         ys = _Stack(stacked, starts)
@@ -230,8 +231,8 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
         batch_loss = 0.0
         for pick in picks.tolist():
             label, x = support[pick]
-            loss, g, _ = _fused_step(x, ys, lambda sims: _cross_entropy(sims, label, temperature),
-                                     solver, warm, pick)
+            loss, g = _fused_step(x, ys, lambda sims: _cross_entropy(sims, label, temperature),
+                                  solver, warm, pick)
             batch_loss += loss
             grad += g
         batch_loss /= batch_size
@@ -239,20 +240,8 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
             raise DivergenceError(it)
         result.loss_curve.append(batch_loss)
         stacked -= learning_rate * grad / batch_size  # the per_class views follow
-    if warm is not None:
-        result.solves, result.pivots, result.warm_starts = warm.solves, warm.pivots, warm.warm
+    result.solves, result.pivots, result.warm_starts = warm.solves, warm.pivots, warm.warm
     return result
-
-
-def support_cross_entropy(ep: Episode, protos, temperature: float = 0.1,
-                          solver: str = "simplex") -> float:
-    """Mean cross-entropy of the full support set against prototypes."""
-    sims = similarity_matrix([es for _, es in ep.support],
-                             [EmbeddingSet(vectors=p) for p in protos], solver=solver)
-    total = 0.0
-    for (label, _), row in zip(ep.support, sims):
-        total += _cross_entropy(row, label, temperature)[0]
-    return total / len(ep.support)
 
 
 def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
@@ -305,8 +294,9 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
     """Query cross-entropy with the projection applied, plus d loss / d weight.
 
     Supports and queries are projected node-wise, the supports in one
-    product.  Each query takes one fused step against all supports, and its
-    node gradients chain back through the shared linear map.
+    product.  Each query takes one fused step against all supports, solved
+    cold (a fresh :class:`~emdflow.metric._WarmStarts`), and its node
+    gradients chain back through the shared linear map.
     """
     weight = np.asarray(weight, dtype=float)
     supports = [sets[0].vectors for sets in ep.support_by_class()]
@@ -315,9 +305,9 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
     grad = np.zeros_like(weight)
     loss = 0.0
     for label, q in ep.query:
-        q_loss, (g_q, g_s), _ = _fused_step(
-            _Stack(q.vectors @ weight), ys,
-            lambda sims: _cross_entropy(sims, label, temperature), solver, want_x=True)
+        q_loss, (g_q, g_s) = _fused_step(
+            _Stack(q.vectors @ weight), ys, lambda sims: _cross_entropy(sims, label, temperature),
+            solver, _WarmStarts(), None, want_x=True)
         loss += q_loss
         grad += q.vectors.T @ g_q + stacked.T @ g_s
     n = len(ep.query)

@@ -6,12 +6,13 @@ the similarity score, and the extraction strategies that turn a spatial
 feature map into a node set (dense, grid-pooled, randomly sampled patches,
 and multi-scale pyramids).
 
+Public entry points (:func:`emd_similarity`, :func:`pair_similarity`,
+:func:`similarity_node_grads`) certify their solve; batched paths never do
+for the simplex, whose kernel solves each pair's mass support.
 :func:`similarity_matrix` and :func:`best_match` share one Q x R forward
 (:func:`_pair_blocks`): the references are stacked once per call and each
 query's unit rows and mean are taken once, then each pair gets its own cost
-block and weights, and the simplex kernel solves the pair's mass support
-with no :class:`TransportProblem` or certificate.  Every score is bit-equal
-to :func:`pair_similarity`, which keeps every check for outside callers.
+block and weights.  Every score is bit-equal to :func:`pair_similarity`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .tensor_io import DenseTensor
 from .transport import TransportProblem, _simplex, check_masses, solve
-from .diff import backward_similarity, envelope_grads
+from .diff import envelope_grads
+from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
 # best_match skips a pair whose similarity bound is more than this share of
 # the total mass below the best similarity so far.  It must exceed the
@@ -157,23 +159,14 @@ def uniform_weights(a: EmbeddingSet, b: EmbeddingSet):
             np.full(b.node_count, 1.0 / b.node_count))
 
 
-def _solve_and_score(cost: np.ndarray, supply, demand, solver: str):
-    """Solve the transport problem and score it as sum((1 - c) * flows).
-
-    Returns (similarity, solution, problem).
-    """
-    p = TransportProblem(cost=cost, supply=supply, demand=demand)
-    sol = solve(p, solver)
-    return float(np.sum((1.0 - cost) * sol.flows)), sol, p
-
-
 def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     """Similarity sum((1 - c) * flows) under the sets' current weights.
 
     Weights must be balanced (equal totals).  Returns (similarity, solution).
     """
-    sim, sol, _ = _solve_and_score(cost_matrix(a, b), a.weights, b.weights, solver)
-    return sim, sol
+    cost = cost_matrix(a, b)
+    sol = solve(TransportProblem(cost=cost, supply=a.weights, demand=b.weights), solver)
+    return float(np.sum((1.0 - cost) * sol.flows)), sol
 
 
 def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
@@ -244,12 +237,13 @@ def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
     no certificate is built.  Other solvers go through :func:`solve`.
     """
     if solver != "simplex":
-        return _solve_and_score(cost, supply, demand, solver)[0]
-    rows, cols = supply > 0, demand > 0
-    kept = rows[:, None] & cols
-    flows = np.zeros(cost.shape)
-    flows[kept] = _simplex(cost[kept].reshape(np.count_nonzero(rows), -1),
-                           supply[rows], demand[cols]).flows.ravel()
+        flows = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver).flows
+    else:
+        rows, cols = supply > 0, demand > 0
+        kept = rows[:, None] & cols
+        flows = np.zeros(cost.shape)
+        flows[kept] = _simplex(cost[kept].reshape(np.count_nonzero(rows), -1),
+                               supply[rows], demand[cols]).flows.ravel()
     return float(np.sum((1.0 - cost) * flows))
 
 
@@ -391,39 +385,38 @@ class _WarmStarts:
         return run
 
 
-def _solve_members(pairs: _Pairs, ys: _Stack, solver: str, warm: _WarmStarts = None, key=None):
-    """Solve x against each member of ys; return (sims, flows, d_x, d_y, sols).
+def _solve_members(pairs: _Pairs, ys: _Stack, solver: str, warm: _WarmStarts, key):
+    """Solve x against each member of ys; return (sims, flows, d_x, d_y).
 
     ``flows`` (M x N), ``d_x`` (G x M) and ``d_y`` (N) hold each member's
     envelope gradient of its similarity: -d_cost, d_supply and d_demand.
-    With ``warm`` each member is solved on its mass support by the simplex
-    kernel, warm-started per (``key``, member); the gradient is
-    gauge-invariant after the weight normalization, so the kernel's own
-    potentials serve and no certificate is built.  Otherwise each member
-    goes through :class:`TransportProblem` and :func:`solve`, and its
-    solution is returned in ``sols``.
+    The simplex kernel solves each member on its mass support, restarted
+    through ``warm`` from the basis that (``key``, member) last ended on;
+    the gradient is gauge-invariant after the weight normalization, so the
+    kernel's own potentials serve and no certificate is built.  Other
+    solvers go through :func:`solve` on the whole member block.
     """
     m, n = pairs.cost.shape
     sims = np.empty(len(ys.starts) - 1)
     flows, d_x, d_y = np.zeros((m, n)), np.zeros((sims.size, m)), np.zeros(n)
-    sols = []
     for c, (s, e) in enumerate(zip(ys.starts, ys.starts[1:])):
-        if warm is None:
-            rows, cols = np.arange(m), np.arange(s, e)
-            cost = pairs.cost[:, s:e]
-            sims[c], sol, p = _solve_and_score(cost, pairs.w_x[c], pairs.w_y[s:e], solver)
-            sols.append(sol)
-            env = backward_similarity(1.0, sol, p, mode="envelope")
-        else:
+        if solver == "simplex":
             rows, cols = np.flatnonzero(pairs.w_x[c]), s + np.flatnonzero(pairs.w_y[s:e])
             cost = pairs.cost[rows[:, None], cols]
             run = warm.solve((key, c), cost, pairs.w_x[c, rows], pairs.w_y[cols], rows, cols)
-            sims[c] = float(np.sum((1.0 - cost) * run.flows))
-            env = envelope_grads(1.0, run.flows, run.pot)
+            flow, pot = run.flows, run.pot
+        else:
+            rows, cols = np.arange(m), np.arange(s, e)
+            cost = pairs.cost[:, s:e]
+            sol = solve(TransportProblem(cost=cost, supply=pairs.w_x[c], demand=pairs.w_y[s:e]),
+                        solver)
+            flow, pot = sol.flows, sol.duals_eq
+        sims[c] = float(np.sum((1.0 - cost) * flow))
+        env = envelope_grads(1.0, flow, pot)
         flows[rows[:, None], cols] = -env.d_cost
         d_x[c, rows] = env.d_supply
         d_y[cols] = env.d_demand
-    return sims, flows, d_x, d_y, sols
+    return sims, flows, d_x, d_y
 
 
 def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
@@ -476,33 +469,34 @@ def _member_grads(x: _Stack, ys: _Stack, pairs: _Pairs, flows, d_x, d_y, upstrea
     return grad_x, grad_ys
 
 
-def _fused_step(x: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts = None, key=None,
+def _fused_step(x: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts, key,
                 want_x: bool = False):
     """One forward and backward of node set x against every member of ys.
 
-    ``loss`` maps the G similarities to (value, d value / d sims).  Returns
-    (value, grads, sols): grads is d value / d ys's rows, or with ``want_x``
-    the pair (d / d x's rows, d / d ys's rows); sols as :func:`_solve_members`.
+    ``loss`` maps the G similarities to (value, d value / d sims); ``warm``
+    and ``key`` are :func:`_solve_members`'.  Returns (value, grads): grads is
+    d value / d ys's rows, or with ``want_x`` (d / d x's rows, d / d ys's rows).
     """
     pairs = _Pairs(x, ys)
-    sims, flows, d_x, d_y, sols = _solve_members(pairs, ys, solver, warm, key)
+    sims, flows, d_x, d_y = _solve_members(pairs, ys, solver, warm, key)
     value, d_sims = loss(sims)
-    return value, _member_grads(x, ys, pairs, flows, d_x, d_y, d_sims, want_x), sols
+    return value, _member_grads(x, ys, pairs, flows, d_x, d_y, d_sims, want_x)
 
 
 def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     """Similarity with gradients wrt both node matrices.
 
-    The one-member :func:`_fused_step` under cross-reference weighting: the
-    chain runs through the cosine cost and the clamp/normalize weights, with
-    the envelope gradient of the LP value.  Returns (similarity, solution,
+    :func:`pair_similarity` under cross-reference weighting, its envelope
+    gradient pulled back by the fused step's backward through the cosine
+    cost and the clamp/normalize weights.  Returns (similarity, solution,
     grad_a, grad_b), grad_a = d similarity / d a.vectors (M_a x C), likewise b.
     """
-    _check_channels(a, b)
-    sim, (grad_a, grad_b), sols = _fused_step(_Stack(a.vectors), _Stack(b.vectors),
-                                              lambda sims: (float(sims[0]), np.ones(1)),
-                                              solver, want_x=True)
-    return sim, sols[0], grad_a, grad_b
+    sim, sol = pair_similarity(a, b, solver=solver)
+    x, y = _Stack(a.vectors), _Stack(b.vectors)
+    env = envelope_grads(1.0, sol.flows, sol.duals_eq)
+    grad_a, grad_b = _member_grads(x, y, _Pairs(x, y), -env.d_cost, env.d_supply[None],
+                                   env.d_demand, np.ones(1), want_x=True)
+    return sim, sol, grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from emdflow.cli import main as cli_main
-from emdflow.diff import SingularKktError, backward_similarity, grad_objective, jacobian_flows
+from emdflow.diff import FlowJacobian, SingularKktError, backward_similarity, grad_objective
 from emdflow.fewshot import (Episode, classify_1shot, classify_kshot, episode_loss_and_grad,
                              sample_episode, train_projection)
 from emdflow.metric import EmbeddingSet, cross_reference_weights, extract_pyramid, pair_similarity
@@ -71,7 +71,7 @@ def test_acceptance_03_flow_jacobian_gradcheck():
         p = random_problem(rng, 3, 3)
         sol = solve(p, "interior_point")
         try:
-            jac = jacobian_flows(sol, p)
+            jac = FlowJacobian(sol, p)
         except SingularKktError:
             gated += 1
             continue
@@ -93,7 +93,7 @@ def test_acceptance_03_flow_jacobian_gradcheck():
     const = TransportProblem(cost=np.ones((2, 2)), supply=np.array([0.5, 0.5]),
                              demand=np.array([0.5, 0.5]))
     with pytest.raises(SingularKktError):
-        jacobian_flows(solve(const, "interior_point"), const)
+        FlowJacobian(solve(const, "interior_point"), const)
     assert worst <= 1e-3
     _report("3 flow-Jacobian gradient check",
             f"max relative error {worst:.2e} on 200 instances ({gated} gated)")
@@ -109,7 +109,7 @@ def test_acceptance_04_dual_sensitivity():
         p = random_problem(rng, 3, 3)
         sol = solve(p, "interior_point")
         try:
-            jacobian_flows(sol, p)  # nondegeneracy gate
+            FlowJacobian(sol, p)  # nondegeneracy gate
         except SingularKktError:
             continue
         checked += 1

@@ -166,6 +166,25 @@ def test_tol_validated_for_every_subcommand(argv, capsys):
     assert "--tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen"], ["episodes", "--collection", "missing.tsv"], ["retrieve", "--collection", "missing.tsv"],
+    ["train", "--collection", "missing.tsv"], ["flows", "a.dtn", "b.dtn"], ["bench"],
+])
+def test_tol_rejected_where_no_solve_takes_it(argv, tmp_path, capsys):
+    """Only solve and gradcheck pass --tol to a solver; the others refuse it
+    rather than ignore it, before doing any work."""
+    out = tmp_path / "out"
+    assert main([*argv, "--tol", "1e-3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --tol is honoured only by solve and gradcheck\n"
+    assert not out.exists()
+
+
+def test_tol_accepted_by_solve_and_gradcheck(single_cell, capsys):
+    assert main(["solve", single_cell, "--tol", "1e-8"]) == 0
+    assert main(["gradcheck", "--tol", "1e-8"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def _gen_collection(tmp_path, **overrides):
     out = tmp_path / "col"
     args = {"--classes": "5", "--sets-per-class": "6", "--height": "2",
@@ -251,6 +270,22 @@ def test_episodes_1shot_takes_weighting(tmp_path):
     assert json.loads((out / "episodes.json").read_text())["episode_count"] == 1
 
 
+def test_outputs_record_weighting_and_solver(tmp_path):
+    manifest = _gen_collection(tmp_path, **{"--sets-per-class": "3", "--classes": "3"})
+    out = tmp_path / "out"
+    assert main(["episodes", "--collection", manifest, "--n-way", "3", "--episodes", "1",
+                 "--weighting", "equal", "--solver", "ipm", "--out", str(out)]) == 0
+    payload = json.loads((out / "episodes.json").read_text())
+    assert (payload["weighting"], payload["solver"]) == ("equal", "ipm")
+    assert main(["retrieve", "--collection", manifest, "--weighting", "equal",
+                 "--out", str(out)]) == 0
+    payload = _strict_json(out / "retrieval.json")
+    assert (payload["weighting"], payload["solver"]) == ("equal", "simplex")
+    summary = list(csv.reader(open(out / "retrieval.csv")))[-1]
+    assert summary[2:] == [f"p_at_1={payload['p_at_1']:.6f}",
+                           f"rp={payload['r_precision']:.6f} map_at_r={payload['map_at_r']:.6f}"]
+
+
 def test_episodes_deterministic_bytes(tmp_path):
     manifest = _gen_collection(tmp_path)
     outs = []
@@ -287,6 +322,7 @@ def test_train(tmp_path, capsys):
                  "--out", str(out)]) == 0
     payload = json.loads((out / "train.json").read_text())
     assert len(payload["loss_curve"]) == 2
+    assert payload["solver"] == "simplex"
     assert (out / "projection.dtn").exists()
 
 

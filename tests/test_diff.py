@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from emdflow.diff import (EmdGradients, SingularKktError, backward_similarity,
-                          grad_objective, jacobian_flows)
+from emdflow.diff import (EmdGradients, FlowJacobian, SingularKktError, backward_similarity,
+                          grad_objective)
 from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (ORACLE_MAX_CELLS, TransportProblem, TransportSolution,
                                _tree_bases, solve, solve_oracle)
@@ -87,7 +87,7 @@ def test_jacobian_matches_finite_differences():
         p = random_problem(rng, m, k)
         sol = solve(p, "interior_point")
         try:
-            jac = jacobian_flows(sol, p)
+            jac = FlowJacobian(sol, p)
         except SingularKktError:
             continue
         checked += 1
@@ -106,7 +106,7 @@ def test_jacobian_row_sums_track_supply():
         p = random_problem(rng, 3, 3)
         sol = solve(p, "simplex")
         try:
-            jac = jacobian_flows(sol, p)
+            jac = FlowJacobian(sol, p)
         except SingularKktError:
             continue
         ds, dd = _balanced_directions(rng, 3, 3)
@@ -119,9 +119,9 @@ def test_constant_cost_is_gated():
     p = TransportProblem(cost=np.ones((2, 2)), supply=np.array([0.5, 0.5]),
                          demand=np.array([0.5, 0.5]))
     with pytest.raises(SingularKktError):
-        jacobian_flows(solve(p, "simplex"), p)
+        FlowJacobian(solve(p, "simplex"), p)
     with pytest.raises(SingularKktError):
-        jacobian_flows(solve(p, "interior_point"), p)
+        FlowJacobian(solve(p, "interior_point"), p)
 
 
 def test_tree_jacobian_matches_oracle_basis_inverse():
@@ -134,7 +134,7 @@ def test_tree_jacobian_matches_oracle_basis_inverse():
         for _ in range(5):
             p = random_problem(rng, m, k)
             sol = solve_oracle(p)
-            jac = jacobian_flows(sol, p)
+            jac = FlowJacobian(sol, p)
             basis = np.flatnonzero(sol.flows > sol.duals_ineq)
             (t,) = np.flatnonzero(np.all(cells == basis, axis=1))
             ds, dd = rng.standard_normal(m), rng.standard_normal(k)
@@ -161,7 +161,7 @@ def test_non_tree_support_is_gated():
                             duals_ineq=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]),
                             solver_tag="hand")
     with pytest.raises(SingularKktError, match="spanning tree"):
-        jacobian_flows(sol, p)
+        FlowJacobian(sol, p)
     with pytest.raises(SingularKktError, match="spanning tree"):
         backward_similarity(1.0, sol, p, mode="full")
 
@@ -176,12 +176,12 @@ def test_singular_kkt_error_carries_gate_and_gap():
                             duals_ineq=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]),
                             solver_tag="hand")
     with pytest.raises(SingularKktError) as cycle:
-        jacobian_flows(sol, p)
+        FlowJacobian(sol, p)
     # Complementarity held: min x/mass + lambda/max|c| over the support is 0.25.
     assert (cycle.value.gate, cycle.value.gap) == ("cycle", 0.25)
     tied = TransportProblem(cost=np.ones((2, 2)), supply=np.full(2, 0.5), demand=np.full(2, 0.5))
     with pytest.raises(SingularKktError) as gap:
-        jacobian_flows(solve(tied, "simplex"), tied)
+        FlowJacobian(solve(tied, "simplex"), tied)
     assert gap.value.gate == "complementarity" and gap.value.gap == 0.0
 
 
@@ -196,7 +196,7 @@ def test_gate_is_scale_invariant(solver):
     for p in problems:
         ds, dd = _balanced_directions(rng, p.m, p.k)
         try:
-            unit = jacobian_flows(solve(p, solver), p).apply(0.0, ds, dd)
+            unit = FlowJacobian(solve(p, solver), p).apply(0.0, ds, dd)
         except SingularKktError:
             unit = None
         accepted += unit is not None
@@ -204,7 +204,7 @@ def test_gate_is_scale_invariant(solver):
             q = TransportProblem(cost=cost * p.cost, supply=mass * p.supply,
                                  demand=mass * p.demand)
             try:
-                scaled = jacobian_flows(solve(q, solver), q).apply(0.0, ds, dd)
+                scaled = FlowJacobian(solve(q, solver), q).apply(0.0, ds, dd)
             except SingularKktError:
                 assert unit is None, (mass, cost)
                 continue
@@ -337,7 +337,7 @@ def test_full_mode_on_clamped_cross_reference_pairs(solver):
         p = TransportProblem(cost=cost_matrix(a, b), supply=wa, demand=wb)
         sol = solve(p, solver)
         g = backward_similarity(1.0, sol, p, mode="full")
-        jac = jacobian_flows(sol, p)
+        jac = FlowJacobian(sol, p)
         dc = rng.standard_normal(p.cost.shape)
         ds = np.where(wa > 0, rng.standard_normal(p.m), 0.0)
         ds[wa > 0] -= ds[wa > 0].mean()

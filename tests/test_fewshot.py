@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from emdflow import metric
 from emdflow.fewshot import (
     Episode, InsufficientDataError, _cross_entropy, classify_1shot, classify_kshot,
-    episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode,
-    support_cross_entropy, train_projection,
+    episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
 )
 from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
                             similarity_matrix, similarity_node_grads)
@@ -170,12 +170,22 @@ def test_sfc_init_k1_is_support(background_col):
         assert np.array_equal(fitted.per_class[c], sets[0].vectors)
 
 
+def _support_cross_entropy(ep, protos, temperature=0.1):
+    """Mean cross-entropy of the full support set against prototypes."""
+    sims = similarity_matrix([es for _, es in ep.support],
+                             [EmbeddingSet(vectors=p) for p in protos])
+    total = 0.0
+    for (label, _), row in zip(ep.support, sims):
+        total += _cross_entropy(row, label, temperature)[0]
+    return total / len(ep.support)
+
+
 def test_sfc_training_reduces_support_loss(background_col):
     ep = sample_episode(background_col, 4, 3, 2, seed=9)
     init = fit_sfc(ep, iterations=0)
-    ce0 = support_cross_entropy(ep, init.per_class)
+    ce0 = _support_cross_entropy(ep, init.per_class)
     fitted = fit_sfc(ep, iterations=40, seed=1)
-    ce1 = support_cross_entropy(ep, fitted.per_class)
+    ce1 = _support_cross_entropy(ep, fitted.per_class)
     assert ce1 < ce0
     assert len(fitted.loss_curve) == 40
     assert all(np.isfinite(v) for v in fitted.loss_curve)
@@ -418,3 +428,19 @@ def test_sfc_counts_its_warm_starts(background_col):
     assert 0 < fitted.warm_starts <= fitted.solves - 4 * len(picked)
     assert fitted.pivots < fitted.solves
     assert fit_sfc(ep, iterations=2, solver="ipm").solves == 0
+
+
+def test_batched_simplex_paths_build_no_transport_problem(monkeypatch, background_col):
+    """Only the public entry points certify: with the simplex, the SFC fit,
+    the trainer's step and both batched forwards never build a TransportProblem."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("TransportProblem built")
+    ep = sample_episode(background_col, 3, 2, 1, seed=4)
+    sets = [es for _, es in ep.support]
+    monkeypatch.setattr(metric, "TransportProblem", refuse)
+    with pytest.raises(AssertionError, match="TransportProblem built"):
+        metric.pair_similarity(sets[0], sets[1])  # the patch is live
+    fit_sfc(ep, iterations=3)
+    episode_loss_and_grad(np.eye(sets[0].channels), ep)
+    metric.similarity_matrix(sets, sets)
+    metric.best_match(sets, sets)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emdflow.metric import (
-    EmbeddingSet, ExtractionConfig, _similarity_bound, _solve_and_score, _Stack, _weights,
+    EmbeddingSet, ExtractionConfig, _similarity_bound, _Stack, _weights,
     best_match, cost_matrix, cross_reference_weights, emd_similarity, extract,
     extract_pyramid, pair_similarity, similarity_matrix, similarity_node_grads,
     uniform_weights,
@@ -161,7 +161,7 @@ def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weightin
         q, r = q.with_weights(masses(q.node_count)), r.with_weights(masses(r.node_count))
     wa, wb = _weights(q, r, weighting)
     cost = cost_matrix(q, r)
-    sim = _solve_and_score(cost, wa, wb, "simplex")[0]
+    sim = emd_similarity(q.with_weights(wa), r.with_weights(wb))[0]
     assert _similarity_bound(cost, wa, wb) >= sim - 1e-12 * wa.sum()
 
 
@@ -302,14 +302,16 @@ def test_skipped_pair_of_a_distinct_list_is_not_mass_checked():
 
 
 def test_node_grads_match_finite_differences():
+    """Both solvers' gradients against central differences of the exact
+    (simplex) similarity."""
     rng = np.random.default_rng(6)
     eps = 1e-6
-    for _ in range(10):
+    for solver in ["simplex"] * 10 + ["ipm"] * 10:
         U = rng.standard_normal((3, 5)) + 0.4
         V = rng.standard_normal((4, 5)) + 0.4
-        sim, sol, ga, gb = similarity_node_grads(EmbeddingSet(U), EmbeddingSet(V))
+        sim, sol, ga, gb = similarity_node_grads(EmbeddingSet(U), EmbeddingSet(V), solver=solver)
         # Training differentiates exactly the score inference computes.
-        ref_sim, ref_sol = pair_similarity(EmbeddingSet(U), EmbeddingSet(V))
+        ref_sim, ref_sol = pair_similarity(EmbeddingSet(U), EmbeddingSet(V), solver=solver)
         assert sim == ref_sim
         assert np.array_equal(sol.flows, ref_sol.flows)
         dU, dV = rng.standard_normal(U.shape), rng.standard_normal(V.shape)
