@@ -4,8 +4,10 @@ Covers episode sampling from a labeled collection, 1-shot classification,
 the k-shot variants (nearest support, score fusion, set merging, global
 prototypes, and the learnable structured-FC layer fine-tuned by SGD), and
 a toy end-to-end trainer for a linear projection placed before the metric.
-Each node gradient is one fused step against all classes at once, per picked
-support in :func:`fit_sfc` and per query in the trainer, with uncertified
+Each node gradient is one fused step of a stack against a stack, every
+member against every member in one forward and one backward: a minibatch's
+picked supports against all prototypes per :func:`fit_sfc` iteration, an
+episode's queries against its supports in the trainer, with uncertified
 simplex kernel solves: warm-started in the fit, cold in the trainer.
 """
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_io import LabeledSetCollection
-from .metric import (EmbeddingSet, ExtractionConfig, _fused_step, _Stack, _WarmStarts,
-                     best_match, extract, similarity_matrix)
+from .metric import (EmbeddingSet, ExtractionConfig, _fused_step, _Stack, _starts,
+                     _WarmStarts, best_match, extract, similarity_matrix)
 from .metric import pair_similarity, similarity_node_grads  # noqa: F401  (kept: perfbench/tracer.py patches them)
 
 KSHOT_METHODS = ("sfc", "nn", "fusion", "merge", "prototype")
@@ -180,6 +182,16 @@ def _cross_entropy(sims: np.ndarray, label: int, temperature: float):
     return -float(np.log(max(probs[label], 1e-300))), d_sims / temperature
 
 
+def _summed_cross_entropy(sims: np.ndarray, labels, temperature: float):
+    """:func:`_cross_entropy` of each row of the P x G sims against its
+    label, summed in row order.  Returns (loss, d loss / d sims)."""
+    loss, d_sims = 0.0, np.empty_like(sims)
+    for p, label in enumerate(labels):
+        value, d_sims[p] = _cross_entropy(sims[p], label, temperature)
+        loss += value
+    return loss, d_sims
+
+
 def _check_training(learning_rate, temperature, steps_name, steps, batch_size=1):
     """Raise ValueError for SGD settings that cannot train: a learning rate
     that is not finite and >= 0, a temperature that is not finite and > 0,
@@ -204,37 +216,37 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     temperature-scaled similarities, sampling support minibatches with
     replacement.
 
-    Each step is fused: the supports' unit rows, norms and means are taken
-    once per fit and the prototypes' once per iteration, and each picked
-    support meets all prototypes in one cosine product and one relevance
-    product, one mass check, one solve per class on its mass support, and
-    prototype-side gradients batched over the classes.  The simplex
-    restarts each (support, class) solve from the basis that pair ended on
-    at its last visit, while its mass support is unchanged; ``solves``,
-    ``pivots`` and ``warm_starts`` count those kernel runs.
+    Each iteration is one fused step: the supports' unit rows, norms and
+    means are taken once per fit and the picks' indexed out of them, the
+    prototypes' once per iteration, and every picked support meets every
+    prototype in one cosine product, one relevance product per side, one
+    mass check, one solve per (pick, class) pair on its mass support, and
+    one stacked backward.  The batch loss is each pick's cross-entropy,
+    summed.  The simplex restarts each (support, class) solve from the basis
+    that pair ended on at its last visit, while its mass support is
+    unchanged, so a support drawn twice in one iteration restarts its second
+    visit from its first; ``solves``, ``pivots`` and ``warm_starts`` count
+    those kernel runs.
     """
     _check_training(learning_rate, temperature, "iterations", iterations, batch_size)
     groups = ep.support_by_class()
     protos = [np.mean([es.vectors for es in sets], axis=0) for sets in groups]
-    starts = np.cumsum([0] + [p.shape[0] for p in protos]).tolist()
+    starts = _starts(protos)
     stacked = np.concatenate(protos)
     rng = np.random.default_rng(seed)
     result = SfcPrototypes(per_class=np.split(stacked, starts[1:-1]),
                            learning_rate=learning_rate, batch_size=batch_size,
                            iterations=iterations)
-    support = [(label, _Stack(es.vectors)) for label, es in ep.support]
+    labels = [label for label, _ in ep.support]
+    mats = [es.vectors for _, es in ep.support]
+    support = _Stack(np.concatenate(mats), _starts(mats))
     warm = _WarmStarts()
     for it in range(iterations):
-        picks = rng.integers(0, len(support), size=batch_size)
-        ys = _Stack(stacked, starts)
-        grad = np.zeros_like(stacked)
-        batch_loss = 0.0
-        for pick in picks.tolist():
-            label, x = support[pick]
-            loss, g = _fused_step(x, ys, lambda sims: _cross_entropy(sims, label, temperature),
-                                  solver, warm, pick)
-            batch_loss += loss
-            grad += g
+        picks = rng.integers(0, len(labels), size=batch_size).tolist()
+        batch_loss, grad = _fused_step(
+            support.take(picks), _Stack(stacked, starts),
+            lambda sims: _summed_cross_entropy(sims, [labels[p] for p in picks], temperature),
+            solver, warm, picks)
         batch_loss /= batch_size
         if not np.isfinite(batch_loss):
             raise DivergenceError(it)
@@ -251,10 +263,16 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
     ``sfc``, ``merge`` and ``nn`` predict the best-matching reference
     (:func:`~emdflow.metric.best_match`), so they solve only the pairs
     that can still win; ``fusion`` sums scores and needs all of them.
-    Ties go to the lowest class id.
+    Ties go to the lowest class id.  ``sfc_kwargs`` go to :func:`fit_sfc`
+    and apply only to ``sfc``; the fit's solver is ``solver``.
     """
     if method not in KSHOT_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if sfc_kwargs and method != "sfc":
+        raise ValueError(f"sfc_kwargs apply only to method 'sfc', not {method!r}")
+    if sfc_kwargs and "solver" in sfc_kwargs:
+        raise ValueError("sfc_kwargs must not set 'solver': classify_kshot's solver "
+                         "fits and scores")
     groups = ep.support_by_class()
     queries = [q for _, q in ep.query]
 
@@ -293,25 +311,24 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
                           temperature: float = 0.1, solver: str = "simplex"):
     """Query cross-entropy with the projection applied, plus d loss / d weight.
 
-    Supports and queries are projected node-wise, the supports in one
-    product.  Each query takes one fused step against all supports, solved
-    cold (a fresh :class:`~emdflow.metric._WarmStarts`), and its node
-    gradients chain back through the shared linear map.
+    Supports and queries are projected node-wise, each side in one
+    product.  The episode takes one fused step, every query against every
+    support, solved cold (a fresh :class:`~emdflow.metric._WarmStarts`, one
+    key per query); the loss is each query's cross-entropy, summed, and the
+    node gradients of both sides chain back through the shared linear map.
     """
     weight = np.asarray(weight, dtype=float)
     supports = [sets[0].vectors for sets in ep.support_by_class()]
-    stacked = np.concatenate(supports)
-    ys = _Stack(stacked @ weight, np.cumsum([0] + [s.shape[0] for s in supports]).tolist())
-    grad = np.zeros_like(weight)
-    loss = 0.0
-    for label, q in ep.query:
-        q_loss, (g_q, g_s) = _fused_step(
-            _Stack(q.vectors @ weight), ys, lambda sims: _cross_entropy(sims, label, temperature),
-            solver, _WarmStarts(), None, want_x=True)
-        loss += q_loss
-        grad += q.vectors.T @ g_q + stacked.T @ g_s
-    n = len(ep.query)
-    return loss / n, grad / n
+    queries = [q.vectors for _, q in ep.query]
+    labels = [label for label, _ in ep.query]
+    stacked_s, stacked_q = np.concatenate(supports), np.concatenate(queries)
+    loss, (g_q, g_s) = _fused_step(
+        _Stack(stacked_q @ weight, _starts(queries)),
+        _Stack(stacked_s @ weight, _starts(supports)),
+        lambda sims: _summed_cross_entropy(sims, labels, temperature),
+        solver, _WarmStarts(), range(len(labels)), want_x=True)
+    n = len(labels)
+    return loss / n, (stacked_q.T @ g_q + stacked_s.T @ g_s) / n
 
 
 def train_projection(train_col: LabeledSetCollection, epochs: int = 20,

@@ -206,8 +206,8 @@ def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
         return
     for r in refs:
         _check_channels(refs[0], r)
-    ys = _Stack(np.concatenate([r.vectors for r in refs]),
-                np.cumsum([0] + [r.node_count for r in refs]).tolist())
+    mats = [r.vectors for r in refs]
+    ys = _Stack(np.concatenate(mats), _starts(mats))
     spans = [slice(s, e) for s, e in zip(ys.starts, ys.starts[1:])]
     for i, q in enumerate(queries):
         _check_channels(q, refs[0])
@@ -313,8 +313,8 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
 
 
 # ---------------------------------------------------------------------------
-# One node set against a stack of others, and the backward chain:
-# similarity -> (cost, weights) -> node matrices.
+# Every member of one stack of node sets against every member of another, and
+# the backward chain: similarity -> (cost, weights) -> node matrices.
 
 
 class _Stack:
@@ -337,29 +337,61 @@ class _Stack:
         self.means = np.array([vectors[s:e].mean(axis=0)
                                for s, e in zip(self.starts, self.starts[1:])])
 
+    def take(self, members) -> "_Stack":
+        """The stack of the given members in that order, repeats allowed,
+        indexed out of this one's rows, unit rows, norms and means."""
+        rows = np.concatenate([np.arange(self.starts[g], self.starts[g + 1]) for g in members])
+        sub = _Stack.__new__(_Stack)
+        sub.vectors, sub.unit, sub.norms = self.vectors[rows], self.unit[rows], self.norms[rows]
+        sub.starts = [0, *np.cumsum(np.diff(self.starts)[members]).tolist()]
+        sub.means = self.means[members]
+        return sub
+
+
+def _starts(mats) -> list:
+    """Row offsets of node matrices stacked in order, with the total last."""
+    return np.cumsum([0] + [m.shape[0] for m in mats]).tolist()
+
+
+def _segment_sums(a: np.ndarray, starts) -> np.ndarray:
+    """Sums of the last-axis segments ``starts[s]:starts[s + 1]`` of a
+    C-contiguous ``a``, each bit-equal to that segment's own ``.sum()``."""
+    return np.stack([a[..., s:e].sum(axis=-1) for s, e in zip(starts, starts[1:])], axis=-1)
+
+
+def _normalize_segments(raw: np.ndarray, starts):
+    """:func:`_normalize` of every last-axis segment of raw, bit for bit:
+    (weights, segment totals), the totals with one entry per segment."""
+    counts = np.diff(starts)
+    total = _segment_sums(raw, starts)
+    per_node = np.repeat(total, counts, axis=-1)
+    uniform = np.repeat(1.0 / counts, counts)
+    return np.where(per_node > 0, raw / np.where(per_node > 0, per_node, 1.0), uniform), total
+
 
 class _Pairs:
-    """One node set x against every member of a stack ys.
+    """Every member p of a stack xs against every member g of a stack ys.
 
-    ``cos`` and ``cost`` are M x N; ``w_x`` / ``raw_x`` (G x M) and
-    ``tot_x`` (G) are x's cross-reference weights against each member,
-    ``w_y`` / ``raw_y`` (N) and ``tot_y`` (G) each member's against x.  The
-    masses are checked once for all members, as
-    :func:`~emdflow.transport.check_masses` checks one problem.
+    ``cos`` and ``cost`` are M x N; pair (p, g) is the block of p's rows and
+    g's columns.  ``w_x`` / ``raw_x`` (G x M) hold xs's cross-reference
+    weights against each y member, normalized over each x member's rows,
+    with totals ``tot_x`` (G x P); ``w_y`` / ``raw_y`` (P x N) and ``tot_y``
+    (P x G) are ys's against each x member.  An all-zero side keeps its
+    uniform fallback.  The masses of all P x G problems are checked at once,
+    as :func:`~emdflow.transport.check_masses` checks one problem.
     """
 
     __slots__ = ("cos", "cost", "w_x", "raw_x", "tot_x", "w_y", "raw_y", "tot_y")
 
-    def __init__(self, x: _Stack, ys: _Stack):
-        self.cos, self.cost = _cosine(x.unit, ys.unit)
-        self.raw_x = _relevance(x.vectors, ys.means).T
-        self.raw_y = _relevance(ys.vectors, x.means[0])
-        per_x = [_normalize(r) for r in self.raw_x]
-        per_y = [_normalize(self.raw_y[s:e]) for s, e in zip(ys.starts, ys.starts[1:])]
-        self.w_x, self.tot_x = np.array([w for w, _ in per_x]), [t for _, t in per_x]
-        self.w_y, self.tot_y = np.concatenate([w for w, _ in per_y]), [t for _, t in per_y]
-        totals = (self.w_x.sum(axis=1).tolist(), np.add.reduceat(self.w_y, ys.starts[:-1]).tolist())
-        check_masses(self.w_x, self.w_y, totals=totals)
+    def __init__(self, xs: _Stack, ys: _Stack):
+        self.cos, self.cost = _cosine(xs.unit, ys.unit)
+        self.raw_x = np.ascontiguousarray(_relevance(xs.vectors, ys.means).T)
+        self.raw_y = np.ascontiguousarray(_relevance(ys.vectors, xs.means).T)
+        self.w_x, self.tot_x = _normalize_segments(self.raw_x, xs.starts)
+        self.w_y, self.tot_y = _normalize_segments(self.raw_y, ys.starts)
+        check_masses(self.w_x, self.w_y,
+                     totals=(_segment_sums(self.w_x, xs.starts).T.ravel().tolist(),
+                             _segment_sums(self.w_y, ys.starts).ravel().tolist()))
 
 
 class _WarmStarts:
@@ -385,37 +417,41 @@ class _WarmStarts:
         return run
 
 
-def _solve_members(pairs: _Pairs, ys: _Stack, solver: str, warm: _WarmStarts, key):
-    """Solve x against each member of ys; return (sims, flows, d_x, d_y).
+def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _WarmStarts,
+                   keys):
+    """Solve every member pair (p, g); return (sims, flows, d_x, d_y).
 
-    ``flows`` (M x N), ``d_x`` (G x M) and ``d_y`` (N) hold each member's
-    envelope gradient of its similarity: -d_cost, d_supply and d_demand.
-    The simplex kernel solves each member on its mass support, restarted
-    through ``warm`` from the basis that (``key``, member) last ended on;
-    the gradient is gauge-invariant after the weight normalization, so the
-    kernel's own potentials serve and no certificate is built.  Other
-    solvers go through :func:`solve` on the whole member block.
+    ``sims`` is P x G.  ``flows`` (M x N), ``d_x`` (G x M) and ``d_y``
+    (P x N) hold each pair's envelope gradient of its similarity, -d_cost,
+    d_supply and d_demand, in :class:`_Pairs`' layout.  Pairs are solved in
+    x-member order.  The simplex kernel solves each pair on its mass
+    support, restarted through ``warm`` from the basis that (``keys[p]``,
+    g) last ended on, so an x member that appears twice restarts its second
+    visit from its first; the gradient is gauge-invariant after the weight
+    normalization, so the kernel's own potentials serve and no certificate
+    is built.  Other solvers go through :func:`solve` on each pair's block.
     """
-    m, n = pairs.cost.shape
-    sims = np.empty(len(ys.starts) - 1)
-    flows, d_x, d_y = np.zeros((m, n)), np.zeros((sims.size, m)), np.zeros(n)
-    for c, (s, e) in enumerate(zip(ys.starts, ys.starts[1:])):
-        if solver == "simplex":
-            rows, cols = np.flatnonzero(pairs.w_x[c]), s + np.flatnonzero(pairs.w_y[s:e])
-            cost = pairs.cost[rows[:, None], cols]
-            run = warm.solve((key, c), cost, pairs.w_x[c, rows], pairs.w_y[cols], rows, cols)
-            flow, pot = run.flows, run.pot
-        else:
-            rows, cols = np.arange(m), np.arange(s, e)
-            cost = pairs.cost[:, s:e]
-            sol = solve(TransportProblem(cost=cost, supply=pairs.w_x[c], demand=pairs.w_y[s:e]),
-                        solver)
-            flow, pot = sol.flows, sol.duals_eq
-        sims[c] = float(np.sum((1.0 - cost) * flow))
-        env = envelope_grads(1.0, flow, pot)
-        flows[rows[:, None], cols] = -env.d_cost
-        d_x[c, rows] = env.d_supply
-        d_y[cols] = env.d_demand
+    sims = np.empty((len(xs.starts) - 1, len(ys.starts) - 1))
+    flows = np.zeros(pairs.cost.shape)
+    d_x, d_y = np.zeros(pairs.w_x.shape), np.zeros(pairs.w_y.shape)
+    for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
+        for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
+            supply, demand = pairs.w_x[g, xa:xb], pairs.w_y[p, ya:yb]
+            cost = pairs.cost[xa:xb, ya:yb]
+            if solver == "simplex":
+                rows, cols = supply.nonzero()[0], demand.nonzero()[0]
+                cost = cost[rows[:, None], cols]
+                run = warm.solve((keys[p], g), cost, supply[rows], demand[cols], rows, cols)
+                flow, pot = run.flows, run.pot
+            else:
+                rows, cols = np.arange(xb - xa), np.arange(yb - ya)
+                sol = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver)
+                flow, pot = sol.flows, sol.duals_eq
+            sims[p, g] = float(np.sum((1.0 - cost) * flow))
+            env = envelope_grads(1.0, flow, pot)
+            flows[xa:xb, ya:yb][rows[:, None], cols] = -env.d_cost
+            d_x[g, xa:xb][rows] = env.d_supply
+            d_y[p, ya:yb][cols] = env.d_demand
     return sims, flows, d_x, d_y
 
 
@@ -431,72 +467,79 @@ def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
     return grad
 
 
-def _weight_vjp(grad_w, w, raw, total):
-    """Pull ``grad_w`` back through w = normalize(max(r, 0)) to r, along the last axis.
+def _weight_vjp(grad_w, w, raw, total, starts):
+    """Pull ``grad_w`` back through w = normalize(max(r, 0)) to r, per
+    last-axis segment ``starts[s]:starts[s + 1]`` with total ``total[..., s]``.
 
-    (grad_w - grad_w . w) / total where raw > 0; the uniform fallback
-    (total 0) carries no gradient.
+    (grad_w - grad_w . w) / total where raw > 0, the dot taken per segment;
+    the uniform fallback (total 0) carries no gradient.
     """
-    total = np.asarray(total)[..., None]
-    dot = (grad_w * w).sum(axis=-1, keepdims=True)
+    counts = np.diff(starts)
+    dot = np.repeat(_segment_sums(grad_w * w, starts), counts, axis=-1)
+    total = np.repeat(total, counts, axis=-1)
     return (grad_w - dot) / np.where(total > 0, total, np.inf) * (raw > 0)
 
 
-def _member_grads(x: _Stack, ys: _Stack, pairs: _Pairs, flows, d_x, d_y, upstream,
+def _member_grads(xs: _Stack, ys: _Stack, pairs: _Pairs, flows, d_x, d_y, upstream,
                   want_x: bool = False):
-    """Gradient of sum_g upstream[g] * sim_g wrt ys's rows (N x C), and
-    wrt x's rows too with ``want_x``: (grad_x, grad_ys).
+    """Gradient of sum_pg upstream[p, g] * sim_pg wrt ys's rows (N x C), and
+    wrt xs's rows too with ``want_x``: (grad_xs, grad_ys).
 
     The chain runs through the cosine cost and, on both sides, the
-    clamp/normalize weights and the mean each weight is scored against.
+    clamp/normalize weights and the member mean each weight is scored
+    against, one stacked product per term for all P x G pairs.
     """
-    counts = np.diff(ys.starts)
-    per_col = np.repeat(upstream, counts)
-    g_cos = flows * per_col
-    g_raw_x = _weight_vjp(upstream[:, None] * d_x, pairs.w_x, pairs.raw_x, pairs.tot_x)
-    g_y = per_col * d_y
-    g_raw_y = np.concatenate([
-        _weight_vjp(g_y[s:e], pairs.w_y[s:e], pairs.raw_y[s:e], total)
-        for s, e, total in zip(ys.starts, ys.starts[1:], pairs.tot_y)])
-    grad_ys = (_cosine_vjp(g_cos.T, pairs.cos.T, ys.unit, ys.norms, x.unit)
-               + np.repeat(g_raw_x @ x.vectors / counts[:, None], counts, axis=0)
-               + g_raw_y[:, None] * x.means[0])
+    cx, cy = np.diff(xs.starts), np.diff(ys.starts)
+    g_cos = flows * np.repeat(np.repeat(upstream, cx, axis=0), cy, axis=1)
+    g_raw_x = _weight_vjp(np.repeat(upstream.T, cx, axis=1) * d_x,
+                          pairs.w_x, pairs.raw_x, pairs.tot_x, xs.starts)
+    g_raw_y = _weight_vjp(np.repeat(upstream, cy, axis=1) * d_y,
+                          pairs.w_y, pairs.raw_y, pairs.tot_y, ys.starts)
+    grad_ys = (_cosine_vjp(g_cos.T, pairs.cos.T, ys.unit, ys.norms, xs.unit)
+               + np.repeat(g_raw_x @ xs.vectors / cy[:, None], cy, axis=0)
+               + g_raw_y.T @ xs.means)
     if not want_x:
         return grad_ys
-    grad_x = (_cosine_vjp(g_cos, pairs.cos, x.unit, x.norms, ys.unit)
-              + g_raw_x.T @ ys.means
-              + g_raw_y @ ys.vectors / x.vectors.shape[0])
-    return grad_x, grad_ys
+    grad_xs = (_cosine_vjp(g_cos, pairs.cos, xs.unit, xs.norms, ys.unit)
+               + g_raw_x.T @ ys.means
+               + np.repeat(g_raw_y @ ys.vectors / cx[:, None], cx, axis=0))
+    return grad_xs, grad_ys
 
 
-def _fused_step(x: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts, key,
+def _fused_step(xs: _Stack, ys: _Stack, loss, solver: str, warm: _WarmStarts, keys,
                 want_x: bool = False):
-    """One forward and backward of node set x against every member of ys.
+    """One forward and backward of every member of xs against every member of ys.
 
-    ``loss`` maps the G similarities to (value, d value / d sims); ``warm``
-    and ``key`` are :func:`_solve_members`'.  Returns (value, grads): grads is
-    d value / d ys's rows, or with ``want_x`` (d / d x's rows, d / d ys's rows).
+    ``loss`` maps the P x G similarities to (value, d value / d sims);
+    ``warm`` and ``keys`` (one per x member) are :func:`_solve_members`'.
+    Returns (value, grads): grads is d value / d ys's rows, or with
+    ``want_x`` (d / d xs's rows, d / d ys's rows).
     """
-    pairs = _Pairs(x, ys)
-    sims, flows, d_x, d_y = _solve_members(pairs, ys, solver, warm, key)
+    pairs = _Pairs(xs, ys)
+    sims, flows, d_x, d_y = _solve_members(pairs, xs, ys, solver, warm, keys)
     value, d_sims = loss(sims)
-    return value, _member_grads(x, ys, pairs, flows, d_x, d_y, d_sims, want_x)
+    return value, _member_grads(xs, ys, pairs, flows, d_x, d_y, d_sims, want_x)
 
 
 def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     """Similarity with gradients wrt both node matrices.
 
-    :func:`pair_similarity` under cross-reference weighting, its envelope
-    gradient pulled back by the fused step's backward through the cosine
-    cost and the clamp/normalize weights.  Returns (similarity, solution,
-    grad_a, grad_b), grad_a = d similarity / d a.vectors (M_a x C), likewise b.
+    :func:`pair_similarity` under cross-reference weighting, bit for bit:
+    the fused step's 1 x 1 forward hands its cost and weights to one
+    certified solve, whose envelope gradient the fused backward pulls back
+    through the cosine cost and the clamp/normalize weights.  Returns
+    (similarity, solution, grad_a, grad_b), grad_a = d similarity /
+    d a.vectors (M_a x C), likewise b.
     """
-    sim, sol = pair_similarity(a, b, solver=solver)
+    _check_channels(a, b)
     x, y = _Stack(a.vectors), _Stack(b.vectors)
+    pairs = _Pairs(x, y)
+    sol = solve(TransportProblem(cost=pairs.cost, supply=pairs.w_x[0], demand=pairs.w_y[0]),
+                solver)
     env = envelope_grads(1.0, sol.flows, sol.duals_eq)
-    grad_a, grad_b = _member_grads(x, y, _Pairs(x, y), -env.d_cost, env.d_supply[None],
-                                   env.d_demand, np.ones(1), want_x=True)
-    return sim, sol, grad_a, grad_b
+    grad_a, grad_b = _member_grads(x, y, pairs, -env.d_cost, env.d_supply[None],
+                                   env.d_demand[None], np.ones((1, 1)), want_x=True)
+    return float(np.sum((1.0 - pairs.cost) * sol.flows)), sol, grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

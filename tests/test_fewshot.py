@@ -3,8 +3,8 @@ import pytest
 
 from emdflow import metric
 from emdflow.fewshot import (
-    Episode, InsufficientDataError, _cross_entropy, classify_1shot, classify_kshot,
-    episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
+    Episode, InsufficientDataError, _cross_entropy, _summed_cross_entropy, classify_1shot,
+    classify_kshot, episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
 )
 from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
                             similarity_matrix, similarity_node_grads)
@@ -390,6 +390,70 @@ def test_fused_sfc_matches_per_pair_loop(case):
         assert np.count_nonzero(np.linalg.norm(ep.support[0][1].vectors, axis=1) == 0) == 1
 
 
+def _per_pick_fit_sfc(ep, learning_rate=0.1, batch_size=5, iterations=100,
+                      temperature=0.1, seed=0, solver="simplex"):
+    """The per-pick loop the batched fit replaced: one fused step per picked
+    support against all prototypes, warm-started per (support, class).
+    Returns (prototypes, loss curve, (solves, pivots, warm starts))."""
+    groups = ep.support_by_class()
+    protos = [np.mean([es.vectors for es in sets], axis=0) for sets in groups]
+    starts = metric._starts(protos)
+    stacked = np.concatenate(protos)
+    rng = np.random.default_rng(seed)
+    support = [(label, metric._Stack(es.vectors)) for label, es in ep.support]
+    warm, curve = metric._WarmStarts(), []
+    for _ in range(iterations):
+        picks = rng.integers(0, len(support), size=batch_size)
+        ys = metric._Stack(stacked, starts)
+        grad, batch_loss = np.zeros_like(stacked), 0.0
+        for pick in picks.tolist():
+            label, x = support[pick]
+            loss, g = metric._fused_step(
+                x, ys, lambda sims: _summed_cross_entropy(sims, [label], temperature),
+                solver, warm, [pick])
+            batch_loss += loss
+            grad += g
+        curve.append(batch_loss / batch_size)
+        stacked -= learning_rate * grad / batch_size
+    return np.split(stacked, starts[1:-1]), curve, (warm.solves, warm.pivots, warm.warm)
+
+
+@pytest.mark.parametrize("case", ["sizes", "uniform", "zero_rows", "ipm", "batch1"])
+def test_batched_sfc_matches_per_pick_loop(case):
+    """One step per iteration, every pick against every prototype, equals
+    one step per pick up to rounding, with the same kernel runs."""
+    ep, kwargs = _sfc_case(case)
+    kwargs = {"iterations": 20, "seed": 2, **kwargs}
+    fitted = fit_sfc(ep, **kwargs)
+    protos, curve, counts = _per_pick_fit_sfc(ep, **kwargs)
+    for got, want in zip(fitted.per_class, protos, strict=True):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(fitted.loss_curve, curve, rtol=0.0, atol=1e-12)
+    assert (fitted.solves, fitted.pivots, fitted.warm_starts) == counts
+
+
+def test_support_drawn_twice_restarts_from_its_first_visit(monkeypatch):
+    """Seed 2 draws support 2 twice in the first iteration: its second visit
+    meets the same prototypes and restarts, warm, from the first's bases."""
+    ep, _ = _sfc_case("sizes")
+    picks = np.random.default_rng(2).integers(0, len(ep.support), size=5).tolist()
+    assert picks[1] == picks[3] and picks.count(picks[1]) == 2
+    runs, kernel = [], metric._simplex
+
+    def record(*args, **kwargs):
+        runs.append(kernel(*args, **kwargs))
+        return runs[-1]
+    monkeypatch.setattr(metric, "_simplex", record)
+    fitted = fit_sfc(ep, iterations=1, seed=2)
+    assert len(runs) == fitted.solves == 5 * ep.n_way
+    for c in range(ep.n_way):
+        first, second = runs[1 * ep.n_way + c], runs[3 * ep.n_way + c]
+        assert not first.warm
+        assert second.warm and second.pivots == 0
+        assert np.allclose(second.flows, first.flows, rtol=0.0, atol=1e-15)
+    assert fitted.warm_starts == ep.n_way
+
+
 def _reference_episode_loss_and_grad(weight, ep, temperature=0.1, solver="simplex"):
     """One similarity_node_grads call per (query, class) pair."""
     supports = [sets[0] for sets in ep.support_by_class()]
@@ -416,6 +480,17 @@ def test_fused_projection_step_matches_per_pair_loop(case):
     ref_loss, ref_grad = _reference_episode_loss_and_grad(weight, ep, solver=solver)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_classify_kshot_rejects_conflicting_sfc_kwargs(separable_col):
+    """The fit's solver is classify_kshot's own, and sfc_kwargs serve only sfc."""
+    ep = sample_episode(separable_col, 3, 2, 1, seed=0)
+    with pytest.raises(ValueError, match="must not set 'solver'"):
+        classify_kshot(ep, "sfc", sfc_kwargs={"solver": "ipm", "iterations": 1})
+    for method in ("nn", "fusion", "merge", "prototype"):
+        with pytest.raises(ValueError, match=f"only to method 'sfc', not '{method}'"):
+            classify_kshot(ep, method, sfc_kwargs={"iterations": 1})
+    assert classify_kshot(ep, "nn", sfc_kwargs={}) == classify_kshot(ep, "nn")
 
 
 def test_sfc_counts_its_warm_starts(background_col):
