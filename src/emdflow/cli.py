@@ -214,6 +214,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_episodes(args) -> int:
+    if args.episodes < 0:
+        raise ValueError(f"--episodes must be >= 0, got {args.episodes}")
     if args.method != "1shot" and args.weighting != "cross_reference":
         raise ValueError(f"--weighting {args.weighting} is honoured only by --method 1shot; "
                          f"{args.method} scores with cross_reference weights")
@@ -283,7 +285,8 @@ def cmd_flows(args) -> int:
     wa, wb = metric.cross_reference_weights(a, b)
     sim, sol = metric.emd_similarity(a.with_weights(wa), b.with_weights(wb),
                                      solver=args.solver)
-    best = np.argmax(sol.flows, axis=1)
+    # A node of weight 0 carries no flow, so it matches nothing: -1.
+    best = np.where(wa > 0, np.argmax(sol.flows, axis=1), -1)
     payload = _write_json({
         "nodes_a": a.vectors.tolist(), "nodes_b": b.vectors.tolist(),
         "weights_a": wa.tolist(), "weights_b": wb.tolist(),

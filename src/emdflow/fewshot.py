@@ -165,31 +165,19 @@ def _global_mean(es: EmbeddingSet) -> np.ndarray:
     return es.vectors.mean(axis=0)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def _cross_entropy(sims: np.ndarray, label: int, temperature: float):
-    """Softmax cross-entropy of sims / temperature against ``label``.
-
-    Returns (loss, d loss / d sims).
-    """
-    probs = _softmax(sims / temperature)
+def _cross_entropy(sims: np.ndarray, labels, temperature: float):
+    """Softmax cross-entropy of each row of the P x G sims / temperature
+    against its label, the label probability floored at 1e-300, summed in
+    row order.  Returns (loss, d loss / d sims)."""
+    logits = sims / temperature
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(labels))
     d_sims = probs.copy()
-    d_sims[label] -= 1.0
-    return -float(np.log(max(probs[label], 1e-300))), d_sims / temperature
-
-
-def _summed_cross_entropy(sims: np.ndarray, labels, temperature: float):
-    """:func:`_cross_entropy` of each row of the P x G sims against its
-    label, summed in row order.  Returns (loss, d loss / d sims)."""
-    loss, d_sims = 0.0, np.empty_like(sims)
-    for p, label in enumerate(labels):
-        value, d_sims[p] = _cross_entropy(sims[p], label, temperature)
-        loss += value
-    return loss, d_sims
+    d_sims[rows, labels] -= 1.0
+    losses = -np.log(np.maximum(probs[rows, labels], 1e-300))
+    # Left to right, as a += loop adds (Python 3.12's sum compensates).
+    return float(np.cumsum(losses)[-1]), d_sims / temperature
 
 
 def _check_training(learning_rate, temperature, steps_name, steps, batch_size=1):
@@ -216,17 +204,16 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     temperature-scaled similarities, sampling support minibatches with
     replacement.
 
-    Each iteration is one fused step: the supports' unit rows, norms and
-    means are taken once per fit and the picks' indexed out of them, the
-    prototypes' once per iteration, and every picked support meets every
-    prototype in one cosine product, one relevance product per side, one
-    mass check, one solve per (pick, class) pair on its mass support, and
-    one stacked backward.  The batch loss is each pick's cross-entropy,
-    summed.  The simplex restarts each (support, class) solve from the basis
-    that pair ended on at its last visit, while its mass support is
-    unchanged, so a support drawn twice in one iteration restarts its second
-    visit from its first; ``solves``, ``pivots`` and ``warm_starts`` count
-    those kernel runs.
+    Each iteration is one fused step: the picked supports and the
+    prototypes are stacked, with their unit rows, norms and means, and
+    every picked support meets every prototype in one cosine product, one
+    relevance product per side, one mass check, one solve per (pick, class)
+    pair on its mass support, and one stacked backward.  The batch loss is
+    each pick's cross-entropy, summed.  The simplex restarts each (support,
+    class) solve from the basis that pair ended on at its last visit, while
+    its mass support is unchanged, so a support drawn twice in one iteration
+    restarts its second visit from its first; ``solves``, ``pivots`` and
+    ``warm_starts`` count those kernel runs.
     """
     _check_training(learning_rate, temperature, "iterations", iterations, batch_size)
     groups = ep.support_by_class()
@@ -239,13 +226,13 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
                            iterations=iterations)
     labels = [label for label, _ in ep.support]
     mats = [es.vectors for _, es in ep.support]
-    support = _Stack(np.concatenate(mats), _starts(mats))
     warm = _WarmStarts()
     for it in range(iterations):
         picks = rng.integers(0, len(labels), size=batch_size).tolist()
+        picked = [mats[p] for p in picks]
         batch_loss, grad = _fused_step(
-            support.take(picks), _Stack(stacked, starts),
-            lambda sims: _summed_cross_entropy(sims, [labels[p] for p in picks], temperature),
+            _Stack(np.concatenate(picked), _starts(picked)), _Stack(stacked, starts),
+            lambda sims: _cross_entropy(sims, [labels[p] for p in picks], temperature),
             solver, warm, picks)
         batch_loss /= batch_size
         if not np.isfinite(batch_loss):
@@ -325,7 +312,7 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
     loss, (g_q, g_s) = _fused_step(
         _Stack(stacked_q @ weight, _starts(queries)),
         _Stack(stacked_s @ weight, _starts(supports)),
-        lambda sims: _summed_cross_entropy(sims, labels, temperature),
+        lambda sims: _cross_entropy(sims, labels, temperature),
         solver, _WarmStarts(), range(len(labels)), want_x=True)
     n = len(labels)
     return loss / n, (stacked_q.T @ g_q + stacked_s.T @ g_s) / n
@@ -333,7 +320,7 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
 
 def train_projection(train_col: LabeledSetCollection, epochs: int = 20,
                      lr: float = 0.05, temperature: float = 0.1, seed: int = 0,
-                     n_way: int = 5, k_shot: int = 1, q_per_class: int = 1,
+                     n_way: int = 5, q_per_class: int = 1,
                      cfg: ExtractionConfig = ExtractionConfig(),
                      out_dim: int = None, solver: str = "simplex") -> ProjectionModel:
     """Fit the node projection by SGD over sampled 1-shot episodes."""
@@ -346,7 +333,7 @@ def train_projection(train_col: LabeledSetCollection, epochs: int = 20,
     weight = np.eye(channels, out_dim) + 0.01 * rng.standard_normal((channels, out_dim))
     model = ProjectionModel(weight=weight, temperature=temperature)
     for epoch in range(epochs):
-        ep = sample_episode(train_col, n_way, k_shot, q_per_class,
+        ep = sample_episode(train_col, n_way, 1, q_per_class,
                             seed=int(rng.integers(0, 2**63)), cfg=cfg)
         loss, grad = episode_loss_and_grad(model.weight, ep, temperature, solver)
         if not np.isfinite(loss):

@@ -148,15 +148,7 @@ def cross_reference_weights(a: EmbeddingSet, b: EmbeddingSet):
     Returns (weights_a, weights_b).
     """
     _check_channels(a, b)
-    U, V = a.vectors, b.vectors
-    return (_normalize(_relevance(U, V.mean(axis=0)))[0],
-            _normalize(_relevance(V, U.mean(axis=0)))[0])
-
-
-def uniform_weights(a: EmbeddingSet, b: EmbeddingSet):
-    """Equal-weight baseline: both sides uniform, summing to 1.0."""
-    return (np.full(a.node_count, 1.0 / a.node_count),
-            np.full(b.node_count, 1.0 / b.node_count))
+    return _weights(a, b, "cross_reference")
 
 
 def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
@@ -169,12 +161,20 @@ def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     return float(np.sum((1.0 - cost) * sol.flows)), sol
 
 
-def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
-    """Both sets' weights under ``weighting`` (cross_reference | equal | given)."""
+def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str, means=None):
+    """Both sets' weights under ``weighting`` (cross_reference | equal | given).
+
+    Cross-reference weights score each set against the other's node mean:
+    ``means`` (a's, b's) when given, else each set's ``vectors.mean(axis=0)``.
+    Equal weights are uniform and sum to 1.0; given are the sets' own.
+    """
     if weighting == "cross_reference":
-        return cross_reference_weights(a, b)
+        mean_a, mean_b = means or (a.vectors.mean(axis=0), b.vectors.mean(axis=0))
+        return (_normalize(_relevance(a.vectors, mean_b))[0],
+                _normalize(_relevance(b.vectors, mean_a))[0])
     if weighting == "equal":
-        return uniform_weights(a, b)
+        return (np.full(a.node_count, 1.0 / a.node_count),
+                np.full(b.node_count, 1.0 / b.node_count))
     if weighting == "given":
         return a.weights, b.weights
     raise ValueError(f"unknown weighting {weighting!r}")
@@ -183,6 +183,7 @@ def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
 def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_reference",
                     solver: str = "simplex"):
     """Weight both sets (cross_reference | equal | given) and score them."""
+    _check_channels(a, b)
     wa, wb = _weights(a, b, weighting)
     return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
 
@@ -213,14 +214,9 @@ def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
         _check_channels(q, refs[0])
         x = _Stack(q.vectors)
         js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
-        blocks = []
-        for j in js:
-            if weighting == "cross_reference":
-                w = (_normalize(_relevance(q.vectors, ys.means[j]))[0],
-                     _normalize(_relevance(refs[j].vectors, x.means[0]))[0])
-            else:
-                w = _weights(q, refs[j], weighting)
-            blocks.append((_cosine(x.unit, ys.unit[spans[j]])[1], *w))
+        blocks = [(_cosine(x.unit, ys.unit[spans[j]])[1],
+                   *_weights(q, refs[j], weighting, (x.means[0], ys.means[j])))
+                  for j in js]
         if blocks:
             supplies, demands = [b[1] for b in blocks], [b[2] for b in blocks]
             check_masses(np.concatenate(supplies), np.concatenate(demands),
@@ -336,16 +332,6 @@ class _Stack:
         self.unit, self.norms = _unit_rows(vectors)
         self.means = np.array([vectors[s:e].mean(axis=0)
                                for s, e in zip(self.starts, self.starts[1:])])
-
-    def take(self, members) -> "_Stack":
-        """The stack of the given members in that order, repeats allowed,
-        indexed out of this one's rows, unit rows, norms and means."""
-        rows = np.concatenate([np.arange(self.starts[g], self.starts[g + 1]) for g in members])
-        sub = _Stack.__new__(_Stack)
-        sub.vectors, sub.unit, sub.norms = self.vectors[rows], self.unit[rows], self.norms[rows]
-        sub.starts = [0, *np.cumsum(np.diff(self.starts)[members]).tolist()]
-        sub.means = self.means[members]
-        return sub
 
 
 def _starts(mats) -> list:

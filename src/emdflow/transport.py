@@ -35,6 +35,7 @@ BALANCE_RTOL = 1e-9
 DEGENERATE_RTOL = 1e-9  # basic flows below this share of total mass count as zero
 COMPLEMENTARITY_GATE = 1e-8  # min(x/mass + lambda/max|cost|) at or below this: not strict
 ORACLE_MAX_CELLS = 16
+MAX_PIVOTS = 100_000  # a simplex run past this many pivots raises CyclingError
 
 
 class UnbalancedProblemError(ValueError):
@@ -390,8 +391,7 @@ class _BasisTree:
         return [top] + self._hang(top)
 
 
-def solve_simplex(p: TransportProblem, tol: float = 1e-10,
-                  max_pivots: int = 100_000) -> TransportSolution:
+def solve_simplex(p: TransportProblem, tol: float = 1e-10) -> TransportSolution:
     """Transportation simplex.
 
     Entering variable is the most negative reduced cost below
@@ -403,14 +403,14 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10,
     """
     m = p.m
     if p.supply.all() and p.demand.all():  # masses are >= 0: no zero-mass node
-        run = _simplex(p.cost, p.supply, p.demand, tol, max_pivots)
+        run = _simplex(p.cost, p.supply, p.demand, tol)
         flows, pot = run.flows, run.pot
     else:
         rows, cols = p.supply > 0, p.demand > 0
         kept = rows[:, None] & cols
         supply, demand = p.supply[rows], p.demand[cols]
         run = _simplex(p.cost[kept].reshape(supply.size, demand.size),
-                       supply, demand, tol, max_pivots)
+                       supply, demand, tol)
         flows = np.zeros((m, p.k))
         flows[kept] = run.flows.ravel()
         pot = np.empty(m + p.k)
@@ -444,7 +444,7 @@ class _SimplexRun(NamedTuple):
     warm: bool          # the run began from the given ``start``
 
 
-def _simplex(cost, supply, demand, tol=1e-10, max_pivots=100_000, start=None):
+def _simplex(cost, supply, demand, tol=1e-10, start=None):
     """The simplex on arrays; returns a :class:`_SimplexRun`.
 
     ``start`` is an optional start basis, the flat cells of a spanning tree
@@ -472,7 +472,7 @@ def _simplex(cost, supply, demand, tol=1e-10, max_pivots=100_000, start=None):
     stall = degenerate_pivots = 0
     stall_limit = m + k + 2
     bland = False
-    for pivots in range(max_pivots):
+    for pivots in range(MAX_PIVOTS):
         red = (cost - pot[:m, None] - pot[None, m:]).ravel()
         red[in_basis] = np.inf  # basic cells never enter
         enter = int(red.argmin())  # most negative, ties by lowest flat index

@@ -244,6 +244,15 @@ def test_episodes_zero_writes_strict_json(tmp_path):
     assert payload["mean"] is None and payload["ci95"] is None
 
 
+def test_episodes_rejects_negative_count(tmp_path, capsys):
+    manifest = _gen_collection(tmp_path)
+    out = tmp_path / "eps"
+    assert main(["episodes", "--collection", manifest, "--episodes", "-3",
+                 "--out", str(out)]) == 1
+    assert "--episodes must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_episodes_without_queries_rejected(tmp_path, capsys):
     manifest = _gen_collection(tmp_path)
     assert main(["episodes", "--collection", manifest, "--q", "0"]) == 1
@@ -349,6 +358,29 @@ def test_flows_identity_best_match(tmp_path):
     assert np.allclose(flows.sum(axis=1), payload["weights_a"], atol=1e-7)
     assert sum(payload["weights_a"]) == pytest.approx(1.0, abs=1e-12)
     assert sum(payload["weights_b"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["simplex", "ipm"])
+def test_flows_best_match_is_minus_one_for_zero_weight_nodes(tmp_path, solver):
+    """Query nodes opposite the support's mean clamp to weight 0 and match
+    nothing, although the interior point leaves tiny flows on their rows."""
+    rng = np.random.default_rng(3)
+    d = np.array([1.0, 0.5, -0.5, 2.0])
+    maps = {"a.dtn": np.stack([d, -d, d, -d]), "b.dtn": np.tile(d, (4, 1))}
+    paths = []
+    for name, nodes in maps.items():
+        paths.append(str(tmp_path / name))
+        vectors = nodes + 0.1 * rng.standard_normal((4, 4))
+        save_tensor(DenseTensor.from_array(vectors.reshape(2, 2, 4)), paths[-1])
+    out = tmp_path / "fl"
+    assert main(["--solver", solver, "flows", *paths, "--out", str(out)]) == 0
+    payload = json.loads((out / "flows.json").read_text())
+    weights = np.array(payload["weights_a"])
+    assert weights[[1, 3]].tolist() == [0.0, 0.0] and weights[[0, 2]].min() > 0
+    best = payload["best_match"]
+    assert [best[1], best[3]] == [-1, -1]
+    flows = np.array(payload["flow_matrix"])
+    assert [best[0], best[2]] == np.argmax(flows[[0, 2]], axis=1).tolist()
 
 
 @pytest.mark.parametrize("solver", ["simplex", "ipm"])

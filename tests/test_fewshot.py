@@ -3,7 +3,7 @@ import pytest
 
 from emdflow import metric
 from emdflow.fewshot import (
-    Episode, InsufficientDataError, _cross_entropy, _summed_cross_entropy, classify_1shot,
+    Episode, InsufficientDataError, _cross_entropy, classify_1shot,
     classify_kshot, episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
 )
 from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
@@ -176,7 +176,7 @@ def _support_cross_entropy(ep, protos, temperature=0.1):
                              [EmbeddingSet(vectors=p) for p in protos])
     total = 0.0
     for (label, _), row in zip(ep.support, sims):
-        total += _cross_entropy(row, label, temperature)[0]
+        total += _cross_entropy(row[None], [label], temperature)[0]
     return total / len(ep.support)
 
 
@@ -273,6 +273,51 @@ def test_mean_ci95():
 
 
 # ---------------------------------------------------------------------------
+# The batched loss against the per-row loop it replaced.
+
+
+def _row_cross_entropy(sims, label, temperature):
+    """Softmax cross-entropy of one row of sims / temperature against
+    ``label``: (loss, d loss / d sims)."""
+    z = sims / temperature
+    e = np.exp(z - z.max())
+    probs = e / e.sum()
+    d_sims = probs.copy()
+    d_sims[label] -= 1.0
+    return -float(np.log(max(probs[label], 1e-300))), d_sims / temperature
+
+
+def _row_loop_cross_entropy(sims, labels, temperature):
+    """Each row's _row_cross_entropy against its label, summed in row order."""
+    loss, d_sims = 0.0, np.empty_like(sims)
+    for p, label in enumerate(labels):
+        value, d_sims[p] = _row_cross_entropy(sims[p], label, temperature)
+        loss += value
+    return loss, d_sims
+
+
+@pytest.mark.parametrize("rows", [1, 5, 12])
+def test_cross_entropy_is_bit_equal_to_row_loop(rows):
+    """The batched loss and gradient equal the per-row loop byte for byte,
+    also on a row whose label probability underflows to the 1e-300 floor."""
+    rng = np.random.default_rng(rows)
+    for trial in range(200):
+        classes = int(rng.integers(2, 9))
+        sims = rng.uniform(-1.0, 1.0, (rows, classes))
+        labels = rng.integers(0, classes, rows).tolist()
+        temperature = float(rng.choice([0.05, 0.1, 1.0]))
+        if trial == 0:  # the label's logit 1000 below the row's best
+            sims[-1, labels[-1]], sims[-1, labels[-1] - 1] = -50.0, 50.0
+            temperature = 0.1
+        loss, d_sims = _cross_entropy(sims, labels, temperature)
+        want_loss, want_d = _row_loop_cross_entropy(sims, labels, temperature)
+        assert loss == want_loss
+        assert d_sims.tobytes() == want_d.tobytes()
+        if trial == 0:
+            assert _cross_entropy(sims[-1:], labels[-1:], temperature)[0] == -np.log(1e-300)
+
+
+# ---------------------------------------------------------------------------
 # SGD settings that cannot train are rejected before any work.
 
 
@@ -332,7 +377,7 @@ def _reference_fit_sfc(ep, learning_rate=0.1, batch_size=5, iterations=100,
                     es, EmbeddingSet(vectors=proto), solver=solver)
                 sims[c] = sim
                 proto_grads.append(g_proto)
-            loss, d_sims = _cross_entropy(sims, label, temperature)
+            loss, (d_sims,) = _cross_entropy(sims[None], [label], temperature)
             batch_loss += loss
             for c in range(ep.n_way):
                 grads[c] += d_sims[c] * proto_grads[c]
@@ -409,7 +454,7 @@ def _per_pick_fit_sfc(ep, learning_rate=0.1, batch_size=5, iterations=100,
         for pick in picks.tolist():
             label, x = support[pick]
             loss, g = metric._fused_step(
-                x, ys, lambda sims: _summed_cross_entropy(sims, [label], temperature),
+                x, ys, lambda sims: _cross_entropy(sims, [label], temperature),
                 solver, warm, [pick])
             batch_loss += loss
             grad += g
@@ -462,7 +507,8 @@ def _reference_episode_loss_and_grad(weight, ep, temperature=0.1, solver="simple
         pq = EmbeddingSet(q.vectors @ weight)
         per_class = [similarity_node_grads(pq, EmbeddingSet(s.vectors @ weight), solver=solver)
                      for s in supports]
-        q_loss, d_sims = _cross_entropy(np.array([r[0] for r in per_class]), label, temperature)
+        q_loss, (d_sims,) = _cross_entropy(np.array([[r[0] for r in per_class]]), [label],
+                                           temperature)
         loss += q_loss
         for c, (_, _, g_q, g_s) in enumerate(per_class):
             grad += d_sims[c] * (q.vectors.T @ g_q + supports[c].vectors.T @ g_s)

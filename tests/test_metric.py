@@ -6,7 +6,6 @@ from emdflow.metric import (
     EmbeddingSet, ExtractionConfig, _similarity_bound, _Stack, _weights,
     best_match, cost_matrix, cross_reference_weights, emd_similarity, extract,
     extract_pyramid, pair_similarity, similarity_matrix, similarity_node_grads,
-    uniform_weights,
 )
 from emdflow.tensor_io import DenseTensor
 from emdflow.transport import solve_oracle, TransportProblem, UnbalancedProblemError
@@ -85,7 +84,7 @@ def test_similarity_single_node_extremes():
 def test_similarity_equals_total_minus_objective():
     rng = np.random.default_rng(2)
     a, b = _sets(rng, 4, 4, 4)
-    wa, wb = uniform_weights(a, b)
+    wa, wb = _weights(a, b, "equal")
     sim, sol = emd_similarity(a.with_weights(wa), b.with_weights(wb), solver="oracle")
     p = TransportProblem(cost=cost_matrix(a, b), supply=wa, demand=wb)
     assert sim == pytest.approx(1.0 - solve_oracle(p).objective, abs=1e-8)
@@ -299,6 +298,22 @@ def test_skipped_pair_of_a_distinct_list_is_not_mass_checked():
     assert np.all(np.diag(sim) == -np.inf)
     assert sim[0, 1] == pair_similarity(queries[0], refs[1], weighting="given")[0]
     assert sim[1, 0] == pair_similarity(queries[1], refs[0], weighting="given")[0]
+
+
+@pytest.mark.parametrize("weighting", ["cross_reference", "equal", "given"])
+def test_channel_mismatch_is_named_by_every_entry(weighting):
+    """A pair, a reference list whose first member is the odd one and a list
+    with a later odd member each raise the mismatch, not a product's error."""
+    rng = np.random.default_rng(11)
+    three = EmbeddingSet(rng.standard_normal((2, 3)))
+    seven = EmbeddingSet(rng.standard_normal((2, 7)))
+    with pytest.raises(ValueError, match="channel mismatch: 3 vs 7"):
+        pair_similarity(three, seven, weighting=weighting)
+    for refs in ([seven], [three, seven]):
+        with pytest.raises(ValueError, match="channel mismatch: 3 vs 7"):
+            similarity_matrix([three], refs, weighting=weighting)
+        with pytest.raises(ValueError, match="channel mismatch: 3 vs 7"):
+            best_match([three], refs, weighting=weighting)
 
 
 def test_node_grads_match_finite_differences():
