@@ -304,6 +304,10 @@ def cmd_flows(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag, values in (("--sizes", args.sizes), ("--dims", args.dims),
+                         ("--repeats", [args.repeats])):
+        if min(values) < 1:
+            raise ValueError(f"{flag} must be >= 1, got {min(values)}")
     rng = np.random.default_rng(args.seed)
     rows = []
     for size in args.sizes:

@@ -111,18 +111,20 @@ class FlowJacobian:
         return y[:tree.m], y[tree.m:]
 
 
-def envelope_grads(upstream: float, flows: np.ndarray, duals: np.ndarray) -> EmdGradients:
+def envelope_grads(upstream: float, flows: np.ndarray, u: np.ndarray,
+                   v: np.ndarray) -> EmdGradients:
     """Envelope gradients of upstream * sum((1 - c) * flows) at an optimum.
 
-    ``duals`` are the supplier then demander potentials of the problem
+    ``u`` and ``v`` are the supplier and demander potentials of the problem
     ``flows`` solves.  The similarity is total flow minus objective, and
-    the total flow is attributed to the supply side.
+    the total flow is attributed to the supply side.  The formula is
+    element-wise, so a stack of problems may pass its flows and potentials
+    in any layout at once.
     """
-    m = flows.shape[0]
     return EmdGradients(
         d_cost=-upstream * flows,
-        d_supply=upstream * (1.0 - duals[:m]),
-        d_demand=-upstream * duals[m:],
+        d_supply=upstream * (1.0 - u),
+        d_demand=-upstream * v,
     )
 
 
@@ -139,7 +141,7 @@ def backward_similarity(upstream: float, sol: TransportSolution,
     and is required when the loss touches individual flows.
     """
     if mode == "envelope":
-        return envelope_grads(upstream, sol.flows, sol.duals_eq)
+        return envelope_grads(upstream, sol.flows, sol.duals_eq[:p.m], sol.duals_eq[p.m:])
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
 

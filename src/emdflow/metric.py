@@ -381,22 +381,23 @@ class _Pairs:
 
 
 class _WarmStarts:
-    """Last simplex basis of each (key, member) pair, with solve counts.
+    """Last simplex basis tree of each (key, member) pair, with solve counts.
 
-    A basis is offered again only while the pair's mass support, the rows
-    and columns its subproblem keeps, is unchanged.
+    A tree is offered again, and pivoted in place by the next solve, only
+    while the pair's mass support, the rows and columns its subproblem
+    keeps, is unchanged.
     """
 
     def __init__(self):
-        self.bases = {}
+        self.trees = {}
         self.solves = self.pivots = self.warm = 0
 
     def solve(self, key, cost, supply, demand, rows, cols):
         support = (rows.tobytes(), cols.tobytes())
-        last = self.bases.get(key)
+        last = self.trees.get(key)
         run = _simplex(cost, supply, demand,
                        start=last[1] if last is not None and last[0] == support else None)
-        self.bases[key] = (support, run.basis)
+        self.trees[key] = (support, run.tree)
         self.solves += 1
         self.pivots += run.pivots
         self.warm += run.warm
@@ -409,17 +410,20 @@ def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _Wa
 
     ``sims`` is P x G.  ``flows`` (M x N), ``d_x`` (G x M) and ``d_y``
     (P x N) hold each pair's envelope gradient of its similarity, -d_cost,
-    d_supply and d_demand, in :class:`_Pairs`' layout.  Pairs are solved in
-    x-member order.  The simplex kernel solves each pair on its mass
-    support, restarted through ``warm`` from the basis that (``keys[p]``,
-    g) last ended on, so an x member that appears twice restarts its second
-    visit from its first; the gradient is gauge-invariant after the weight
+    d_supply and d_demand, in :class:`_Pairs`' layout: the pairs' flows and
+    potentials are written into that layout and
+    :func:`~emdflow.diff.envelope_grads` is applied once to the stack.
+    Pairs are solved in x-member order.  The simplex kernel solves each
+    pair on its mass support, restarted through ``warm`` from the basis
+    tree that (``keys[p]``, g) last ended on, so an x member that appears
+    twice restarts its second visit from its first; a zero-mass node gets
+    zero gradients.  The gradient is gauge-invariant after the weight
     normalization, so the kernel's own potentials serve and no certificate
     is built.  Other solvers go through :func:`solve` on each pair's block.
     """
     sims = np.empty((len(xs.starts) - 1, len(ys.starts) - 1))
     flows = np.zeros(pairs.cost.shape)
-    d_x, d_y = np.zeros(pairs.w_x.shape), np.zeros(pairs.w_y.shape)
+    u, v = np.zeros(pairs.w_x.shape), np.zeros(pairs.w_y.shape)
     for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
         for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
             supply, demand = pairs.w_x[g, xa:xb], pairs.w_y[p, ya:yb]
@@ -434,11 +438,14 @@ def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _Wa
                 sol = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver)
                 flow, pot = sol.flows, sol.duals_eq
             sims[p, g] = float(np.sum((1.0 - cost) * flow))
-            env = envelope_grads(1.0, flow, pot)
-            flows[xa:xb, ya:yb][rows[:, None], cols] = -env.d_cost
-            d_x[g, xa:xb][rows] = env.d_supply
-            d_y[p, ya:yb][cols] = env.d_demand
-    return sims, flows, d_x, d_y
+            flows[xa:xb, ya:yb][rows[:, None], cols] = flow
+            u[g, xa:xb][rows] = pot[:rows.size]
+            v[p, ya:yb][cols] = pot[rows.size:]
+    env = envelope_grads(1.0, flows, u, v)
+    d_x, d_y = env.d_supply, env.d_demand
+    if solver == "simplex":  # the kernel leaves zero-mass nodes without potentials
+        d_x, d_y = np.where(pairs.w_x > 0, d_x, 0.0), np.where(pairs.w_y > 0, d_y, 0.0)
+    return sims, -env.d_cost, d_x, d_y
 
 
 def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
@@ -522,7 +529,8 @@ def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simpl
     pairs = _Pairs(x, y)
     sol = solve(TransportProblem(cost=pairs.cost, supply=pairs.w_x[0], demand=pairs.w_y[0]),
                 solver)
-    env = envelope_grads(1.0, sol.flows, sol.duals_eq)
+    m = pairs.cost.shape[0]
+    env = envelope_grads(1.0, sol.flows, sol.duals_eq[:m], sol.duals_eq[m:])
     grad_a, grad_b = _member_grads(x, y, pairs, -env.d_cost, env.d_supply[None],
                                    env.d_demand[None], np.ones((1, 1)), want_x=True)
     return float(np.sum((1.0 - pairs.cost) * sol.flows)), sol, grad_a, grad_b

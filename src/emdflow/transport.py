@@ -4,8 +4,12 @@ Three routes to the same optimum:
 
 * :func:`solve_simplex` — transportation simplex (least-cost start,
   Bland's rule against cycling).  Fast path for inference.  Its kernel,
-  ``_simplex``, also takes a start basis (a warm start), which the SFC
-  fit uses to restart each solve from that pair's last basis.
+  ``_simplex``, pivots its basis tree in place, the network-simplex update
+  (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 11): parent links reverse
+  only on the path to the cut, and potentials and depths are renewed only
+  over the subtree that moved.  It also takes a start tree (a warm start),
+  which the SFC fit uses to restart each solve on the tree that pair last
+  ended on.
 * :func:`solve_interior_point` — primal-dual path following with
   Mehrotra-style centering.  Its normal equations are built from the row
   and column sums of the m x k grid, never from the incidence matrix, and it
@@ -289,32 +293,25 @@ class _BasisTree:
     the last demander, the node whose row :func:`reduced_incidence` drops,
     so potentials computed on it pin that demander's potential to zero.
     Per node it keeps the ``parent``, the flat cell ``edge`` joining the
-    node to its parent, and the ``depth``; ``order`` lists every node but
-    the root, each after its parent, as first built (pivots do not update
-    it).  Raises :class:`BasisError` when the cells hold a cycle or miss a
-    node.
+    node to its parent, the ``depth`` and the ``children``.  ``order``
+    lists every node but the root, each after its parent; a build lists
+    each node's children in the order of ``cells``.  A pivot
+    (:meth:`replace_edge`) updates the tree in place but not ``order``,
+    which :meth:`relist` renews.  Raises :class:`BasisError` when the cells
+    hold a cycle or miss a node.
     """
 
     def __init__(self, m, k, cells):
         self.m, self.k = m, k
         n = m + k
-        self.adj = [{} for _ in range(n)]  # neighbour -> flat cell
+        adj = [{} for _ in range(n)]  # neighbour -> flat cell
         for cell in cells:
             i, j = divmod(cell, k)
-            self.adj[i][m + j] = cell
-            self.adj[m + j][i] = cell
-        self.parent = [-1] * n
-        self.edge = [-1] * n
-        self.depth = [0] * n
-        self.order = self._hang(n - 1)
-        if len(self.order) != n - 1:
-            raise BasisError("basic cells do not form a spanning tree", "spanning_tree")
-
-    def _hang(self, top):
-        """Re-hang the nodes below ``top``, whose parent link is set; return
-        them, each after its parent."""
-        parent, edge, depth, adj = self.parent, self.edge, self.depth, self.adj
-        hung, seen, stack = [], {top}, [top]
+            adj[i][m + j] = cell
+            adj[m + j][i] = cell
+        parent, edge, depth = [-1] * n, [-1] * n, [0] * n
+        children = [[] for _ in range(n)]
+        order, seen, stack = [], {n - 1}, [n - 1]
         while stack:
             node = stack.pop()
             for nbr, cell in adj[node].items():
@@ -324,9 +321,25 @@ class _BasisTree:
                     raise BasisError("basic cells hold a cycle, not a spanning tree", "cycle")
                 seen.add(nbr)
                 parent[nbr], edge[nbr], depth[nbr] = node, cell, depth[node] + 1
-                hung.append(nbr)
+                children[node].append(nbr)
+                order.append(nbr)
                 stack.append(nbr)
-        return hung
+        if len(order) != n - 1:
+            raise BasisError("basic cells do not form a spanning tree", "spanning_tree")
+        self.parent, self.edge, self.depth, self.children = parent, edge, depth, children
+        self.order = order
+
+    def relist(self):
+        """Renew ``order`` with every node's children in ascending index, as
+        a build from sorted cells lists them."""
+        children = self.children
+        order, stack = [], [self.m + self.k - 1]
+        while stack:
+            kids = children[stack.pop()]
+            kids.sort()
+            order += kids
+            stack += kids
+        self.order = order
 
     def flows(self, rest, out):
         """Basic flows meeting the node balances ``rest`` (supplies, then
@@ -373,22 +386,42 @@ class _BasisTree:
             b = parent[b]
         return [cell] + up_a + up_b[::-1]
 
-    def replace_edge(self, leave, enter):
-        """Swap basis cells and re-hang the detached subtree; return its nodes."""
-        m, k, adj = self.m, self.k, self.adj
+    def replace_edge(self, leave, enter, values, pot):
+        """Swap basis cells in place, and renew depth and the potentials
+        ``pot`` (on cell ``values``) over the subtree that moved.
+
+        The subtree cut off by ``leave`` re-hangs from the entering endpoint
+        inside it: parent links reverse only on the path from that endpoint
+        up to the cut, and the subtree is walked parent before child.
+        """
+        m, k = self.m, self.k
+        parent, edge, depth, children = self.parent, self.edge, self.depth, self.children
         l1, l2 = leave // k, m + leave % k
         e1, e2 = enter // k, m + enter % k
-        del adj[l1][l2], adj[l2][l1]
-        adj[e1][e2] = adj[e2][e1] = enter
-        cut_child = l1 if self.parent[l1] == l2 else l2
-        # The entering endpoint inside the detached subtree becomes its root.
+        cut = l1 if parent[l1] == l2 else l2
         node = e1
-        while node != -1 and node != cut_child:
-            node = self.parent[node]
-        top, attach_to = (e1, e2) if node == cut_child else (e2, e1)
-        self.parent[top], self.edge[top] = attach_to, enter
-        self.depth[top] = self.depth[attach_to] + 1
-        return [top] + self._hang(top)
+        while depth[node] > depth[cut]:
+            node = parent[node]
+        top, up = (e1, e2) if node == cut else (e2, e1)
+        node, cell = top, enter
+        while True:  # reverse the path top .. cut
+            old_parent, old_edge = parent[node], edge[node]
+            children[old_parent].remove(node)
+            children[up].append(node)
+            parent[node], edge[node] = up, cell
+            if node == cut:
+                break
+            up, cell, node = node, old_edge, old_parent
+        depth[top] = depth[parent[top]] + 1
+        pot[top] = values[enter] - pot[parent[top]]
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            d, p = depth[node] + 1, pot[node]
+            for child in children[node]:
+                depth[child] = d
+                pot[child] = values[edge[child]] - p
+            stack += children[node]
 
 
 def solve_simplex(p: TransportProblem, tol: float = 1e-10) -> TransportSolution:
@@ -437,7 +470,8 @@ class _SimplexRun(NamedTuple):
     flows: np.ndarray   # m x k optimal flows
     pot: np.ndarray     # supplier then demander potentials, the last demander's 0
     degenerate: bool    # a basic flow below DEGENERATE_RTOL of the total mass
-    basis: list         # flat cells of the final basis tree, a valid ``start``
+    basis: list         # flat cells of the final basis tree, ascending
+    tree: _BasisTree    # the final basis tree, a valid ``start``
     pivots: int
     degenerate_pivots: int  # pivots whose step moved less than 1e-12 of the total mass
     bland: bool         # Bland's rule chose an entering cell at least once
@@ -447,41 +481,49 @@ class _SimplexRun(NamedTuple):
 def _simplex(cost, supply, demand, tol=1e-10, start=None):
     """The simplex on arrays; returns a :class:`_SimplexRun`.
 
-    ``start`` is an optional start basis, the flat cells of a spanning tree
-    (:class:`_BasisTree` raises :class:`BasisError` otherwise).  Its basic
-    flows come from the tree's leaf-to-root pass; it is used when all of
-    them are >= 0, and the least-cost start otherwise.  A warm start from
-    an optimal basis costs no pivot.
+    ``start`` is an optional start basis: a :class:`_BasisTree` of the same
+    m x k grid, such as an earlier run's ``tree``.  It is re-listed
+    (:meth:`_BasisTree.relist`) and its basic flows come from the tree's
+    leaf-to-root pass; it is used, and pivoted in place, when all of them
+    are >= 0, and the least-cost start is used otherwise.  A warm start
+    from an optimal basis costs no pivot.
     """
     m, k = cost.shape
     total = float(supply.sum())
     warm = start is not None
     if warm:
-        tree, basis = _BasisTree(m, k, start), start
+        tree = start
+        tree.relist()
         flows = tree.flows(supply.tolist() + demand.tolist(), [0.0] * (m * k))
+        basis = tree.edge[:-1]  # every node but the root, the last
         warm = min([flows[c] for c in basis]) >= 0.0  # primal feasible
     if not warm:
         flows, basis = _least_cost_start(cost, supply, demand)  # scalar cell updates are hot: lists
         tree = _BasisTree(m, k, basis)
     values = cost.ravel().tolist()
     pot = tree.potentials(values, np.zeros(m + k), tree.order)
-    in_basis = np.zeros(m * k, dtype=bool)
-    in_basis[basis] = True
+    priced = np.array(cost, dtype=float)  # cost, with basic cells at +inf: they never enter
+    priced_flat = priced.reshape(-1)
+    priced_flat[basis] = np.inf
     price_tol = tol * float(np.abs(cost).max())
+    u, v = pot[:m, None], pot[m:]  # views: pivots update pot in place
+    red_grid = np.empty((m, k))
+    red = red_grid.reshape(-1)
 
     stall = degenerate_pivots = 0
     stall_limit = m + k + 2
     bland = False
     for pivots in range(MAX_PIVOTS):
-        red = (cost - pot[:m, None] - pot[None, m:]).ravel()
-        red[in_basis] = np.inf  # basic cells never enter
+        np.subtract(priced, u, out=red_grid)
+        red_grid -= v
         enter = int(red.argmin())  # most negative, ties by lowest flat index
         if red[enter] >= -price_tol:
-            flows_np = np.array(flows).reshape(m, k)
-            return _SimplexRun(flows_np, pot,
-                               bool(flows_np.ravel()[in_basis].min() < DEGENERATE_RTOL * total),
-                               np.flatnonzero(in_basis).tolist(), pivots, degenerate_pivots,
-                               bland, warm)
+            basis = sorted(tree.edge[:-1])
+            basic = [flows[c] for c in basis]
+            out = np.zeros(m * k)  # nonbasic flows are 0
+            out[basis] = basic
+            return _SimplexRun(out.reshape(m, k), pot, min(basic) < DEGENERATE_RTOL * total,
+                               basis, tree, pivots, degenerate_pivots, bland, warm)
         if stall >= stall_limit:
             enter = int(np.flatnonzero(red < -price_tol)[0])  # Bland: lowest flat index
             bland = True
@@ -498,9 +540,9 @@ def _simplex(cost, supply, demand, tol=1e-10, start=None):
         for c in minus:
             flows[c] -= theta
         flows[leave] = 0.0
-        in_basis[leave] = False
-        in_basis[enter] = True
-        tree.potentials(values, pot, tree.replace_edge(leave, enter))
+        priced_flat[leave] = values[leave]
+        priced_flat[enter] = np.inf
+        tree.replace_edge(leave, enter, values, pot)
     raise CyclingError("simplex exceeded pivot limit")
 
 

@@ -421,6 +421,20 @@ def test_bench_single_repeat(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--sizes", "0"), ("--dims", "0"), ("--repeats", "0"),
+                                         ("--repeats", "-2")])
+def test_bench_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    """An empty or negative size, dimension or repeat count is named up
+    front, and nothing is timed or written."""
+    flags = {"--sizes": "2", "--dims": "4", "--repeats": "1", flag: value}
+    out = tmp_path / "bench"
+    argv = ["bench", "--solvers", "simplex", "--out", str(out)]
+    assert main(argv + [part for item in flags.items() for part in item]) == 1
+    out_text, err = capsys.readouterr()
+    assert f"error: {flag} must be >= 1, got {value}" in err
+    assert out_text == "" and not out.exists()
+
+
 def test_global_flags_both_positions(single_cell):
     assert main(["--seed", "2", "solve", single_cell]) == 0
     assert main(["solve", single_cell, "--seed", "2"]) == 0

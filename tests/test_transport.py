@@ -1,11 +1,14 @@
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (
-    BasisError, InstanceTooLargeError, IterationLimitError, TransportProblem,
-    UnbalancedProblemError, reduced_incidence, solve,
+    DEGENERATE_RTOL, MAX_PIVOTS, BasisError, CyclingError, InstanceTooLargeError,
+    IterationLimitError, TransportProblem, UnbalancedProblemError, reduced_incidence, solve,
     solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _least_cost_start,
     _optimal_basis, _simplex,
 )
@@ -463,8 +466,9 @@ def test_interior_point_degenerate_flag():
 # warm starts: the kernel restarted from a given basis tree
 
 
-def _random_tree(rng, m, k):
-    """Flat cells of a random spanning tree of K_{m,k} (Kruskal on shuffled cells)."""
+def _spanning_cells(m, k, candidates):
+    """Flat cells of a spanning tree of K_{m,k}: Kruskal over ``candidates``
+    in the given order, in the order taken."""
     root = list(range(m + k))
 
     def find(a):
@@ -472,12 +476,17 @@ def _random_tree(rng, m, k):
             a = root[a]
         return a
     cells = []
-    for cell in rng.permutation(m * k).tolist():
+    for cell in candidates:
         a, b = find(cell // k), find(m + cell % k)
         if a != b:
             root[a] = b
             cells.append(cell)
     return cells
+
+
+def _random_tree(rng, m, k):
+    """Flat cells of a random spanning tree of K_{m,k} (Kruskal on shuffled cells)."""
+    return _spanning_cells(m, k, rng.permutation(m * k).tolist())
 
 
 def _warm_problem(rng, m, k, tied, integer_mass, zero_lines):
@@ -518,8 +527,10 @@ def test_property_simplex_warm_start(seed, m, k, tied, integer_mass, zero_lines)
     # random tree is often infeasible.
     for start in (_least_cost_start(rng.uniform(0.0, 2.0, (m, k)), supply, demand)[1],
                   _random_tree(rng, m, k)):
-        basic = _BasisTree(m, k, start).flows(np.concatenate([supply, demand]), np.zeros(m * k))
-        run = _simplex(cost, supply, demand, start=start)
+        # A start tree is re-listed as a build from sorted cells lists it.
+        basic = _BasisTree(m, k, sorted(start)).flows(np.concatenate([supply, demand]),
+                                                      np.zeros(m * k))
+        run = _simplex(cost, supply, demand, start=_BasisTree(m, k, start))
         assert run.warm == bool(basic[start].min() >= 0.0)
         if run.warm:
             _assert_optimal(cost, supply, demand, run, objective)
@@ -530,7 +541,7 @@ def test_property_simplex_warm_start(seed, m, k, tied, integer_mass, zero_lines)
     # From the cold optimum's own basis: no pivot, the same potentials, and
     # the same flows up to the rounding of the leaf-to-root pass, exact when
     # the masses add up exactly.
-    again = _simplex(cost, supply, demand, start=cold.basis)
+    again = _simplex(cost, supply, demand, start=_BasisTree(m, k, cold.basis))
     assert again.pot.tobytes() == cold.pot.tobytes()
     if integer_mass:
         assert again.warm
@@ -541,11 +552,235 @@ def test_property_simplex_warm_start(seed, m, k, tied, integer_mass, zero_lines)
             assert again.flows.tobytes() == cold.flows.tobytes()
     # Not a spanning tree: a node left out, or a cycle.
     with pytest.raises(BasisError):
-        _simplex(cost, supply, demand, start=cold.basis[:-1])
+        _BasisTree(m, k, cold.basis[:-1])
     if m > 1 and k > 1:
         extra = next(c for c in range(m * k) if c not in cold.basis)
         with pytest.raises(BasisError, match="cycle"):
-            _simplex(cost, supply, demand, start=cold.basis + [extra])
+            _BasisTree(m, k, cold.basis + [extra])
+
+
+# ---------------------------------------------------------------------------
+# the kernel pinned, bit for bit, to the dict-walk tree that in-place pivots
+# replaced
+
+
+class _ReferenceTree:
+    """The basis tree before in-place pivots: dict adjacency, and each pivot
+    re-walks and re-prices the whole detached subtree."""
+
+    def __init__(self, m, k, cells):
+        self.m, self.k = m, k
+        n = m + k
+        self.adj = [{} for _ in range(n)]
+        for cell in cells:
+            i, j = divmod(cell, k)
+            self.adj[i][m + j] = cell
+            self.adj[m + j][i] = cell
+        self.parent = [-1] * n
+        self.edge = [-1] * n
+        self.depth = [0] * n
+        self.order = self._hang(n - 1)
+        if len(self.order) != n - 1:
+            raise BasisError("basic cells do not form a spanning tree", "spanning_tree")
+
+    def _hang(self, top):
+        parent, edge, depth, adj = self.parent, self.edge, self.depth, self.adj
+        hung, seen, stack = [], {top}, [top]
+        while stack:
+            node = stack.pop()
+            for nbr, cell in adj[node].items():
+                if nbr == parent[node]:
+                    continue
+                if nbr in seen:
+                    raise BasisError("basic cells hold a cycle, not a spanning tree", "cycle")
+                seen.add(nbr)
+                parent[nbr], edge[nbr], depth[nbr] = node, cell, depth[node] + 1
+                hung.append(nbr)
+                stack.append(nbr)
+        return hung
+
+    def flows(self, rest, out):
+        edge, parent = self.edge, self.parent
+        for node in reversed(self.order):
+            out[edge[node]] = rest[node]
+            rest[parent[node]] -= rest[node]
+        return out
+
+    def potentials(self, values, pot, nodes):
+        edge, parent = self.edge, self.parent
+        for node in nodes:
+            pot[node] = values[edge[node]] - pot[parent[node]]
+        return pot
+
+    def cycle(self, cell):
+        parent, edge, depth = self.parent, self.edge, self.depth
+        a, b = divmod(cell, self.k)
+        b += self.m
+        up_a, up_b = [], []
+        while depth[a] > depth[b]:
+            up_a.append(edge[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            up_b.append(edge[b])
+            b = parent[b]
+        while a != b:
+            up_a.append(edge[a])
+            a = parent[a]
+            up_b.append(edge[b])
+            b = parent[b]
+        return [cell] + up_a + up_b[::-1]
+
+    def replace_edge(self, leave, enter):
+        m, k, adj = self.m, self.k, self.adj
+        l1, l2 = leave // k, m + leave % k
+        e1, e2 = enter // k, m + enter % k
+        del adj[l1][l2], adj[l2][l1]
+        adj[e1][e2] = adj[e2][e1] = enter
+        cut_child = l1 if self.parent[l1] == l2 else l2
+        node = e1
+        while node != -1 and node != cut_child:
+            node = self.parent[node]
+        top, attach_to = (e1, e2) if node == cut_child else (e2, e1)
+        self.parent[top], self.edge[top] = attach_to, enter
+        self.depth[top] = self.depth[attach_to] + 1
+        return [top] + self._hang(top)
+
+
+def _reference_simplex(cost, supply, demand, tol=1e-10, start=None):
+    """The kernel before in-place pivots: ``start`` is a list of flat cells,
+    and basic cells are masked out of every pricing.  Returns the fields
+    :func:`_run_fields` reads."""
+    m, k = cost.shape
+    total = float(supply.sum())
+    warm = start is not None
+    if warm:
+        tree, basis = _ReferenceTree(m, k, start), start
+        flows = tree.flows(supply.tolist() + demand.tolist(), [0.0] * (m * k))
+        warm = min([flows[c] for c in basis]) >= 0.0
+    if not warm:
+        flows, basis = _least_cost_start(cost, supply, demand)
+        tree = _ReferenceTree(m, k, basis)
+    values = cost.ravel().tolist()
+    pot = tree.potentials(values, np.zeros(m + k), tree.order)
+    in_basis = np.zeros(m * k, dtype=bool)
+    in_basis[basis] = True
+    price_tol = tol * float(np.abs(cost).max())
+    stall = degenerate_pivots = 0
+    stall_limit = m + k + 2
+    bland = False
+    for pivots in range(MAX_PIVOTS):
+        red = (cost - pot[:m, None] - pot[None, m:]).ravel()
+        red[in_basis] = np.inf
+        enter = int(red.argmin())
+        if red[enter] >= -price_tol:
+            flows_np = np.array(flows).reshape(m, k)
+            return SimpleNamespace(
+                flows=flows_np, pot=pot,
+                degenerate=bool(flows_np.ravel()[in_basis].min() < DEGENERATE_RTOL * total),
+                basis=np.flatnonzero(in_basis).tolist(), pivots=pivots,
+                degenerate_pivots=degenerate_pivots, bland=bland, warm=warm)
+        if stall >= stall_limit:
+            enter = int(np.flatnonzero(red < -price_tol)[0])
+            bland = True
+        cycle = tree.cycle(enter)
+        plus, minus = cycle[::2], cycle[1::2]
+        theta = min([flows[c] for c in minus])
+        stall = stall + 1 if theta < 1e-12 * total else 0
+        degenerate_pivots += stall > 0
+        bound = theta + 1e-15 * total
+        leave = min([c for c in minus if flows[c] <= bound])
+        for c in plus:
+            flows[c] += theta
+        for c in minus:
+            flows[c] -= theta
+        flows[leave] = 0.0
+        in_basis[leave] = False
+        in_basis[enter] = True
+        tree.potentials(values, pot, tree.replace_edge(leave, enter))
+    raise CyclingError("simplex exceeded pivot limit")
+
+
+def _run_fields(run):
+    return (run.flows.tobytes(), run.pot.tobytes(), run.degenerate, run.basis, run.pivots,
+            run.degenerate_pivots, run.bland, run.warm)
+
+
+@contextmanager
+def _checked_pivots():
+    """Check, after every pivot, that the tree pivoted in place and its
+    potentials equal a fresh build from the current cells; yield the list
+    of checked pivots."""
+    real, checked = _BasisTree.replace_edge, []
+
+    def replace_edge(tree, leave, enter, values, pot):
+        real(tree, leave, enter, values, pot)
+        fresh = _BasisTree(tree.m, tree.k, sorted(tree.edge[:-1]))
+        assert (tree.parent, tree.edge, tree.depth) == (fresh.parent, fresh.edge, fresh.depth)
+        assert [sorted(kids) for kids in tree.children] == fresh.children
+        again = fresh.potentials(values, np.zeros(tree.m + tree.k), fresh.order)
+        assert pot.tobytes() == again.tobytes()
+        checked.append(enter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BasisTree, "replace_edge", replace_edge)
+        yield checked
+
+
+def _assert_restarts_match(cost, supply, demand, tree, cells):
+    """Restart the kernel from a kept ``tree`` and the reference from its
+    ``cells``; both, and a restart from a fresh build of ``cells``, agree
+    bit for bit.  Returns the kernel's run."""
+    fresh = _simplex(cost, supply, demand, start=_BasisTree(*cost.shape, cells))
+    run = _simplex(cost, supply, demand, start=tree)
+    ref = _reference_simplex(cost, supply, demand, start=cells)
+    assert _run_fields(run) == _run_fields(ref) == _run_fields(fresh)
+    return run
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 6), k=st.integers(1, 6),
+       tied=st.booleans(), integer_mass=st.booleans(), zero_lines=st.booleans())
+def test_kernel_is_bit_equal_to_dict_walk_reference(seed, m, k, tied, integer_mass, zero_lines):
+    """Cold runs, then restarts as an SFC pair's later visits make them:
+    cost and masses move, the support stays.  The kernel restarted from
+    the tree it kept equals the reference restarted from the cell list."""
+    rng = np.random.default_rng(seed)
+    cost, supply, demand = _warm_problem(rng, m, k, tied, integer_mass, zero_lines)
+    with _checked_pivots():
+        run = _simplex(cost, supply, demand)
+        assert _run_fields(run) == _run_fields(_reference_simplex(cost, supply, demand))
+        for _ in range(3):
+            if tied:
+                cost = np.where(rng.random((m, k)) < 0.3, rng.integers(0, 3, (m, k)), cost)
+            else:
+                cost = cost + rng.uniform(-0.1, 0.1, (m, k))
+            if not integer_mass:
+                supply = supply * rng.uniform(0.8, 1.2, m)
+                demand = demand * rng.uniform(0.8, 1.2, k)
+                demand *= supply.sum() / demand.sum()
+            run = _assert_restarts_match(cost, supply, demand, run.tree, run.basis)
+    run.tree.relist()
+    assert run.tree.order == _BasisTree(m, k, run.basis).order
+
+
+@pytest.mark.parametrize("n", [16, 25])
+def test_kernel_is_bit_equal_to_reference_through_blands_rule(n):
+    """Equal unit masses on a square grid: restarted from the optimal
+    assignment joined by the dearest cells, every pivot is degenerate, and
+    long runs of them hand the entering choice to Bland's rule."""
+    blands = 0
+    with _checked_pivots() as pivots:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            cost, mass = rng.uniform(0.0, 1.0, (n, n)), np.ones(n)
+            assignment = _simplex(cost, mass, mass).flows.argmax(axis=1)
+            cells = sorted(_spanning_cells(
+                n, n, [i * n + j for i, j in enumerate(assignment.tolist())]
+                + np.argsort(-cost, axis=None, kind="stable").tolist()))
+            run = _assert_restarts_match(cost, mass, mass, _BasisTree(n, n, cells), cells)
+            assert run.warm and run.pivots == run.degenerate_pivots
+            blands += run.bland
+    assert blands > 0 and len(pivots) > 0
 
 
 def test_solver_stats():
