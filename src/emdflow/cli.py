@@ -205,9 +205,9 @@ def cmd_gen(args) -> int:
         cluster_sep=args.sep, background_fraction=args.background_fraction,
         background_scale=args.background_scale, seed=args.seed,
     )
-    col = synth.generate(spec)
     if not args.out:
         raise ValueError("gen requires --out")
+    col = synth.generate(spec)
     manifest = tensor_io.save_collection(col, args.out)
     print(f"wrote {len(col.sets)} sets to {manifest}")
     return 0
@@ -431,8 +431,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.tol is not None and not args.tol > 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if args.tol is not None and not 0 < args.tol < float("inf"):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return 1
     if args.tol is not None and args.command not in ("solve", "gradcheck"):
         print("error: --tol is honoured only by solve and gradcheck", file=sys.stderr)

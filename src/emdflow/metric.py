@@ -8,7 +8,7 @@ and multi-scale pyramids).
 
 Public entry points (:func:`emd_similarity`, :func:`pair_similarity`,
 :func:`similarity_node_grads`) certify their solve; batched paths never do
-for the simplex, whose kernel solves each pair's mass support.
+for the simplex, which solves each pair's mass support as solve_simplex does.
 :func:`similarity_matrix` and :func:`best_match` share one Q x R forward
 (:func:`_pair_blocks`): the references are stacked once per call and each
 query's unit rows and mean are taken once, then each pair gets its own cost
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor_io import DenseTensor
-from .transport import TransportProblem, _simplex, check_masses, solve
+from .transport import TransportProblem, _solve_support, check_masses, solve
 from .diff import envelope_grads
 from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
@@ -228,18 +228,14 @@ def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
 def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
     """:func:`emd_similarity` of one checked block, bit for bit.
 
-    The simplex kernel solves the mass support, and its flows are scattered
-    into the full block as :func:`~emdflow.transport.solve_simplex` does;
-    no certificate is built.  Other solvers go through :func:`solve`.
+    The simplex solves the mass support as ``solve_simplex`` does, with no
+    certificate (``transport._solve_support``); others go through :func:`solve`.
     """
-    if solver != "simplex":
-        flows = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver).flows
-    else:
-        rows, cols = supply > 0, demand > 0
-        kept = rows[:, None] & cols
+    if solver == "simplex":
         flows = np.zeros(cost.shape)
-        flows[kept] = _simplex(cost[kept].reshape(np.count_nonzero(rows), -1),
-                               supply[rows], demand[cols]).flows.ravel()
+        _solve_support(cost, supply, demand, flows)
+    else:
+        flows = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver).flows
     return float(np.sum((1.0 - cost) * flows))
 
 
@@ -381,27 +377,19 @@ class _Pairs:
 
 
 class _WarmStarts:
-    """Last simplex basis tree of each (key, member) pair, with solve counts.
-
-    A tree is offered again, and pivoted in place by the next solve, only
-    while the pair's mass support, the rows and columns its subproblem
-    keeps, is unchanged.
-    """
+    """Each (key, member) pair's last ``transport._solve_support`` result, and solve counts."""
 
     def __init__(self):
-        self.trees = {}
+        self.last = {}
         self.solves = self.pivots = self.warm = 0
 
-    def solve(self, key, cost, supply, demand, rows, cols):
-        support = (rows.tobytes(), cols.tobytes())
-        last = self.trees.get(key)
-        run = _simplex(cost, supply, demand,
-                       start=last[1] if last is not None and last[0] == support else None)
-        self.trees[key] = (support, run.tree)
+    def solve(self, key, cost, supply, demand, out):
+        result = self.last[key] = _solve_support(cost, supply, demand, out, last=self.last.get(key))
+        run = result[0]
         self.solves += 1
         self.pivots += run.pivots
         self.warm += run.warm
-        return run
+        return result
 
 
 def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _WarmStarts,
@@ -413,8 +401,8 @@ def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _Wa
     d_supply and d_demand, in :class:`_Pairs`' layout: the pairs' flows and
     potentials are written into that layout and
     :func:`~emdflow.diff.envelope_grads` is applied once to the stack.
-    Pairs are solved in x-member order.  The simplex kernel solves each
-    pair on its mass support, restarted through ``warm`` from the basis
+    Pairs are solved in x-member order.  The simplex solves each pair's
+    mass support into the stack, restarted through ``warm`` from the basis
     tree that (``keys[p]``, g) last ended on, so an x member that appears
     twice restarts its second visit from its first; a zero-mass node gets
     zero gradients.  The gradient is gauge-invariant after the weight
@@ -429,16 +417,14 @@ def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _Wa
             supply, demand = pairs.w_x[g, xa:xb], pairs.w_y[p, ya:yb]
             cost = pairs.cost[xa:xb, ya:yb]
             if solver == "simplex":
-                rows, cols = supply.nonzero()[0], demand.nonzero()[0]
-                cost = cost[rows[:, None], cols]
-                run = warm.solve((keys[p], g), cost, supply[rows], demand[cols], rows, cols)
+                run, rows, cols, cost = warm.solve((keys[p], g), cost, supply, demand,
+                                                   flows[xa:xb, ya:yb])
                 flow, pot = run.flows, run.pot
             else:
-                rows, cols = np.arange(xb - xa), np.arange(yb - ya)
                 sol = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver)
-                flow, pot = sol.flows, sol.duals_eq
+                flows[xa:xb, ya:yb] = flow = sol.flows
+                rows, cols, pot = np.arange(xb - xa), np.arange(yb - ya), sol.duals_eq
             sims[p, g] = float(np.sum((1.0 - cost) * flow))
-            flows[xa:xb, ya:yb][rows[:, None], cols] = flow
             u[g, xa:xb][rows] = pot[:rows.size]
             v[p, ya:yb][cols] = pot[rows.size:]
     env = envelope_grads(1.0, flows, u, v)

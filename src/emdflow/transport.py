@@ -20,10 +20,10 @@ Three routes to the same optimum:
 
 A zero-mass node (the cross-reference ReLU clamps many) carries no flow at
 any optimum; it only adds cells and pivots and makes every optimum
-primal-degenerate.  So the simplex solves the mass support, and the
-interior point's degeneracy test and the flow-Jacobian gate read the basis
-off that support (:func:`_optimal_basis`).  Every solution carries a
-:class:`SolveStats` record of what its solve did.
+primal-degenerate.  So every simplex solve runs on the mass support
+(:func:`_solve_support`), and the interior point's degeneracy test and the
+flow-Jacobian gate read the basis off it (:func:`_optimal_basis`).  Every
+solution carries a :class:`SolveStats` record of what its solve did.
 """
 
 from __future__ import annotations
@@ -99,6 +99,11 @@ def check_masses(supply: np.ndarray, demand: np.ndarray, totals=None) -> None:
             raise UnbalancedProblemError(
                 f"unbalanced problem: total supply {ts} vs total demand {td}"
             )
+
+
+def _check_tol(tol) -> None:
+    if not 0 < tol < np.inf:  # nan fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -198,13 +203,13 @@ def reduced_incidence(m: int, k: int) -> np.ndarray:
 
 
 def _complete(cost, rows, cols, u, v):
-    """Fill in, in place, the potentials of the nodes off ``rows`` / ``cols``.
+    """Fill in, in place, the potentials of the nodes off the kept ``rows`` / ``cols``.
 
     Each dropped supplier takes u_i = min over kept j of (c_ij - v_j), then
     each dropped demander v_j = min over all i of (c_ij - u_i): every reduced
     cost stays >= 0, and each dropped line has a cell where it is 0.
     """
-    drop_r, drop_c = ~rows, ~cols
+    drop_r, drop_c = np.delete(np.arange(u.size), rows), np.delete(np.arange(v.size), cols)
     u[drop_r] = (cost[drop_r][:, cols] - v[cols]).min(axis=1)
     v[drop_c] = (cost[:, drop_c] - u[:, None]).min(axis=0)
 
@@ -430,28 +435,21 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10) -> TransportSolution:
     Entering variable is the most negative reduced cost below
     ``-tol * max|cost|`` (ties by lowest flat index).  After a run of
     degenerate pivots the rule falls back to Bland's lowest-index
-    selection, which guarantees termination.  Zero-mass nodes are dropped
-    before the solve; their potentials are completed after it
-    (:func:`_complete`) and pinned, like all, to the last demand potential 0.
+    selection, which guarantees termination.  It solves the mass support
+    (:func:`_solve_support`); dropped nodes' potentials are completed after
+    it (:func:`_complete`) and pinned, like all, to the last demand potential 0.
     """
+    _check_tol(tol)
     m = p.m
-    if p.supply.all() and p.demand.all():  # masses are >= 0: no zero-mass node
-        run = _simplex(p.cost, p.supply, p.demand, tol)
-        flows, pot = run.flows, run.pot
-    else:
-        rows, cols = p.supply > 0, p.demand > 0
-        kept = rows[:, None] & cols
-        supply, demand = p.supply[rows], p.demand[cols]
-        run = _simplex(p.cost[kept].reshape(supply.size, demand.size),
-                       supply, demand, tol)
-        flows = np.zeros((m, p.k))
-        flows[kept] = run.flows.ravel()
+    flows = np.zeros((m, p.k))
+    run, rows, cols, _ = _solve_support(p.cost, p.supply, p.demand, flows, tol)
+    pot = run.pot
+    if run.flows.shape != flows.shape:  # a zero-mass node was dropped
         pot = np.empty(m + p.k)
-        pot[np.concatenate([rows, cols])] = run.pot
+        pot[np.concatenate([rows, m + cols])] = run.pot
         _complete(p.cost, rows, cols, pot[:m], pot[m:])
-        shift = pot[-1]
-        pot[:m] += shift
-        pot[m:] -= shift
+        pot[:m] += pot[-1]  # pin the last demand potential at 0
+        pot[m:] -= pot[-1]
     return TransportSolution(
         flows=flows,
         objective=float(np.sum(p.cost * flows)),
@@ -462,6 +460,23 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10) -> TransportSolution:
         stats=SolveStats(kept=run.flows.shape, pivots=run.pivots,
                          degenerate_pivots=run.degenerate_pivots, bland=run.bland),
     )
+
+
+def _solve_support(cost, supply, demand, out, tol=1e-10, last=None):
+    """Every simplex solve: :func:`_simplex` on one block's mass support, its
+    flows written into ``out`` (the zeroed block, or a view into a stack).
+
+    The pair's ``last`` result restarts the kernel from its tree while the
+    kept rows and columns are unchanged.  Returns (run, rows, cols, kept
+    cost), the kept lines as index arrays.
+    """
+    rows, cols = supply.nonzero()[0], demand.nonzero()[0]
+    kept = cost.take(rows, 0).take(cols, 1)
+    same = (last is not None and rows.tobytes() == last[1].tobytes()
+            and cols.tobytes() == last[2].tobytes())
+    run = _simplex(kept, supply[rows], demand[cols], tol, last[0].tree if same else None)
+    out[rows[:, None], cols] = run.flows
+    return run, rows, cols, kept
 
 
 class _SimplexRun(NamedTuple):
@@ -569,8 +584,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     taken on the caller's cost.  The reported equality duals are y (marginal
     prices), with the dropped last demand row pinning its potential to 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     m, k = p.m, p.k
     n = m * k
     mass = float(p.supply.sum())

@@ -35,7 +35,7 @@ def test_tracer_patches_and_restores_every_hook_point(monkeypatch):
     before = [_current(owner, key) for owner, key in points]
     rng = np.random.default_rng(0)
     items = [(i, EmbeddingSet(rng.standard_normal((3, 4)))) for i in range(3)]
-    solves = counted_calls(monkeypatch, emdflow.metric, "_simplex")
+    solves = counted_calls(monkeypatch, emdflow.transport, "_simplex")
     with tracer.active():
         assert all(_current(o, k) is not b for (o, k), b in zip(points, before))
         emdflow.retrieval.rank_gallery(items, items)
@@ -55,7 +55,7 @@ def test_traced_1shot_builds_every_cost_and_prunes_solves(monkeypatch):
     ep = emdflow.sample_episode(col, 5, 1, 3, seed=0)
     tracer = Tracer(emdflow)
     costs = counted_calls(monkeypatch, emdflow.metric, "_cosine")
-    solves = counted_calls(monkeypatch, emdflow.metric, "_simplex")
+    solves = counted_calls(monkeypatch, emdflow.transport, "_simplex")
     with tracer.active():
         emdflow.fewshot.classify_1shot(ep)
     pairs = len(ep.query) * ep.n_way

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from emdflow import synth
 from emdflow.cli import main
 from emdflow.tensor_io import DenseTensor, save_tensor
 
@@ -160,6 +161,8 @@ def test_gradcheck_keeps_zero_masses(tmp_path, capsys, mode):
     ["--tol", "-1", "bench", "--sizes", "2", "--dims", "4", "--repeats", "1"],
     ["episodes", "--collection", "missing.tsv", "--tol", "0"],
     ["--tol", "nan", "gradcheck"],
+    ["--tol", "inf", "gradcheck"],
+    ["--solver", "ipm", "--tol", "inf", "gradcheck"],
 ])
 def test_tol_validated_for_every_subcommand(argv, capsys):
     assert main(argv) == 1
@@ -183,6 +186,14 @@ def test_tol_accepted_by_solve_and_gradcheck(single_cell, capsys):
     assert main(["solve", single_cell, "--tol", "1e-8"]) == 0
     assert main(["gradcheck", "--tol", "1e-8"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_gen_rejects_missing_out_before_generating(monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("collection generated")
+    monkeypatch.setattr(synth, "generate", refuse)
+    assert main(["gen"]) == 1
+    assert capsys.readouterr().err == "error: gen requires --out\n"
 
 
 def _gen_collection(tmp_path, **overrides):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emdflow import metric
+from emdflow import metric, transport
 from emdflow.fewshot import (
     Episode, InsufficientDataError, _cross_entropy, classify_1shot,
     classify_kshot, episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
@@ -9,6 +9,8 @@ from emdflow.fewshot import (
 from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
                             similarity_matrix, similarity_node_grads)
 from emdflow.synth import SynthSpec, generate
+
+from conftest import counted_calls
 
 
 SEPARABLE = SynthSpec(class_count=6, sets_per_class=10, spatial=(2, 2),
@@ -483,12 +485,12 @@ def test_support_drawn_twice_restarts_from_its_first_visit(monkeypatch):
     ep, _ = _sfc_case("sizes")
     picks = np.random.default_rng(2).integers(0, len(ep.support), size=5).tolist()
     assert picks[1] == picks[3] and picks.count(picks[1]) == 2
-    runs, kernel = [], metric._simplex
+    runs, kernel = [], transport._simplex
 
     def record(*args, **kwargs):
         runs.append(kernel(*args, **kwargs))
         return runs[-1]
-    monkeypatch.setattr(metric, "_simplex", record)
+    monkeypatch.setattr(transport, "_simplex", record)
     fitted = fit_sfc(ep, iterations=1, seed=2)
     assert len(runs) == fitted.solves == 5 * ep.n_way
     for c in range(ep.n_way):
@@ -565,3 +567,60 @@ def test_batched_simplex_paths_build_no_transport_problem(monkeypatch, backgroun
     episode_loss_and_grad(np.eye(sets[0].channels), ep)
     metric.similarity_matrix(sets, sets)
     metric.best_match(sets, sets)
+
+
+def test_kernel_only_ever_sees_the_mass_support(monkeypatch):
+    """Every simplex path hands the kernel the mass support alone.  Each set
+    of the episode has a zero first row, whose cross-reference weight clamps
+    to 0: every kernel call drops it and gets strictly positive supply and
+    demand.  Every output stays byte-equal to its reference, but for the
+    projection step, whose stacked products keep the existing 1e-12 bound."""
+    ep, _ = _sfc_case("zero_rows")
+    sets = [es for _, es in ep.support]
+    calls = counted_calls(monkeypatch, transport, "_simplex")
+
+    def support_only():
+        assert calls
+        for cost, supply, demand, *_ in calls:
+            assert np.all(supply > 0) and np.all(demand > 0)
+            assert cost.shape[0] < sets[0].node_count  # the zero row was dropped
+        calls.clear()
+
+    wa, wb = cross_reference_weights(sets[0], sets[1])
+    assert wa[0] == wb[0] == 0.0
+    p = transport.TransportProblem(cost=metric.cost_matrix(sets[0], sets[1]), supply=wa,
+                                   demand=wb)
+    sol = transport.solve_simplex(p)
+    (cost, supply, demand, *_), = calls
+    run = transport._simplex(cost, supply, demand)
+    rows, cols = wa > 0, wb > 0
+    assert cost.tobytes() == p.cost[rows][:, cols].tobytes()
+    assert sol.flows[rows][:, cols].tobytes() == run.flows.tobytes()
+    assert not sol.flows[~rows].any() and not sol.flows[:, ~cols].any()
+    support_only()
+
+    want = np.array([[metric.pair_similarity(q, r)[0] for r in sets] for q in sets])
+    support_only()
+    assert similarity_matrix(sets, list(sets)).tobytes() == want.tobytes()
+    support_only()
+    index, best = metric.best_match(sets, list(sets))
+    assert index.tolist() == want.argmax(axis=1).tolist()
+    assert best.tobytes() == want.max(axis=1).tobytes()
+    support_only()
+
+    kwargs = {"iterations": 10, "seed": 2, "batch_size": 1}
+    fitted = fit_sfc(ep, **kwargs)
+    support_only()
+    protos, curve, counts = _per_pick_fit_sfc(ep, **kwargs)
+    support_only()
+    assert [p.tobytes() for p in fitted.per_class] == [p.tobytes() for p in protos]
+    assert np.array(fitted.loss_curve).tobytes() == np.array(curve).tobytes()
+    assert (fitted.solves, fitted.pivots, fitted.warm_starts) == counts
+
+    weight = np.eye(6) + 0.05 * np.random.default_rng(4).standard_normal((6, 6))
+    loss, grad = episode_loss_and_grad(weight, ep)
+    support_only()
+    ref_loss, ref_grad = _reference_episode_loss_and_grad(weight, ep)
+    support_only()
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emdflow import metric
+from emdflow import transport
 from emdflow.metric import EmbeddingSet, pair_similarity, similarity_matrix
 from emdflow.retrieval import RetrievalRun, metrics, rank_gallery
 
@@ -127,7 +127,7 @@ def test_ranking_row_validation():
 
 def _counted_solves(monkeypatch):
     """Record every simplex kernel run of the similarity forward."""
-    return counted_calls(monkeypatch, metric, "_simplex")
+    return counted_calls(monkeypatch, transport, "_simplex")
 
 
 def test_self_retrieval_solves_each_pair_once(monkeypatch):

@@ -130,6 +130,16 @@ def test_interior_point_residual_tolerance():
     assert np.allclose(sol.flows.sum(axis=0), p.demand, atol=1e-9)
 
 
+@pytest.mark.parametrize("solver", ["simplex", "ipm"])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
+def test_solver_tol_must_be_finite_and_positive(solver, tol):
+    """An infinite tol stopped both solvers short of the optimum, and nan made
+    the simplex raise IndexError: both are refused up front."""
+    p = random_problem(np.random.default_rng(3), 5, 5)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve(p, solver, tol=tol)
+
+
 def test_iteration_limit_raises():
     rng = np.random.default_rng(5)
     p = random_problem(rng, 4, 4)
