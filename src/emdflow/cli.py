@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import statistics
 import sys
 import time
@@ -425,10 +426,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_float_values(argv):
+    """``--tol -inf`` as ``--tol=-inf``: argparse takes a token that starts
+    with ``-`` for an option unless it looks like ``-1`` or ``-.5``, so
+    ``-inf`` and ``-1e-3`` would never reach the option's own check."""
+    joined = []
+    for token in argv:
+        if (joined and re.fullmatch(r"--[^=]+", joined[-1]) and token.startswith("-")
+                and not re.fullmatch(r"-\d+|-\d*\.\d+", token) and _is_float(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     if args.tol is not None and not 0 < args.tol < float("inf"):

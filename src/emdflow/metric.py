@@ -9,10 +9,12 @@ and multi-scale pyramids).
 Public entry points (:func:`emd_similarity`, :func:`pair_similarity`,
 :func:`similarity_node_grads`) certify their solve; batched paths never do
 for the simplex, which solves each pair's mass support as solve_simplex does.
-:func:`similarity_matrix` and :func:`best_match` share one Q x R forward
-(:func:`_pair_blocks`): the references are stacked once per call and each
-query's unit rows and mean are taken once, then each pair gets its own cost
-block and weights.  Every score is bit-equal to :func:`pair_similarity`.
+:func:`similarity_matrix` and :func:`best_match` stack the queries and the
+references once per call and build a pair's exact forward (:func:`_block`)
+from those stacks: its own cost block and weights, so every score is
+bit-equal to :func:`pair_similarity`.  :func:`best_match` builds it only for
+the pairs it solves; it orders and prunes them by relaxed bounds that one
+stacked product per chunk of queries gives for every pair.
 """
 
 from __future__ import annotations
@@ -30,6 +32,25 @@ from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py 
 # the total mass below the best similarity so far.  It must exceed the
 # rounding of bound and score and the interior point's objective error.
 PRUNE_RTOL = 1e-6
+
+# best_match bounds the queries in consecutive chunks of at most this many
+# stacked cost cells (one query at least), so its memory does not grow with Q.
+# A chunk's forward and bounds hold ~24 bytes of temporaries per cell, so
+# ~6 MiB here; on 400 x 26 sets of 25 x 64 nodes (2-vCPU host) a pair's
+# bound cost about the same at 2^16...2^20 cells and 1.4-1.6x as much
+# unchunked (6.5M cells).
+_BOUND_CELLS = 1 << 18
+
+# The stacked forward's cross-reference weights (matrix products) and a
+# pair's exact ones (matrix-vector products) differ by the dot products'
+# rounding, at most L = 2 C eps sum_i |x_i| |mean| over a side's nodes whose
+# relevance is not negative beyond it (the rest clamp to 0 in both).  That
+# moves the side's weights by at most 2 L / T in L1, T its relevance total,
+# and a relaxed bound by at most 3x as much.  Where a side's T is below this
+# multiple of L (a near-zero relevance may change sign and move all the
+# mass), the move could pass 1% of PRUNE_RTOL, so the pair's bound is +inf:
+# it is always solved.
+_ROUNDING_MARGIN = 1200 / PRUNE_RTOL
 
 
 @dataclass(frozen=True)
@@ -166,17 +187,21 @@ def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str, means=None):
 
     Cross-reference weights score each set against the other's node mean:
     ``means`` (a's, b's) when given, else each set's ``vectors.mean(axis=0)``.
-    Equal weights are uniform and sum to 1.0; given are the sets' own.
+    Equal and given weights do not depend on the partner (:func:`_own_weights`).
     """
     if weighting == "cross_reference":
         mean_a, mean_b = means or (a.vectors.mean(axis=0), b.vectors.mean(axis=0))
         return (_normalize(_relevance(a.vectors, mean_b))[0],
                 _normalize(_relevance(b.vectors, mean_a))[0])
+    return _own_weights(a, weighting), _own_weights(b, weighting)
+
+
+def _own_weights(s: EmbeddingSet, weighting: str) -> np.ndarray:
+    """One set's equal (uniform, summing to 1.0) or given (its own) weights."""
     if weighting == "equal":
-        return (np.full(a.node_count, 1.0 / a.node_count),
-                np.full(b.node_count, 1.0 / b.node_count))
+        return np.full(s.node_count, 1.0 / s.node_count)
     if weighting == "given":
-        return a.weights, b.weights
+        return s.weights
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
@@ -188,41 +213,38 @@ def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_re
     return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
 
 
-def _pair_blocks(queries, refs, weighting: str, skip_diagonal: bool = False,
-                 mirror: bool = False):
-    """Per query i, the pairs it meets: yields (i, js, blocks), where
-    blocks[n] = (cost, query weights, reference weights) for reference js[n].
-
-    The references are stacked once and each query is its own
-    :class:`_Stack`; its own buffer keeps a mirrored (i, i) block off BLAS's
-    syrk path.  Each block is its own product, with the array shapes of
-    :func:`cost_matrix` and :func:`cross_reference_weights`, so it is
-    bit-equal to theirs, as one stacked product would not be.  With
-    ``mirror`` (``refs`` is ``queries``) only the pairs j >= i are built
-    (j > i with ``skip_diagonal``), else every pair but (i, i) with
-    ``skip_diagonal``.  Each query's masses are checked in one batch, as
-    :class:`TransportProblem` checks one pair.
-    """
-    if len(refs) == 0:
-        return
+def _check_sets(queries, refs):
+    """Raise unless every query and reference has the first reference's channels."""
     for r in refs:
         _check_channels(refs[0], r)
-    mats = [r.vectors for r in refs]
-    ys = _Stack(np.concatenate(mats), _starts(mats))
-    spans = [slice(s, e) for s, e in zip(ys.starts, ys.starts[1:])]
-    for i, q in enumerate(queries):
+    for q in queries:
         _check_channels(q, refs[0])
-        x = _Stack(q.vectors)
-        js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
-        blocks = [(_cosine(x.unit, ys.unit[spans[j]])[1],
-                   *_weights(q, refs[j], weighting, (x.means[0], ys.means[j])))
-                  for j in js]
-        if blocks:
-            supplies, demands = [b[1] for b in blocks], [b[2] for b in blocks]
-            check_masses(np.concatenate(supplies), np.concatenate(demands),
-                         totals=([float(w.sum()) for w in supplies],
-                                 [float(w.sum()) for w in demands]))
-        yield i, js, blocks
+
+
+def _stack(sets) -> _Stack:
+    """The node sets stacked by rows, one member each, in a buffer of their own.
+
+    Queries and references are stacked apart even when they are one list: a
+    block of one buffer times itself would take BLAS's syrk path and round
+    differently from :func:`cost_matrix`.
+    """
+    mats = [s.vectors for s in sets]
+    return _Stack(np.concatenate(mats), _starts(mats))
+
+
+def _block(xs: _Stack, p: int, ys: _Stack, g: int, q: EmbeddingSet, r: EmbeddingSet,
+           weighting: str):
+    """Pair (p, g)'s exact forward: (cost, query weights, reference weights).
+
+    ``q`` and ``r`` are members p of ``xs`` and g of ``ys``.  The block is its
+    own product, with the array shapes of :func:`cost_matrix` and
+    :func:`cross_reference_weights`, so it is bit-equal to theirs, as a block
+    of one stacked product would not be; unit rows, norms and node means are
+    per row or per member, so the stacks' serve.
+    """
+    cost = _cosine(xs.unit[xs.starts[p]:xs.starts[p + 1]],
+                   ys.unit[ys.starts[g]:ys.starts[g + 1]])[1]
+    return (cost, *_weights(q, r, weighting, (xs.means[p], ys.means[g])))
 
 
 def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
@@ -248,11 +270,26 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     hold -inf.  When ``refs`` is ``queries`` (the same sequence object) the
     score is symmetric in the pair, so only the pairs j >= i are solved
     (j > i with ``skip_diagonal``) and each result is copied to (j, i).
-    Every entry is bit-equal to :func:`pair_similarity`'s.
+    Every entry is bit-equal to :func:`pair_similarity`'s: each pair gets
+    its exact forward (:func:`_block`), and each query's masses are checked
+    in one batch, as :class:`TransportProblem` checks one pair.
     """
     sim = np.full((len(queries), len(refs)), -np.inf)
+    if len(refs) == 0:
+        return sim
+    _check_sets(queries, refs)
+    if len(queries) == 0:
+        return sim
     mirror = queries is refs
-    for i, js, blocks in _pair_blocks(queries, refs, weighting, skip_diagonal, mirror):
+    xs, ys = _stack(queries), _stack(refs)
+    for i, q in enumerate(queries):
+        js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
+        blocks = [_block(xs, i, ys, j, q, refs[j], weighting) for j in js]
+        if blocks:
+            supplies, demands = [b[1] for b in blocks], [b[2] for b in blocks]
+            check_masses(np.concatenate(supplies), np.concatenate(demands),
+                         totals=([float(w.sum()) for w in supplies],
+                                 [float(w.sum()) for w in demands]))
         sim[i, js] = [_pair_score(*block, solver) for block in blocks]
     if mirror:
         lower = np.tril_indices(len(refs), -1)
@@ -260,18 +297,87 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     return sim
 
 
-def _similarity_bound(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
-    """Upper bound on the similarity sum((1 - c) * flows), without a solve.
+def _stacked_forward(xs: _Stack, ys: _Stack, queries, refs, weighting: str):
+    """The cost (M x N) and weights of every pair of ``xs`` x ``ys`` in
+    :class:`_Pairs`' layout, w_x (G x M) and w_y (P x N), every pair's
+    masses checked, and a P x G mask of the pairs whose stacked weights may
+    not be the exact forward's (None when none may).
 
-    On the mass support, u_i = min_j c_ij with v = 0 is dual-feasible, so
-    the EMD is at least sum_i a_i min_j c_ij, and likewise with the sides
-    swapped (the relaxed bound of Kusner et al., ICML 2015).  The
-    similarity is the total mass minus the EMD.
+    Cross-reference weights come from :class:`_Pairs`; a pair is masked
+    (:func:`_unsure_side`) when either side's relevance total is below
+    ``_ROUNDING_MARGIN`` times its rounding.  Equal and given weights do not depend on the partner, so they
+    are broadcast rows, checked with the per-pair totals
+    :class:`TransportProblem` would take.
     """
-    rows, cols = supply > 0, demand > 0
-    kept = cost[rows][:, cols]
-    return float(supply.sum()) - max(float(supply[rows] @ kept.min(axis=1)),
-                                     float(demand[cols] @ kept.min(axis=0)))
+    if weighting == "cross_reference":
+        pairs = _Pairs(xs, ys)
+        unsure = _unsure_side(pairs.tot_x.T, xs, ys) | _unsure_side(pairs.tot_y.T, ys, xs).T
+        return pairs.cost, pairs.w_x, pairs.w_y, unsure
+    wq = [_own_weights(q, weighting) for q in queries]
+    wr = [_own_weights(r, weighting) for r in refs]
+    tq, tr = [float(w.sum()) for w in wq], [float(w.sum()) for w in wr]
+    supply, demand = np.concatenate(wq), np.concatenate(wr)
+    check_masses(supply, demand, totals=([t for t in tq for _ in tr], tr * len(tq)))
+    return (_cosine(xs.unit, ys.unit)[1], np.broadcast_to(supply, (len(refs), supply.size)),
+            np.broadcast_to(demand, (len(queries), demand.size)), None)
+
+
+def _unsure_side(total, side: _Stack, partner: _Stack) -> np.ndarray:
+    """Mask over (side member, partner member) of the pairs whose side the
+    stacked and the exact forward may weight apart: its relevance total
+    ``total`` is below ``_ROUNDING_MARGIN`` times the rounding L.  L first
+    counts every node; only the pairs that flags are recounted without the
+    nodes whose relevance is negative beyond rounding."""
+    rounding = 2 * side.vectors.shape[1] * np.finfo(np.float64).eps
+    mean_norms = np.linalg.norm(partner.means, axis=1)
+    unsure = total < _ROUNDING_MARGIN * rounding * np.outer(
+        np.add.reduceat(side.norms, side.starts[:-1]), mean_norms)
+    for p, g in zip(*np.nonzero(unsure)):
+        rows = slice(side.starts[p], side.starts[p + 1])
+        node_rounding = rounding * side.norms[rows] * mean_norms[g]
+        live = side.vectors[rows] @ partner.means[g] >= -node_rounding
+        unsure[p, g] = total[p, g] < _ROUNDING_MARGIN * node_rounding[live].sum()
+    return unsure
+
+
+def _relaxed_bounds(xs: _Stack, ys: _Stack, cost, w_x, w_y, unsure):
+    """Upper bounds on every pair's similarity without a solve, and each
+    pair's total supply: two P x G arrays, from :func:`_stacked_forward`'s
+    output.  The ``unsure`` pairs are bounded by +inf.
+
+    On a pair's mass support, u_i = min_j c_ij with v = 0 is dual-feasible,
+    so the EMD is at least sum_i a_i min_j c_ij, and likewise with the sides
+    swapped (the relaxed bound of Kusner et al., ICML 2015); the similarity
+    is the total supply minus the EMD.  Cells off a pair's support are +inf
+    in its minima and zero-mass lines add 0 to its sums.  The stacked
+    products round differently from a pair's exact forward; away from the
+    ``unsure`` pairs that moves a bound by ~1e-16 of the mass, so the bounds
+    only order and prune (``PRUNE_RTOL``).
+    """
+    x0, y0 = xs.starts[:-1], ys.starts[:-1]
+    row_min = np.minimum.reduceat(
+        np.where(np.repeat(w_y > 0, np.diff(xs.starts), axis=0), cost, np.inf), y0, axis=1)
+    col_min = np.minimum.reduceat(
+        np.where(np.repeat(w_x > 0, np.diff(ys.starts), axis=0).T, cost, np.inf), x0, axis=0)
+    supply = np.add.reduceat(w_x, x0, axis=1).T
+    emd = np.maximum(np.add.reduceat(w_x.T * row_min, x0, axis=0),
+                     np.add.reduceat(w_y * col_min, y0, axis=1))
+    if unsure is not None:
+        emd[unsure] = -np.inf
+    return supply - emd, supply
+
+
+def _chunks(queries, columns: int):
+    """Consecutive (lo, hi) runs of queries whose stacked rows times
+    ``columns`` stay within ``_BOUND_CELLS``, one query at least."""
+    lo = rows = 0
+    for i, q in enumerate(queries):
+        if i > lo and (rows + q.node_count) * columns > _BOUND_CELLS:
+            yield lo, i
+            lo, rows = i, 0
+        rows += q.node_count
+    if lo < len(queries):
+        yield lo, len(queries)
 
 
 def best_match(queries, refs, weighting: str = "cross_reference", solver: str = "simplex"):
@@ -279,28 +385,38 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
 
     Equal to the ``np.argmax`` of each row of :func:`similarity_matrix`,
     exact ties to the lowest index, but solves only the pairs that can
-    still win.  Each pair is bounded without a solve
-    (:func:`_similarity_bound`); pairs are solved in descending bound
-    order, ties by index, until the next bound is more than ``PRUNE_RTOL``
-    of the total mass below the best similarity so far.  Bounds and solves
-    share :func:`similarity_matrix`'s forward, so every pair's masses are
-    checked, solved or not.  Returns (indices, similarities), two arrays of
-    length Q.
+    still win.  The queries are stacked in chunks of at most
+    ``_BOUND_CELLS`` cost cells against all references stacked once; one
+    stacked product per chunk gives every pair's cost and weights, checks
+    every pair's masses and bounds every pair without a solve
+    (:func:`_relaxed_bounds`; +inf where a side's cross-reference relevance
+    total is near its rounding).  Per query, pairs are solved in descending
+    bound order, ties by index, until the next bound is more than
+    ``PRUNE_RTOL`` of the total mass below the best similarity so far.  Only
+    a solved pair gets its exact forward (:func:`_block`), so every
+    similarity is bit-equal to :func:`similarity_matrix`'s.  Returns
+    (indices, similarities), two arrays of length Q.
     """
     if len(refs) == 0:
         raise ValueError("best_match needs at least one reference")
+    _check_sets(queries, refs)
     index, best = np.empty(len(queries), dtype=np.intp), np.empty(len(queries))
-    for i, _, blocks in _pair_blocks(queries, refs, weighting):
-        bounds = np.array([_similarity_bound(*block) for block in blocks])
-        best_j, best_sim = -1, -np.inf
-        for j in np.argsort(-bounds, kind="stable"):
-            cost, wa, wb = blocks[j]
-            if bounds[j] < best_sim - PRUNE_RTOL * float(wa.sum()):
-                break
-            sim = _pair_score(cost, wa, wb, solver)
-            if sim > best_sim or (sim == best_sim and j < best_j):
-                best_j, best_sim = int(j), sim
-        index[i], best[i] = best_j, best_sim
+    ys = _stack(refs)
+    for lo, hi in _chunks(queries, ys.vectors.shape[0]):
+        chunk = queries[lo:hi]
+        xs = _stack(chunk)
+        bounds, supply = _relaxed_bounds(xs, ys, *_stacked_forward(xs, ys, chunk, refs,
+                                                                    weighting))
+        for p, q in enumerate(chunk):
+            bound, mass = bounds[p].tolist(), supply[p].tolist()
+            best_j, best_sim = -1, -np.inf
+            for j in np.argsort(-bounds[p], kind="stable").tolist():
+                if bound[j] < best_sim - PRUNE_RTOL * mass[j]:
+                    break
+                sim = _pair_score(*_block(xs, p, ys, j, q, refs[j], weighting), solver)
+                if sim > best_sim or (sim == best_sim and j < best_j):
+                    best_j, best_sim = j, sim
+            index[lo + p], best[lo + p] = best_j, best_sim
     return index, best
 
 

@@ -45,8 +45,9 @@ def test_tracer_patches_and_restores_every_hook_point(monkeypatch):
 
 
 def test_traced_1shot_builds_every_cost_and_prunes_solves(monkeypatch):
-    """Traced 1-shot scoring builds every pair's cost block, but runs the
-    simplex kernel only on the pairs whose bound can still win."""
+    """Traced 1-shot scoring builds every pair's cost in one stacked product,
+    runs the simplex kernel only on the pairs whose bound can still win, and
+    builds an exact cost block only for those."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -59,5 +60,5 @@ def test_traced_1shot_builds_every_cost_and_prunes_solves(monkeypatch):
     with tracer.active():
         emdflow.fewshot.classify_1shot(ep)
     pairs = len(ep.query) * ep.n_way
-    assert len(costs) == pairs
+    assert len(costs) == 1 + len(solves)
     assert 0 < len(solves) < pairs

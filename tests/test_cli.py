@@ -163,6 +163,9 @@ def test_gradcheck_keeps_zero_masses(tmp_path, capsys, mode):
     ["--tol", "nan", "gradcheck"],
     ["--tol", "inf", "gradcheck"],
     ["--solver", "ipm", "--tol", "inf", "gradcheck"],
+    # -inf and -1e-3 are joined to --tol: argparse would take them for options.
+    ["--tol", "-inf", "gradcheck"], ["gradcheck", "--tol", "-inf"],
+    ["--tol", "-1e-3", "gradcheck"], ["gradcheck", "--tol", "-1e-3"],
 ])
 def test_tol_validated_for_every_subcommand(argv, capsys):
     assert main(argv) == 1
@@ -347,7 +350,8 @@ def test_train(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--temperature", "-0.1"), ("--temperature", "0"),
-                                         ("--lr", "nan"), ("--epochs", "-1")])
+                                         ("--lr", "nan"), ("--epochs", "-1"),
+                                         ("--lr", "-1e-3"), ("--lr", "-inf")])
 def test_train_rejects_settings_that_cannot_train(tmp_path, capsys, flag, value):
     manifest = _gen_collection(tmp_path)
     assert main(["train", "--collection", manifest, flag, value]) == 1

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emdflow
+from emdflow import metric, transport
 from emdflow.metric import (
-    EmbeddingSet, ExtractionConfig, _similarity_bound, _Stack, _weights,
-    best_match, cost_matrix, cross_reference_weights, emd_similarity, extract,
-    extract_pyramid, pair_similarity, similarity_matrix, similarity_node_grads,
+    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _pair_score, _relaxed_bounds, _stack,
+    _stacked_forward, _Stack, _weights, best_match, cost_matrix, cross_reference_weights,
+    emd_similarity, extract, extract_pyramid, pair_similarity, similarity_matrix,
+    similarity_node_grads,
 )
 from emdflow.tensor_io import DenseTensor
 from emdflow.transport import solve_oracle, TransportProblem, UnbalancedProblemError
+
+from conftest import counted_calls
 
 
 def _sets(rng, ma, mb, c):
@@ -130,12 +135,39 @@ def test_property_permutation_invariance(seed):
     assert np.allclose(sol2.flows, sol1.flows[np.ix_(pi, rho)], atol=1e-8)
 
 
+def _pair_bound(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
+    """One pair's relaxed bound from its own forward: the reference for
+    :func:`~emdflow.metric._relaxed_bounds`.
+
+    On the mass support, u_i = min_j c_ij with v = 0 is dual-feasible, so
+    the EMD is at least sum_i a_i min_j c_ij, and likewise with the sides
+    swapped (Kusner et al., ICML 2015).  The similarity is the total mass
+    minus the EMD.
+    """
+    rows, cols = supply > 0, demand > 0
+    kept = cost[rows][:, cols]
+    return float(supply.sum()) - max(float(supply[rows] @ kept.min(axis=1)),
+                                     float(demand[cols] @ kept.min(axis=0)))
+
+
+def _stacked_bounds(queries, refs, weighting):
+    """best_match's bounds and supply totals of every pair, and the P x G mask
+    of the pairs it bounds by +inf (its stacked weights may not be exact)."""
+    xs, ys = _stack(queries), _stack(refs)
+    forward = _stacked_forward(xs, ys, queries, refs, weighting)
+    unsure = forward[-1]
+    if unsure is None:
+        unsure = np.zeros((len(queries), len(refs)), dtype=bool)
+    return (*_relaxed_bounds(xs, ys, *forward), unsure)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
        st.sampled_from(["random", "signed_axes", "copy"]),
        st.sampled_from(["cross_reference", "equal", "given"]), st.integers(-12, 12))
 def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weighting, log_mass):
-    """The relaxed dual bound is never below the solved similarity.
+    """best_match's stacked relaxed bound is never below the solved
+    similarity, and, unless it is +inf, it is the per-pair formula's.
 
     Random vectors leave zero-mass nodes under the cross-reference ReLU;
     signed axis vectors give tied integer costs 0, 1 and 2; ``copy`` makes
@@ -161,7 +193,11 @@ def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weightin
     wa, wb = _weights(q, r, weighting)
     cost = cost_matrix(q, r)
     sim = emd_similarity(q.with_weights(wa), r.with_weights(wb))[0]
-    assert _similarity_bound(cost, wa, wb) >= sim - 1e-12 * wa.sum()
+    bounds, _, unsure = _stacked_bounds([q], [r], weighting)
+    assert bounds[0, 0] >= sim - 1e-12 * wa.sum()
+    assert _pair_bound(cost, wa, wb) >= sim - 1e-12 * wa.sum()
+    assert bounds[0, 0] == np.inf if unsure[0, 0] else (
+        abs(bounds[0, 0] - _pair_bound(cost, wa, wb)) <= 1e-12 * wa.sum())
 
 
 def _argmax_rows(sims):
@@ -198,7 +234,7 @@ def test_best_match_exact_tie_with_a_looser_bound_picks_the_lowest_index():
     query = EmbeddingSet(np.array([e1, -e2]), weights=half)
     refs = [EmbeddingSet(np.array([e3]), weights=np.array([1.0])),
             EmbeddingSet(np.array([e1, e2]), weights=half)]
-    bounds = [_similarity_bound(cost_matrix(query, r), half, r.weights) for r in refs]
+    bounds = _stacked_bounds([query], refs, "given")[0][0]
     assert bounds[1] > bounds[0]
     full = similarity_matrix([query], refs, weighting="given")
     assert full[0, 0] == full[0, 1]
@@ -219,12 +255,21 @@ def test_best_match_checks_every_pair():
         best_match([query], [])
 
 
+def test_best_match_of_no_queries_is_two_empty_arrays():
+    index, best = best_match([], [EmbeddingSet(np.eye(2))])
+    assert index.shape == best.shape == (0,)
+    assert index.dtype == np.intp and best.dtype == np.float64
+
+
 def _forward_sets(rng, edge):
     """Three or four node sets of differing node counts around one direction,
     with the edge case ``edge`` and given weights that each sum to 1.
 
     At 40 channels BLAS rounds x @ x.T (its syrk path) differently from the
-    product of two equal copies, which the forward must not take.
+    product of two equal copies, which the forward must not take.  With
+    ``orthogonal``, set 1 spans only directions orthogonal to every other
+    set's node mean, so its cross-reference relevances are rounding of
+    either sign.
     """
     channels = int(rng.choice([4, 40]))
     direction = rng.standard_normal(channels)
@@ -239,6 +284,11 @@ def _forward_sets(rng, edge):
         weights = rng.random(nodes) * (rng.random(nodes) < 0.7)
         weights[rng.integers(nodes)] += 0.5
         sets.append(EmbeddingSet(vectors, weights=weights / weights.sum()))
+    if edge == "orthogonal":  # set 1's relevance to any other set is rounding
+        others = np.array([s.vectors.mean(axis=0) for g, s in enumerate(sets) if g != 1])
+        span = np.linalg.qr(others.T, mode="complete")[0][:, len(others):]
+        vectors = rng.standard_normal((sets[1].node_count, span.shape[1])) @ span.T
+        sets[1] = EmbeddingSet(vectors, weights=sets[1].weights)
     return sets
 
 
@@ -250,7 +300,7 @@ def _bytes(values):
 @given(seed=st.integers(0, 10_000),
        weighting=st.sampled_from(["cross_reference", "equal", "given"]),
        solver=st.sampled_from(["simplex", "ipm"]),
-       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped"]))
+       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]))
 def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solver, edge):
     """similarity_matrix (mirrored, a distinct list, skip_diagonal) and
     best_match give pair_similarity's similarity byte for byte."""
@@ -281,6 +331,117 @@ def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solve
         want_idx, want_best = _argmax_rows(want)
         assert idx.tolist() == want_idx.tolist()
         assert _bytes(best) == _bytes(want_best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       weighting=st.sampled_from(["cross_reference", "equal", "given"]),
+       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]),
+       log_mass=st.integers(-12, 12))
+def test_property_stacked_bounds_cover_every_pair(seed, weighting, edge, log_mass):
+    """Every stacked bound is at least the pair's similarity, and it (unless
+    it is +inf) and the pair's total supply agree with the per-pair formula,
+    to 1e-12 of the mass.  ``given`` weights are scaled to a total of
+    1e-12...1e12."""
+    sets = _forward_sets(np.random.default_rng(seed), edge)
+    if weighting == "given":
+        sets = [s.with_weights(10.0 ** log_mass * s.weights) for s in sets]
+    queries = sets[:2]
+    bounds, supply, unsure = _stacked_bounds(queries, sets, weighting)
+    assert bounds.shape == supply.shape == (len(queries), len(sets))
+    if edge != "orthogonal":  # clamped sides are no reason to solve
+        assert not unsure.any()
+    for p, q in enumerate(queries):
+        for g, r in enumerate(sets):
+            wa, wb = _weights(q, r, weighting)
+            mass = float(wa.sum())
+            sim = pair_similarity(q, r, weighting=weighting)[0]
+            assert bounds[p, g] >= sim - 1e-12 * mass
+            assert bounds[p, g] == np.inf if unsure[p, g] else (
+                abs(bounds[p, g] - _pair_bound(cost_matrix(q, r), wa, wb)) <= 1e-12 * mass)
+            assert abs(supply[p, g] - mass) <= 1e-12 * mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), solver=st.sampled_from(["simplex", "ipm"]))
+def test_property_near_orthogonal_sets_match_the_argmax(seed, solver):
+    """Where a set's cross-reference relevances are rounding of either sign,
+    the stacked and exact forwards may weight it apart; best_match still
+    gives the argmax of pair_similarity byte for byte, also without the
+    query itself among the references."""
+    sets = _forward_sets(np.random.default_rng(seed), "orthogonal")
+    others = [g for g in range(len(sets)) if g != 1]
+    unsure = _stacked_bounds(sets, sets, "cross_reference")[2]
+    assert unsure[1, others].all() and unsure[others, 1].all()
+    want = np.array([[pair_similarity(q, r, solver=solver)[0] for r in sets] for q in sets])
+    for left_out in range(len(sets)):
+        keep = [g for g in range(len(sets)) if g != left_out]
+        idx, best = best_match(sets, [sets[g] for g in keep], solver=solver)
+        want_idx, want_best = _argmax_rows(want[:, keep])
+        assert idx.tolist() == want_idx.tolist()
+        assert _bytes(best) == _bytes(want_best)
+
+
+@pytest.mark.parametrize("weighting", ["cross_reference", "equal"])
+def test_best_match_one_query_per_chunk_changes_nothing(monkeypatch, weighting):
+    """A cell budget of one stacks each query alone: same bytes, same solves."""
+    rng = np.random.default_rng(12)
+    queries = [EmbeddingSet(rng.standard_normal((int(rng.integers(1, 7)), 5)))
+               for _ in range(7)]
+    refs = [EmbeddingSet(rng.standard_normal((int(rng.integers(1, 7)), 5)))
+            for _ in range(4)]
+    stacked = counted_calls(monkeypatch, metric, "_stacked_forward")
+    solves = counted_calls(monkeypatch, transport, "_simplex")
+    want = best_match(queries, refs, weighting=weighting)
+    assert len(stacked) == 1
+    want_solves = len(solves)
+    monkeypatch.setattr(metric, "_BOUND_CELLS", 1)
+    got = best_match(queries, refs, weighting=weighting)
+    assert len(stacked) == 1 + len(queries)
+    assert len(solves) == 2 * want_solves
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _per_pair_best_match(queries, refs, weighting="cross_reference", solver="simplex"):
+    """best_match as it was with one bound per pair, each from the pair's own
+    exact forward: the reference for the stacked bounds."""
+    index, best = [], []
+    for q in queries:
+        blocks = [(cost_matrix(q, r), *_weights(q, r, weighting)) for r in refs]
+        bounds = np.array([_pair_bound(*block) for block in blocks])
+        best_j, best_sim = -1, -np.inf
+        for j in np.argsort(-bounds, kind="stable"):
+            cost, wa, wb = blocks[j]
+            if bounds[j] < best_sim - PRUNE_RTOL * float(wa.sum()):
+                break
+            sim = _pair_score(cost, wa, wb, solver)
+            if sim > best_sim or (sim == best_sim and j < best_j):
+                best_j, best_sim = int(j), sim
+        index.append(best_j)
+        best.append(best_sim)
+    return np.array(index, dtype=np.intp), np.array(best)
+
+
+def test_stacked_bounds_solve_what_per_pair_bounds_solved(monkeypatch):
+    """On episodes shaped like the benchmark's 1-shot workload (5-way 1-shot,
+    5 x 5 x 64 maps, half background), best_match gives the per-pair-bound
+    reference's index and similarity bytes with as many kernel runs."""
+    col = emdflow.generate(emdflow.SynthSpec(class_count=10, sets_per_class=8, spatial=(5, 5),
+                                             channels=64, background_fraction=0.5, seed=21))
+    solves = counted_calls(monkeypatch, transport, "_simplex")
+    for seed in range(4):
+        ep = emdflow.sample_episode(col, 5, 1, 3, seed=seed)
+        queries = [q for _, q in ep.query]
+        supports = [sets[0] for sets in ep.support_by_class()]
+        want = _per_pair_best_match(queries, supports)
+        want_solves = len(solves)
+        got = best_match(queries, supports)
+        assert len(solves) == 2 * want_solves
+        assert want_solves < len(queries) * len(supports)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        solves.clear()
 
 
 def test_skipped_pair_of_a_distinct_list_is_not_mass_checked():
