@@ -236,6 +236,7 @@ def cmd_episodes(args) -> int:
                args.out, "episodes.csv")
     mean, ci = fewshot.mean_ci95(accs) if accs else (None, None)
     _write_json({"mean": mean, "ci95": ci, "episode_count": len(accs), "method": args.method,
+                 "n_way": args.n_way, "k_shot": args.k_shot, "q_per_class": args.q,
                  "weighting": args.weighting, "solver": args.solver}, args.out, "episodes.json")
     if accs:
         print(f"accuracy {mean:.4f} +/- {ci:.4f} over {len(accs)} episodes")

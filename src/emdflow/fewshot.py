@@ -8,7 +8,8 @@ Each node gradient is one fused step of a stack against a stack, every
 member against every member in one forward and one backward: a minibatch's
 picked supports against all prototypes per :func:`fit_sfc` iteration, an
 episode's queries against its supports in the trainer, with uncertified
-simplex kernel solves: warm-started in the fit, cold in the trainer.
+simplex kernel solves: warm-started in the fit (restarts that need no
+pivot certified in one stacked pass), cold in the trainer.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class SfcPrototypes:
     """Learnable per-class node groups produced by SGD fine-tuning.
 
     ``solves``, ``pivots`` and ``warm_starts`` count the fit's simplex
-    kernel runs, their pivots and the runs that began from a cached basis
-    (all 0 for the other solvers).
+    solves, their pivots and the solves that began from a cached basis (all
+    0 for the other solvers); a certified restart is one warm solve with 0
+    pivots, as the kernel would have run it.
     """
 
     per_class: list
@@ -212,8 +214,10 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     each pick's cross-entropy, summed.  The simplex restarts each (support,
     class) solve from the basis that pair ended on at its last visit, while
     its mass support is unchanged, so a support drawn twice in one iteration
-    restarts its second visit from its first; ``solves``, ``pivots`` and
-    ``warm_starts`` count those kernel runs.
+    restarts its second visit from its first.  Restarts whose kept tree is
+    still optimal are certified in one stacked pass per iteration, bit-equal
+    to the kernel's 0-pivot run; only the other pairs run the kernel.
+    ``solves``, ``pivots`` and ``warm_starts`` count both (:class:`SfcPrototypes`).
     """
     _check_training(learning_rate, temperature, "iterations", iterations, batch_size)
     groups = ep.support_by_class()

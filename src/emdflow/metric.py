@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor_io import DenseTensor
-from .transport import TransportProblem, _solve_support, check_masses, solve
+from .transport import (SIMPLEX_TOL, TransportProblem, _Forest, _solve_support, check_masses,
+                        solve)
 from .diff import envelope_grads
 from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
@@ -493,7 +494,9 @@ class _Pairs:
 
 
 class _WarmStarts:
-    """Each (key, member) pair's last ``transport._solve_support`` result, and solve counts."""
+    """Each (key, member) pair's last ``transport._solve_support`` result, and
+    solve counts; a restart that :func:`_certified_restarts` certifies
+    counts as one warm solve with 0 pivots, as the kernel would run it."""
 
     def __init__(self):
         self.last = {}
@@ -508,6 +511,84 @@ class _WarmStarts:
         return result
 
 
+def _certified_restarts(pairs: _Pairs, xs: _Stack, ys: _Stack, warm: _WarmStarts, keys,
+                        sims, flows, u, v) -> set:
+    """Certify at once the member pairs whose warm restart would end at 0
+    pivots, write their results into :func:`_solve_members`' stacks, and
+    return them as a set of (p, g).
+
+    Candidates have a ``warm.last`` result over the same kept rows and
+    columns, and no earlier pair with their key goes to the kernel.  One
+    :class:`~emdflow.transport._Forest` of their kept trees gives every
+    restart's potentials and basic flows.  A candidate is certified when
+    its basic flows are >= 0 and its kept non-basic cells pass the kernel's
+    stop test (reduced cost >= -SIMPLEX_TOL max|kept cost|).  Its flows,
+    potentials and similarity (summed over its C-contiguous, row-major kept
+    block) are then bit-equal to the kernel's.
+    """
+    cands, blocked = [], set()
+    for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
+        for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
+            key = (keys[p], g)
+            last = warm.last.get(key)
+            if last is not None and key not in blocked:
+                rows, cols = pairs.w_x[g, xa:xb].nonzero()[0], pairs.w_y[p, ya:yb].nonzero()[0]
+                if rows.tobytes() == last[1].tobytes() and cols.tobytes() == last[2].tobytes():
+                    cands.append((p, g, key, last[0].tree, xa + rows, ya + cols))
+                    continue
+            blocked.add(key)
+    if not cands:
+        return set()
+    forest = _Forest([c[3] for c in cands])
+    # Nodes: each candidate's kept rows, then its kept columns, as stack lines.
+    line = np.concatenate([lines for c in cands for lines in c[4:]])
+    m, k = np.array([c[4].size for c in cands]), np.array([c[5].size for c in cands])
+    start, size = forest.offsets[:-1], m + k
+    pair = np.repeat(np.arange(len(cands)), size)
+    member = np.array([c[:2] for c in cands])[pair]  # each node's (p, g)
+    supplier = np.arange(line.size) < np.repeat(start + m, size)
+    # Cells: each candidate's kept block, row-major.
+    count = m * k
+    first = np.cumsum(count) - count
+    t = np.arange(count.sum()) - np.repeat(first, count)
+    row, col = np.divmod(t, np.repeat(k, count))
+    row += np.repeat(start, count)
+    col += np.repeat(start + m, count)
+    cost = pairs.cost[line[row], line[col]]
+    nonroot = np.flatnonzero(forest.edge >= 0)
+    basic = np.repeat(first, size)[nonroot] + forest.edge[nonroot]
+    values = np.zeros(line.size)
+    values[nonroot] = cost[basic]
+    pot = forest.potentials(values)
+    rest = np.empty(line.size)
+    rest[supplier] = pairs.w_x[member[supplier, 1], line[supplier]]
+    rest[~supplier] = pairs.w_y[member[~supplier, 0], line[~supplier]]
+    flow = np.zeros(cost.size)
+    flow[basic] = forest.flows(rest)[nonroot]
+    red = (cost - pot[row]) - pot[col]
+    red[basic] = np.inf
+    passed = ((np.minimum.reduceat(red, first)
+               >= -SIMPLEX_TOL * np.maximum.reduceat(np.abs(cost), first))
+              & (np.minimum.reduceat(flow, first) >= 0.0))
+    product = (1.0 - cost) * flow
+    done, failed = set(), set()
+    for c, ok, a, n in zip(cands, passed.tolist(), first.tolist(), count.tolist()):
+        if ok and c[2] not in failed:
+            sims[c[:2]] = float(product[a:a + n].sum())
+            done.add(c[:2])
+        else:
+            failed.add(c[2])
+    on = np.array([c[:2] in done for c in cands])[pair]
+    cells = basic[on[nonroot]]
+    flows[line[row[cells]], line[col[cells]]] = flow[cells]
+    x, y = on & supplier, on & ~supplier
+    u[member[x, 1], line[x]] = pot[x]
+    v[member[y, 0], line[y]] = pot[y]
+    warm.solves += len(done)
+    warm.warm += len(done)
+    return done
+
+
 def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _WarmStarts,
                    keys):
     """Solve every member pair (p, g); return (sims, flows, d_x, d_y).
@@ -517,19 +598,26 @@ def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _Wa
     d_supply and d_demand, in :class:`_Pairs`' layout: the pairs' flows and
     potentials are written into that layout and
     :func:`~emdflow.diff.envelope_grads` is applied once to the stack.
-    Pairs are solved in x-member order.  The simplex solves each pair's
-    mass support into the stack, restarted through ``warm`` from the basis
-    tree that (``keys[p]``, g) last ended on, so an x member that appears
-    twice restarts its second visit from its first; a zero-mass node gets
-    zero gradients.  The gradient is gauge-invariant after the weight
+    The simplex solves each pair's mass support into the stack, restarted
+    through ``warm`` from the basis tree that (``keys[p]``, g) last ended on,
+    so an x member that appears twice restarts its second visit from its
+    first; a zero-mass node gets zero gradients.  The restarts that would
+    end at 0 pivots are certified first, all in one stacked tree pass
+    (:func:`_certified_restarts`); every other pair runs the kernel, in
+    x-member order.  The gradient is gauge-invariant after the weight
     normalization, so the kernel's own potentials serve and no certificate
     is built.  Other solvers go through :func:`solve` on each pair's block.
+    Every output is bit-equal to running the kernel on every pair.
     """
     sims = np.empty((len(xs.starts) - 1, len(ys.starts) - 1))
     flows = np.zeros(pairs.cost.shape)
     u, v = np.zeros(pairs.w_x.shape), np.zeros(pairs.w_y.shape)
+    done = (_certified_restarts(pairs, xs, ys, warm, keys, sims, flows, u, v)
+            if solver == "simplex" else ())
     for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
         for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
+            if (p, g) in done:
+                continue
             supply, demand = pairs.w_x[g, xa:xb], pairs.w_y[p, ya:yb]
             cost = pairs.cost[xa:xb, ya:yb]
             if solver == "simplex":

@@ -40,6 +40,7 @@ DEGENERATE_RTOL = 1e-9  # basic flows below this share of total mass count as ze
 COMPLEMENTARITY_GATE = 1e-8  # min(x/mass + lambda/max|cost|) at or below this: not strict
 ORACLE_MAX_CELLS = 16
 MAX_PIVOTS = 100_000  # a simplex run past this many pivots raises CyclingError
+SIMPLEX_TOL = 1e-10  # default pricing tolerance: optimal when every reduced cost >= -tol max|cost|
 
 
 class UnbalancedProblemError(ValueError):
@@ -429,7 +430,49 @@ class _BasisTree:
             stack += children[node]
 
 
-def solve_simplex(p: TransportProblem, tol: float = 1e-10) -> TransportSolution:
+class _Forest:
+    """Basis trees numbered one after another (tree t's node i is node
+    ``offsets[t] + i``; ``edge`` is its own flat cell, -1 at a root), for
+    passes that take one numpy step per depth level and are bit-equal to
+    each tree's own.  ``levels`` lists the non-root nodes by depth, then by
+    parent, then by descending node: the order in which
+    :meth:`_BasisTree.flows` after :meth:`_BasisTree.relist` subtracts them.
+    """
+
+    def __init__(self, trees):
+        sizes = [t.m + t.k for t in trees]
+        self.offsets = np.cumsum([0] + sizes)
+        parent, edge, depth = [], [], []
+        for t in trees:
+            parent += t.parent
+            edge += t.edge
+            depth += t.depth
+        n = len(parent)
+        self.parent = np.fromiter(parent, np.intp, n) + np.repeat(self.offsets[:-1], sizes)
+        self.edge, depth = np.fromiter(edge, np.intp, n), np.fromiter(depth, np.intp, n)
+        # One sort key for (depth, parent, descending node); parents and nodes are < n.
+        nodes = np.argsort((depth * n + self.parent) * n - np.arange(n))
+        bounds = np.searchsorted(depth[nodes], np.arange(1, depth.max() + 2))
+        self.levels = [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def potentials(self, values):
+        """Every tree's :meth:`_BasisTree.potentials` from its root (pinned
+        at 0): ``values[n]`` is the value of node n's parent cell."""
+        pot = np.zeros(self.parent.size)
+        for nodes in self.levels:
+            pot[nodes] = values[nodes] - pot[self.parent[nodes]]
+        return pot
+
+    def flows(self, rest):
+        """Every tree's :meth:`_BasisTree.flows` on the node balances
+        ``rest``, in place: afterwards ``rest[n]`` is the flow on node n's
+        parent cell (at a root, what its own balance is left)."""
+        for nodes in reversed(self.levels):
+            np.subtract.at(rest, self.parent[nodes], rest[nodes])
+        return rest
+
+
+def solve_simplex(p: TransportProblem, tol: float = SIMPLEX_TOL) -> TransportSolution:
     """Transportation simplex.
 
     Entering variable is the most negative reduced cost below
@@ -462,7 +505,7 @@ def solve_simplex(p: TransportProblem, tol: float = 1e-10) -> TransportSolution:
     )
 
 
-def _solve_support(cost, supply, demand, out, tol=1e-10, last=None):
+def _solve_support(cost, supply, demand, out, tol=SIMPLEX_TOL, last=None):
     """Every simplex solve: :func:`_simplex` on one block's mass support, its
     flows written into ``out`` (the zeroed block, or a view into a stack).
 
@@ -493,7 +536,7 @@ class _SimplexRun(NamedTuple):
     warm: bool          # the run began from the given ``start``
 
 
-def _simplex(cost, supply, demand, tol=1e-10, start=None):
+def _simplex(cost, supply, demand, tol=SIMPLEX_TOL, start=None):
     """The simplex on arrays; returns a :class:`_SimplexRun`.
 
     ``start`` is an optional start basis: a :class:`_BasisTree` of the same

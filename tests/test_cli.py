@@ -293,6 +293,19 @@ def test_episodes_1shot_takes_weighting(tmp_path):
     assert json.loads((out / "episodes.json").read_text())["episode_count"] == 1
 
 
+def test_episodes_json_records_the_episode_shape(tmp_path):
+    """episodes.json records n_way, k_shot and q_per_class as the CSV rows
+    carry the first two, also when no episode ran."""
+    manifest = _gen_collection(tmp_path, **{"--sets-per-class": "4", "--classes": "3"})
+    for count in ("1", "0"):
+        out = tmp_path / f"eps{count}"
+        assert main(["episodes", "--collection", manifest, "--n-way", "3", "--k-shot", "2",
+                     "--q", "2", "--method", "nn", "--episodes", count, "--out", str(out)]) == 0
+        payload = _strict_json(out / "episodes.json")
+        assert (payload["n_way"], payload["k_shot"], payload["q_per_class"]) == (3, 2, 2)
+        assert payload["episode_count"] == int(count)
+
+
 def test_outputs_record_weighting_and_solver(tmp_path):
     manifest = _gen_collection(tmp_path, **{"--sets-per-class": "3", "--classes": "3"})
     out = tmp_path / "out"

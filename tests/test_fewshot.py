@@ -553,6 +553,36 @@ def test_sfc_counts_its_warm_starts(background_col):
     assert fit_sfc(ep, iterations=2, solver="ipm").solves == 0
 
 
+def test_sfc_counts_certified_restarts_as_warm_solves(monkeypatch, background_col):
+    """Every solve of the fit is a kernel run or a certified restart; from
+    the second iteration on, some restarts skip the kernel.  The trainer's
+    step starts cold, so it has nothing to certify and builds no forest."""
+    ep = sample_episode(background_col, 4, 3, 2, seed=9)
+    calls = counted_calls(monkeypatch, transport, "_simplex")
+    steps, certify = [], metric._certified_restarts
+
+    def record(*args):
+        done = certify(*args)
+        steps.append((len(done), len(calls)))  # before the step's kernel runs
+        return done
+    monkeypatch.setattr(metric, "_certified_restarts", record)
+    fitted = fit_sfc(ep, iterations=3, seed=1)
+    certified = [done for done, _ in steps]
+    kernel = np.diff([before for _, before in steps] + [len(calls)]).tolist()
+    assert len(calls) + sum(certified) == fitted.solves == 3 * 5 * 4
+    assert certified[0] == 0 and kernel[0] == 5 * 4
+    assert all(runs < 5 * 4 for runs in kernel[1:])
+    assert fitted.warm_starts >= sum(certified)
+
+    def refuse(*args):
+        raise AssertionError("stacked tree pass on cold solves")
+    monkeypatch.setattr(metric, "_Forest", refuse)
+    calls.clear()
+    steps.clear()
+    episode_loss_and_grad(np.eye(ep.support[0][1].channels), ep)
+    assert steps == [(0, 0)] and len(calls) == len(ep.query) * ep.n_way
+
+
 def test_batched_simplex_paths_build_no_transport_problem(monkeypatch, background_col):
     """Only the public entry points certify: with the simplex, the SFC fit,
     the trainer's step and both batched forwards never build a TransportProblem."""

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from emdflow.metric import (
     emd_similarity, extract, extract_pyramid, pair_similarity, similarity_matrix,
     similarity_node_grads,
 )
+from emdflow.diff import envelope_grads
 from emdflow.tensor_io import DenseTensor
 from emdflow.transport import solve_oracle, TransportProblem, UnbalancedProblemError
 
@@ -510,6 +513,175 @@ def test_stack_rejects_non_finite_nodes(bad):
         _Stack(vectors, [0, 2, 4])
     with pytest.raises(ValueError, match="non-finite node vector"):
         EmbeddingSet(vectors)
+
+
+# ---------------------------------------------------------------------------
+# the fused step's solves: warm restarts certified in one stacked tree pass
+
+
+def _reference_solve_members(pairs, xs, ys, warm, keys):
+    """_solve_members' simplex path before its restarts were certified in
+    one stacked pass: every pair, in x-member order, runs the kernel."""
+    sims = np.empty((len(xs.starts) - 1, len(ys.starts) - 1))
+    flows = np.zeros(pairs.cost.shape)
+    u, v = np.zeros(pairs.w_x.shape), np.zeros(pairs.w_y.shape)
+    for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
+        for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
+            run, rows, cols, cost = warm.solve((keys[p], g), pairs.cost[xa:xb, ya:yb],
+                                               pairs.w_x[g, xa:xb], pairs.w_y[p, ya:yb],
+                                               flows[xa:xb, ya:yb])
+            sims[p, g] = float(np.sum((1.0 - cost) * run.flows))
+            u[g, xa:xb][rows] = run.pot[:rows.size]
+            v[p, ya:yb][cols] = run.pot[rows.size:]
+    env = envelope_grads(1.0, flows, u, v)
+    return (sims, -env.d_cost, np.where(pairs.w_x > 0, env.d_supply, 0.0),
+            np.where(pairs.w_y > 0, env.d_demand, 0.0))
+
+
+def _member_masses(rng, n, total, integer_mass):
+    """Masses of one side of a pair: ReLU-like zeros, and now and then all
+    mass on one node (a 1 x k or 1 x 1 kept block)."""
+    if rng.random() < 0.25:
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0
+    else:
+        w = rng.integers(0, 4, n).astype(float) if integer_mass else rng.uniform(0.1, 1.0, n)
+        w *= rng.random(n) < 0.7
+        w[rng.integers(n)] += 1.0
+    if integer_mass:  # exact totals: the flows add up exactly
+        return rng.multinomial(total, w / w.sum()).astype(float)
+    return w / w.sum()
+
+
+def _member_iterations(seed, tied, integer_mass, iterations=5):
+    """(pairs, xs, ys, keys) of consecutive fused steps, as an SFC fit makes
+    them: keys pick x sets from a pool with replacement, every (key, member)
+    block keeps its costs and masses but for a step, mostly small, sometimes
+    large enough to pivot, and a block's mass support changes now and then.
+    The first two steps, and half the later ones, repeat the previous
+    step's first key as the last; in half of those steps the two visits
+    differ (the repeat meets the costs of the step before, or other costs,
+    or the first meets another mass support), so a visit that restarts
+    from its step's first may go either way."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(1, 5, int(rng.integers(2, 4))).tolist()
+    sizes_y = rng.integers(1, 5, int(rng.integers(1, 4))).tolist()
+    total = 12
+
+    def costs(shape):
+        return rng.integers(0, 3, shape).astype(float) if tied else rng.uniform(0.0, 2.0, shape)
+
+    def masses(s, g):
+        return (_member_masses(rng, pool[s], total, integer_mass),
+                _member_masses(rng, sizes_y[g], total, integer_mass))
+    blocks = {(s, g): [costs((n, ny)), *masses(s, g)]
+              for s, n in enumerate(pool) for g, ny in enumerate(sizes_y)}
+    earlier = {key: block[0] for key, block in blocks.items()}
+    ys = SimpleNamespace(starts=np.cumsum([0] + sizes_y).tolist())
+    keys = [0]
+    for it in range(iterations):
+        keys = [keys[0]] + rng.integers(0, len(pool), int(rng.integers(1, 4))).tolist()
+        repeat = it < 2 or rng.random() < 0.5
+        if repeat:
+            keys[-1] = keys[0]
+        xs = SimpleNamespace(starts=np.cumsum([0] + [pool[s] for s in keys]).tolist())
+        cost = np.empty((xs.starts[-1], ys.starts[-1]))
+        w_x, w_y = np.zeros((len(sizes_y), cost.shape[0])), np.zeros((len(keys), cost.shape[1]))
+        for p, (s, xa, xb) in enumerate(zip(keys, xs.starts, xs.starts[1:])):
+            for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
+                cost[xa:xb, ya:yb], w_x[g, xa:xb], w_y[p, ya:yb] = blocks[s, g]
+        twin = rng.random()
+        for g, (ya, yb) in enumerate(zip(ys.starts, ys.starts[1:])):
+            if repeat and twin < 0.2:  # the repeat meets the step before's costs
+                cost[xs.starts[-2]:, ya:yb] = earlier[keys[0], g]
+            elif repeat and twin < 0.35:  # the repeat meets other costs
+                cost[xs.starts[-2]:, ya:yb] = costs((pool[keys[0]], yb - ya))
+            elif repeat and twin < 0.5:  # the first visit meets another mass support
+                w_x[g, :xs.starts[1]], w_y[0, ya:yb] = masses(keys[0], g)
+        yield SimpleNamespace(cost=cost, w_x=w_x, w_y=w_y), xs, ys, keys
+        earlier = {key: block[0] for key, block in blocks.items()}
+        step = rng.choice([1e-9, 1e-3, 0.5])  # 1e-9: near the kernel's pricing tolerance
+        for key, block in blocks.items():
+            if tied and step > 1e-9:  # redraw a share of the integer costs
+                block[0] = np.where(rng.random(block[0].shape) < step, costs(block[0].shape),
+                                    block[0])
+            else:
+                block[0] = block[0] + step * rng.standard_normal(block[0].shape)
+            if rng.random() < 0.15:
+                block[1:] = masses(*key)
+            elif not integer_mass:
+                block[1:] = [w * rng.uniform(0.95, 1.05, w.size) for w in block[1:]]
+                block[2] *= block[1].sum() / block[2].sum()
+
+
+def _assert_members_match(stacks, warm, ref):
+    got = metric._solve_members(*stacks[:3], "simplex", warm, stacks[3])
+    want = _reference_solve_members(*stacks[:3], ref, stacks[3])
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert (warm.solves, warm.pivots, warm.warm) == (ref.solves, ref.pivots, ref.warm)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), tied=st.booleans(), integer_mass=st.booleans())
+def test_property_certified_restarts_are_bit_equal_to_the_kernel_loop(seed, tied, integer_mass):
+    """Over consecutive steps, _solve_members (certified restarts, then the
+    kernel for the rest) equals running the kernel on every pair, byte for
+    byte: sims, flows, d_x, d_y, and the solve, pivot and warm counts."""
+    warm, ref = metric._WarmStarts(), metric._WarmStarts()
+    for stacks in _member_iterations(seed, tied, integer_mass):
+        _assert_members_match(stacks, warm, ref)
+
+
+def test_member_iterations_take_both_paths(monkeypatch):
+    """The property test's steps certify restarts, send others to the
+    kernel (some of them pivot), and hand the kernel 1 x 1 and 1 x k blocks."""
+    runs, kernel = [], transport._simplex
+
+    def record(*args, **kwargs):
+        runs.append(kernel(*args, **kwargs))
+        return runs[-1]
+    monkeypatch.setattr(transport, "_simplex", record)
+    certified = 0
+    for seed in range(6):
+        warm, ref = metric._WarmStarts(), metric._WarmStarts()
+        for stacks in _member_iterations(seed, tied=seed % 2 == 0, integer_mass=seed < 3):
+            before = warm.solves
+            kernel_runs = len(runs)
+            metric._solve_members(*stacks[:3], "simplex", warm, stacks[3])
+            certified += warm.solves - before - (len(runs) - kernel_runs)
+    shapes = {run.flows.shape for run in runs}
+    assert certified > 0
+    assert any(run.warm and run.pivots > 0 for run in runs)
+    assert (1, 1) in shapes and any(m == 1 < k for m, k in shapes)
+
+
+def test_certified_restart_is_bit_equal_through_sibling_order_and_layout(monkeypatch):
+    """A pair certified on its second visit writes what the kernel's restart
+    writes.  On its tree supplier 0 hangs three demanders whose balances
+    differ by orders of magnitude, so subtracting them in any order but the
+    kernel's changes its parent flow; its kept rows skip a zero-mass row,
+    and its similarity, summed over the kept block in column-major order,
+    would differ in the last bit."""
+    rng = np.random.default_rng(6)
+    demand = np.array([0.5, 3e-9, 7e-17, 0.2, 0.1])
+    supply = np.array([0.5 + 3e-9 + 7e-17 + 0.15, 0.15])
+    kept = rng.uniform(1.6, 2.0, (2, 5))  # dear cells, then the optimal tree's cheap ones
+    kept.flat[[0, 1, 2, 3, 8, 9]] = rng.uniform(0.0, 0.5, 6)
+    pairs = SimpleNamespace(cost=np.insert(kept, 1, 1.0, axis=0),
+                            w_x=np.insert(supply, 1, 0.0)[None], w_y=demand[None])
+    xs, ys = SimpleNamespace(starts=[0, 3]), SimpleNamespace(starts=[0, 5])
+    calls = counted_calls(monkeypatch, transport, "_simplex")
+    warm, ref = metric._WarmStarts(), metric._WarmStarts()
+    for _ in range(2):
+        _assert_members_match((pairs, xs, ys, [0]), warm, ref)
+    assert len(calls) == 3 and warm.warm == 1  # the kernel: once here, twice for ref
+    tree = warm.last[0, 0][0].tree
+    assert sorted(tree.children[0]) == [2, 3, 4]
+    flows = metric._solve_members(pairs, xs, ys, "simplex", warm, [0])[1]
+    assert flows[0, 3] == supply[0] - demand[2] - demand[1] - demand[0]
+    assert flows[0, 3] != supply[0] - demand[0] - demand[1] - demand[2]
+    block = (1.0 - kept) * flows[[0, 2]]
+    assert np.sum(block) != np.sum(np.asfortranarray(block))
 
 
 def test_extract_fcn_row_major():

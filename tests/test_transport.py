@@ -9,7 +9,7 @@ from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (
     DEGENERATE_RTOL, MAX_PIVOTS, BasisError, CyclingError, InstanceTooLargeError,
     IterationLimitError, TransportProblem, UnbalancedProblemError, reduced_incidence, solve,
-    solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _least_cost_start,
+    solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _Forest, _least_cost_start,
     _optimal_basis, _simplex,
 )
 
@@ -791,6 +791,37 @@ def test_kernel_is_bit_equal_to_reference_through_blands_rule(n):
             assert run.warm and run.pivots == run.degenerate_pivots
             blands += run.bland
     assert blands > 0 and len(pivots) > 0
+
+
+def test_forest_passes_equal_each_trees_relist_then_flows():
+    """One stacked pass over several trees equals each tree's relist() then
+    flows(), and its potentials(), bit for bit.  In the first tree supplier
+    0 hangs three demanders whose balances differ by orders of magnitude,
+    listed out of index order: subtracted in ascending order they would
+    leave a different last bit."""
+    rng = np.random.default_rng(3)
+    demand = np.array([0.5, 3e-9, 7e-17, 0.2, 0.1])
+    supply = np.array([0.5 + 3e-9 + 7e-17 + 0.15, 0.15])
+    ascending = supply[0] - demand[0] - demand[1] - demand[2]
+    assert ascending != supply[0] - demand[2] - demand[1] - demand[0]
+    trees = [_BasisTree(2, 5, [2, 0, 9, 1, 8, 3]), _BasisTree(1, 1, [0]),
+             _BasisTree(3, 4, _random_tree(rng, 3, 4))]
+    assert sorted(trees[0].children[0]) == [2, 3, 4] and trees[0].children[0] != [2, 3, 4]
+    balances = [np.concatenate([supply, demand]), np.array([0.7, 0.7]),
+                rng.uniform(0.0, 1.0, 7) * 10.0 ** rng.integers(-12, 3, 7)]
+    costs = [rng.uniform(0.0, 2.0, (t.m, t.k)) for t in trees]
+    forest = _Forest(trees)
+    flows = forest.flows(np.concatenate(balances))
+    values = np.concatenate([cost.ravel()[t.edge] for t, cost in zip(trees, costs)])
+    pot = forest.potentials(values)
+    for t, rest, cost, a in zip(trees, balances, costs, forest.offsets.tolist()):
+        n = t.m + t.k
+        t.relist()
+        want = t.flows(rest.tolist(), [0.0] * (t.m * t.k))
+        assert [want[e] for e in t.edge[:-1]] == flows[a:a + n - 1].tolist()
+        want = t.potentials(cost.ravel().tolist(), np.zeros(n), t.order)
+        assert want.tobytes() == pot[a:a + n].tobytes()
+    assert flows[0] == supply[0] - demand[2] - demand[1] - demand[0] != ascending
 
 
 def test_solver_stats():
