@@ -327,12 +327,17 @@ def train_projection(train_col: LabeledSetCollection, epochs: int = 20,
                      n_way: int = 5, q_per_class: int = 1,
                      cfg: ExtractionConfig = ExtractionConfig(),
                      out_dim: int = None, solver: str = "simplex") -> ProjectionModel:
-    """Fit the node projection by SGD over sampled 1-shot episodes."""
+    """Fit the node projection by SGD over sampled 1-shot episodes.
+
+    The projection is C x ``out_dim``; ``out_dim`` None keeps the C channels.
+    """
     _check_training(lr, temperature, "epochs", epochs)
+    if out_dim is not None and out_dim < 1:
+        raise ValueError(f"out_dim must be >= 1, got {out_dim}")
     channels = train_col.channels
     if channels is None:
         raise InsufficientDataError("empty collection")
-    out_dim = out_dim or channels
+    out_dim = channels if out_dim is None else out_dim
     rng = np.random.default_rng(seed)
     weight = np.eye(channels, out_dim) + 0.01 * rng.standard_normal((channels, out_dim))
     model = ProjectionModel(weight=weight, temperature=temperature)

@@ -9,12 +9,12 @@ and multi-scale pyramids).
 Public entry points (:func:`emd_similarity`, :func:`pair_similarity`,
 :func:`similarity_node_grads`) certify their solve; batched paths never do
 for the simplex, which solves each pair's mass support as solve_simplex does.
-:func:`similarity_matrix` and :func:`best_match` stack the queries and the
-references once per call and build a pair's exact forward (:func:`_block`)
-from those stacks: its own cost block and weights, so every score is
-bit-equal to :func:`pair_similarity`.  :func:`best_match` builds it only for
-the pairs it solves; it orders and prunes them by relaxed bounds that one
-stacked product per chunk of queries gives for every pair.
+:func:`similarity_matrix` and :func:`best_match` stack the references once
+per call and the queries in chunks.  Every pair's weights are slices of the
+stacked weights, bit-equal to a pair's own (a node's relevance is its own
+dot product); only a solved pair's cost block is its own product, so every
+score is bit-equal to :func:`pair_similarity`.  :func:`best_match` orders
+and prunes the pairs by relaxed bounds from one stacked cost per chunk.
 """
 
 from __future__ import annotations
@@ -34,24 +34,13 @@ from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py 
 # rounding of bound and score and the interior point's objective error.
 PRUNE_RTOL = 1e-6
 
-# best_match bounds the queries in consecutive chunks of at most this many
-# stacked cost cells (one query at least), so its memory does not grow with Q.
-# A chunk's forward and bounds hold ~24 bytes of temporaries per cell, so
-# ~6 MiB here; on 400 x 26 sets of 25 x 64 nodes (2-vCPU host) a pair's
-# bound cost about the same at 2^16...2^20 cells and 1.4-1.6x as much
-# unchunked (6.5M cells).
+# similarity_matrix and best_match stack the queries in consecutive chunks
+# of at most this many query node x reference node cells (one query at
+# least), so their memory does not grow with Q.  best_match's stacked cost
+# and bounds hold ~24 bytes of temporaries per cell, so ~6 MiB here; on
+# 400 x 26 sets of 25 x 64 nodes (2-vCPU host) a pair's bound cost about the
+# same at 2^16...2^20 cells and 1.4-1.6x as much unchunked (6.5M cells).
 _BOUND_CELLS = 1 << 18
-
-# The stacked forward's cross-reference weights (matrix products) and a
-# pair's exact ones (matrix-vector products) differ by the dot products'
-# rounding, at most L = 2 C eps sum_i |x_i| |mean| over a side's nodes whose
-# relevance is not negative beyond it (the rest clamp to 0 in both).  That
-# moves the side's weights by at most 2 L / T in L1, T its relevance total,
-# and a relaxed bound by at most 3x as much.  Where a side's T is below this
-# multiple of L (a near-zero relevance may change sign and move all the
-# mass), the move could pass 1% of PRUNE_RTOL, so the pair's bound is +inf:
-# it is always solved.
-_ROUNDING_MARGIN = 1200 / PRUNE_RTOL
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,9 @@ class ExtractionConfig:
         lo, hi = self.patch_scale_range
         if not (0 < lo <= hi <= 1):
             raise ValueError("patch_scale_range must satisfy 0 < lo <= hi <= 1")
-        if self.context_enlarge < 1:
-            raise ValueError("context_enlarge must be >= 1")
+        if not (np.isfinite(self.context_enlarge) and self.context_enlarge >= 1):
+            raise ValueError(f"context_enlarge must be finite and >= 1, "
+                             f"got {self.context_enlarge}")
         object.__setattr__(self, "pyramid_levels", tuple(self.pyramid_levels))
 
 
@@ -139,12 +129,16 @@ def _cosine(uhat: np.ndarray, vhat: np.ndarray):
     return cos, np.clip(1.0 - cos, 0.0, 2.0)
 
 
-def _relevance(X: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Clamped raw relevance max(x_i . mean, 0) of each row of X.
+def _relevance(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Clamped raw relevance max(x_i . mean, 0) of each row of X (M x C).
 
-    ``mean`` is one mean (C) or a stack of G means (G x C, giving M x G).
+    ``means`` is one mean (C, giving M values) or G means (G x C, giving
+    G x M).  Each value is its own dot product, a batch of 1 x C by C x 1
+    products, so a node's relevance has the same bits whichever rows are
+    stacked with it: a member's stacked weights are bit-equal to its pair's
+    own.  One matrix product would block its sums by the stack's shape.
     """
-    return np.maximum(X @ mean.T, 0.0)
+    return np.maximum(np.matmul(means[..., None, None, :], X[:, :, None])[..., 0, 0], 0.0)
 
 
 def _normalize(raw: np.ndarray):
@@ -183,17 +177,15 @@ def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     return float(np.sum((1.0 - cost) * sol.flows)), sol
 
 
-def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str, means=None):
+def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
     """Both sets' weights under ``weighting`` (cross_reference | equal | given).
 
-    Cross-reference weights score each set against the other's node mean:
-    ``means`` (a's, b's) when given, else each set's ``vectors.mean(axis=0)``.
+    Cross-reference weights score each set against the other's node mean.
     Equal and given weights do not depend on the partner (:func:`_own_weights`).
     """
     if weighting == "cross_reference":
-        mean_a, mean_b = means or (a.vectors.mean(axis=0), b.vectors.mean(axis=0))
-        return (_normalize(_relevance(a.vectors, mean_b))[0],
-                _normalize(_relevance(b.vectors, mean_a))[0])
+        return (_normalize(_relevance(a.vectors, b.vectors.mean(axis=0)))[0],
+                _normalize(_relevance(b.vectors, a.vectors.mean(axis=0)))[0])
     return _own_weights(a, weighting), _own_weights(b, weighting)
 
 
@@ -233,19 +225,15 @@ def _stack(sets) -> _Stack:
     return _Stack(np.concatenate(mats), _starts(mats))
 
 
-def _block(xs: _Stack, p: int, ys: _Stack, g: int, q: EmbeddingSet, r: EmbeddingSet,
-           weighting: str):
-    """Pair (p, g)'s exact forward: (cost, query weights, reference weights).
+def _pair_cost(xs: _Stack, p: int, ys: _Stack, g: int) -> np.ndarray:
+    """Pair (p, g)'s cost block as its own product of the stacks' unit rows.
 
-    ``q`` and ``r`` are members p of ``xs`` and g of ``ys``.  The block is its
-    own product, with the array shapes of :func:`cost_matrix` and
-    :func:`cross_reference_weights`, so it is bit-equal to theirs, as a block
-    of one stacked product would not be; unit rows, norms and node means are
-    per row or per member, so the stacks' serve.
+    It has the array shapes of :func:`cost_matrix`, so it is bit-equal to
+    that, as a block of one stacked product would not be; unit rows are per
+    row, so the stacks' serve.
     """
-    cost = _cosine(xs.unit[xs.starts[p]:xs.starts[p + 1]],
+    return _cosine(xs.unit[xs.starts[p]:xs.starts[p + 1]],
                    ys.unit[ys.starts[g]:ys.starts[g + 1]])[1]
-    return (cost, *_weights(q, r, weighting, (xs.means[p], ys.means[g])))
 
 
 def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
@@ -271,88 +259,76 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     hold -inf.  When ``refs`` is ``queries`` (the same sequence object) the
     score is symmetric in the pair, so only the pairs j >= i are solved
     (j > i with ``skip_diagonal``) and each result is copied to (j, i).
-    Every entry is bit-equal to :func:`pair_similarity`'s: each pair gets
-    its exact forward (:func:`_block`), and each query's masses are checked
-    in one batch, as :class:`TransportProblem` checks one pair.
+    The references are stacked once and the queries in chunks
+    (:func:`_chunks`); a solved pair's weights are slices of the chunk's
+    :func:`_stacked_weights` and its cost is its own block
+    (:func:`_pair_cost`), so every entry is bit-equal to
+    :func:`pair_similarity`'s.  Each query's solved pairs have their masses
+    checked in one batch, as :class:`TransportProblem` checks one pair.
     """
     sim = np.full((len(queries), len(refs)), -np.inf)
     if len(refs) == 0:
         return sim
     _check_sets(queries, refs)
-    if len(queries) == 0:
-        return sim
     mirror = queries is refs
-    xs, ys = _stack(queries), _stack(refs)
-    for i, q in enumerate(queries):
-        js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
-        blocks = [_block(xs, i, ys, j, q, refs[j], weighting) for j in js]
-        if blocks:
-            supplies, demands = [b[1] for b in blocks], [b[2] for b in blocks]
+    ys = _stack(refs)
+    for lo, hi in _chunks(queries, ys.vectors.shape[0]):
+        xs = _stack(queries[lo:hi])
+        w_x, w_y = _stacked_weights(xs, ys, queries[lo:hi], refs, weighting)
+        for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
+            i = lo + p
+            js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
+            if not js:
+                continue
+            supplies = [w_x[j, xa:xb] for j in js]
+            demands = [w_y[p, ys.starts[j]:ys.starts[j + 1]] for j in js]
             check_masses(np.concatenate(supplies), np.concatenate(demands),
                          totals=([float(w.sum()) for w in supplies],
                                  [float(w.sum()) for w in demands]))
-        sim[i, js] = [_pair_score(*block, solver) for block in blocks]
+            sim[i, js] = [_pair_score(_pair_cost(xs, p, ys, j), supply, demand, solver)
+                          for j, supply, demand in zip(js, supplies, demands)]
     if mirror:
         lower = np.tril_indices(len(refs), -1)
         sim[lower] = sim.T[lower]
     return sim
 
 
-def _stacked_forward(xs: _Stack, ys: _Stack, queries, refs, weighting: str):
-    """The cost (M x N) and weights of every pair of ``xs`` x ``ys`` in
-    :class:`_Pairs`' layout, w_x (G x M) and w_y (P x N), every pair's
-    masses checked, and a P x G mask of the pairs whose stacked weights may
-    not be the exact forward's (None when none may).
+def _stacked_weights(xs: _Stack, ys: _Stack, queries, refs, weighting: str):
+    """Every pair's weights in :class:`_Pairs`' layout: w_x (G x M), xs's
+    against each ys member, and w_y (P x N), ys's against each xs member.
 
-    Cross-reference weights come from :class:`_Pairs`; a pair is masked
-    (:func:`_unsure_side`) when either side's relevance total is below
-    ``_ROUNDING_MARGIN`` times its rounding.  Equal and given weights do not depend on the partner, so they
-    are broadcast rows, checked with the per-pair totals
-    :class:`TransportProblem` would take.
+    xs and ys stack ``queries`` and ``refs``.  Pair (p, g)'s slices are
+    bit-equal to :func:`_weights`' of (queries[p], refs[g]): the stacks'
+    node means are the sets' own, :func:`_relevance` is per node and
+    :func:`_normalize_segments` is :func:`_normalize` per member.  Equal and
+    given weights do not depend on the partner, so their rows repeat.
     """
     if weighting == "cross_reference":
-        pairs = _Pairs(xs, ys)
-        unsure = _unsure_side(pairs.tot_x.T, xs, ys) | _unsure_side(pairs.tot_y.T, ys, xs).T
-        return pairs.cost, pairs.w_x, pairs.w_y, unsure
-    wq = [_own_weights(q, weighting) for q in queries]
-    wr = [_own_weights(r, weighting) for r in refs]
-    tq, tr = [float(w.sum()) for w in wq], [float(w.sum()) for w in wr]
-    supply, demand = np.concatenate(wq), np.concatenate(wr)
-    check_masses(supply, demand, totals=([t for t in tq for _ in tr], tr * len(tq)))
-    return (_cosine(xs.unit, ys.unit)[1], np.broadcast_to(supply, (len(refs), supply.size)),
-            np.broadcast_to(demand, (len(queries), demand.size)), None)
+        return (_normalize_segments(_relevance(xs.vectors, ys.means), xs.starts)[0],
+                _normalize_segments(_relevance(ys.vectors, xs.means), ys.starts)[0])
+    return (np.tile(np.concatenate([_own_weights(q, weighting) for q in queries]), (len(refs), 1)),
+            np.tile(np.concatenate([_own_weights(r, weighting) for r in refs]), (len(queries), 1)))
 
 
-def _unsure_side(total, side: _Stack, partner: _Stack) -> np.ndarray:
-    """Mask over (side member, partner member) of the pairs whose side the
-    stacked and the exact forward may weight apart: its relevance total
-    ``total`` is below ``_ROUNDING_MARGIN`` times the rounding L.  L first
-    counts every node; only the pairs that flags are recounted without the
-    nodes whose relevance is negative beyond rounding."""
-    rounding = 2 * side.vectors.shape[1] * np.finfo(np.float64).eps
-    mean_norms = np.linalg.norm(partner.means, axis=1)
-    unsure = total < _ROUNDING_MARGIN * rounding * np.outer(
-        np.add.reduceat(side.norms, side.starts[:-1]), mean_norms)
-    for p, g in zip(*np.nonzero(unsure)):
-        rows = slice(side.starts[p], side.starts[p + 1])
-        node_rounding = rounding * side.norms[rows] * mean_norms[g]
-        live = side.vectors[rows] @ partner.means[g] >= -node_rounding
-        unsure[p, g] = total[p, g] < _ROUNDING_MARGIN * node_rounding[live].sum()
-    return unsure
+def _stacked_forward(xs: _Stack, ys: _Stack, queries, refs, weighting: str):
+    """The stacked cost (M x N) and :func:`_stacked_weights` (w_x, w_y) of
+    every pair of ``xs`` x ``ys``, every pair's masses checked."""
+    w_x, w_y = _stacked_weights(xs, ys, queries, refs, weighting)
+    _check_members(w_x, w_y, xs, ys)
+    return _cosine(xs.unit, ys.unit)[1], w_x, w_y
 
 
-def _relaxed_bounds(xs: _Stack, ys: _Stack, cost, w_x, w_y, unsure):
+def _relaxed_bounds(xs: _Stack, ys: _Stack, cost, w_x, w_y):
     """Upper bounds on every pair's similarity without a solve, and each
     pair's total supply: two P x G arrays, from :func:`_stacked_forward`'s
-    output.  The ``unsure`` pairs are bounded by +inf.
+    output.
 
     On a pair's mass support, u_i = min_j c_ij with v = 0 is dual-feasible,
     so the EMD is at least sum_i a_i min_j c_ij, and likewise with the sides
     swapped (the relaxed bound of Kusner et al., ICML 2015); the similarity
     is the total supply minus the EMD.  Cells off a pair's support are +inf
-    in its minima and zero-mass lines add 0 to its sums.  The stacked
-    products round differently from a pair's exact forward; away from the
-    ``unsure`` pairs that moves a bound by ~1e-16 of the mass, so the bounds
+    in its minima and zero-mass lines add 0 to its sums.  The stacked cost
+    and sums round ~1e-16 of the mass away from a pair's own, so the bounds
     only order and prune (``PRUNE_RTOL``).
     """
     x0, y0 = xs.starts[:-1], ys.starts[:-1]
@@ -363,8 +339,6 @@ def _relaxed_bounds(xs: _Stack, ys: _Stack, cost, w_x, w_y, unsure):
     supply = np.add.reduceat(w_x, x0, axis=1).T
     emd = np.maximum(np.add.reduceat(w_x.T * row_min, x0, axis=0),
                      np.add.reduceat(w_y * col_min, y0, axis=1))
-    if unsure is not None:
-        emd[unsure] = -np.inf
     return supply - emd, supply
 
 
@@ -387,16 +361,16 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     Equal to the ``np.argmax`` of each row of :func:`similarity_matrix`,
     exact ties to the lowest index, but solves only the pairs that can
     still win.  The queries are stacked in chunks of at most
-    ``_BOUND_CELLS`` cost cells against all references stacked once; one
-    stacked product per chunk gives every pair's cost and weights, checks
-    every pair's masses and bounds every pair without a solve
-    (:func:`_relaxed_bounds`; +inf where a side's cross-reference relevance
-    total is near its rounding).  Per query, pairs are solved in descending
-    bound order, ties by index, until the next bound is more than
-    ``PRUNE_RTOL`` of the total mass below the best similarity so far.  Only
-    a solved pair gets its exact forward (:func:`_block`), so every
-    similarity is bit-equal to :func:`similarity_matrix`'s.  Returns
-    (indices, similarities), two arrays of length Q.
+    ``_BOUND_CELLS`` cost cells against all references stacked once; per
+    chunk, :func:`_stacked_forward` gives every pair's cost and weights and
+    checks every pair's masses, and :func:`_relaxed_bounds` bounds every
+    pair without a solve.  Per query, pairs are solved in descending bound
+    order, ties by index, until the next bound is more than ``PRUNE_RTOL``
+    of the total mass below the best similarity so far.  A solved pair's
+    weights are slices of the stacked ones and its cost is its own block
+    (:func:`_pair_cost`), so every similarity is bit-equal to
+    :func:`similarity_matrix`'s.  Returns (indices, similarities), two
+    arrays of length Q.
     """
     if len(refs) == 0:
         raise ValueError("best_match needs at least one reference")
@@ -406,15 +380,16 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     for lo, hi in _chunks(queries, ys.vectors.shape[0]):
         chunk = queries[lo:hi]
         xs = _stack(chunk)
-        bounds, supply = _relaxed_bounds(xs, ys, *_stacked_forward(xs, ys, chunk, refs,
-                                                                    weighting))
-        for p, q in enumerate(chunk):
+        cost, w_x, w_y = _stacked_forward(xs, ys, chunk, refs, weighting)
+        bounds, supply = _relaxed_bounds(xs, ys, cost, w_x, w_y)
+        for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
             bound, mass = bounds[p].tolist(), supply[p].tolist()
             best_j, best_sim = -1, -np.inf
             for j in np.argsort(-bounds[p], kind="stable").tolist():
                 if bound[j] < best_sim - PRUNE_RTOL * mass[j]:
                     break
-                sim = _pair_score(*_block(xs, p, ys, j, q, refs[j], weighting), solver)
+                sim = _pair_score(_pair_cost(xs, p, ys, j), w_x[j, xa:xb],
+                                  w_y[p, ys.starts[j]:ys.starts[j + 1]], solver)
                 if sim > best_sim or (sim == best_sim and j < best_j):
                     best_j, best_sim = j, sim
             index[lo + p], best[lo + p] = best_j, best_sim
@@ -476,21 +451,26 @@ class _Pairs:
     weights against each y member, normalized over each x member's rows,
     with totals ``tot_x`` (G x P); ``w_y`` / ``raw_y`` (P x N) and ``tot_y``
     (P x G) are ys's against each x member.  An all-zero side keeps its
-    uniform fallback.  The masses of all P x G problems are checked at once,
-    as :func:`~emdflow.transport.check_masses` checks one problem.
+    uniform fallback.  The masses of all P x G problems are checked at once
+    (:func:`_check_members`).
     """
 
     __slots__ = ("cos", "cost", "w_x", "raw_x", "tot_x", "w_y", "raw_y", "tot_y")
 
     def __init__(self, xs: _Stack, ys: _Stack):
         self.cos, self.cost = _cosine(xs.unit, ys.unit)
-        self.raw_x = np.ascontiguousarray(_relevance(xs.vectors, ys.means).T)
-        self.raw_y = np.ascontiguousarray(_relevance(ys.vectors, xs.means).T)
+        self.raw_x = _relevance(xs.vectors, ys.means)
+        self.raw_y = _relevance(ys.vectors, xs.means)
         self.w_x, self.tot_x = _normalize_segments(self.raw_x, xs.starts)
         self.w_y, self.tot_y = _normalize_segments(self.raw_y, ys.starts)
-        check_masses(self.w_x, self.w_y,
-                     totals=(_segment_sums(self.w_x, xs.starts).T.ravel().tolist(),
-                             _segment_sums(self.w_y, ys.starts).ravel().tolist()))
+        _check_members(self.w_x, self.w_y, xs, ys)
+
+
+def _check_members(w_x, w_y, xs: _Stack, ys: _Stack):
+    """Check the masses of all P x G member pairs in :class:`_Pairs`' layout
+    at once, as :func:`~emdflow.transport.check_masses` checks one problem."""
+    check_masses(w_x, w_y, totals=(_segment_sums(w_x, xs.starts).T.ravel().tolist(),
+                                   _segment_sums(w_y, ys.starts).ravel().tolist()))
 
 
 class _WarmStarts:
@@ -816,7 +796,9 @@ def extract_pyramid(feature_map, levels) -> EmbeddingSet:
         raise ValueError("pyramid needs at least one level")
     parts = []
     for lv in levels:
-        if lv < 1 or lv > min(h, w):
+        if lv < 1:
+            raise ValueError(f"pyramid levels must be >= 1, got {lv}")
+        if lv > min(h, w):
             raise ValueError(f"pyramid level {lv} exceeds spatial extent {h}x{w}")
         parts.append(_grid_nodes(arr, lv, lv, 1.0))
     return EmbeddingSet(vectors=np.concatenate(parts, axis=0))

@@ -69,9 +69,11 @@ def metrics(run: RetrievalRun):
     """(P@1, R-Precision, MAP@R) averaged over queries.
 
     For each query, R is the number of same-label gallery items (minus the
-    excluded self-match); every query must have R >= 1.  MAP@R sums the
-    precision at the position of each of the first R hits and divides by R.
-    Raises ValueError for a run with no queries.
+    excluded self-match); every query must have R >= 1.  The third value
+    sums the precision at the position of each of the R hits, wherever it
+    ranks, and divides by R: the average precision over all R hits, not the
+    MAP@R of Musgrave et al. (ECCV 2020), which counts only the hits within
+    the top R ranks.  Raises ValueError for a run with no queries.
     """
     if len(run.query_labels) == 0:
         raise ValueError("retrieval metrics need at least one query")

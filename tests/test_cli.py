@@ -267,6 +267,17 @@ def test_episodes_rejects_negative_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("enlarge", ["inf", "nan"])
+def test_episodes_rejects_non_finite_context_enlarge(tmp_path, capsys, enlarge):
+    manifest = _gen_collection(tmp_path)
+    out = tmp_path / "eps"
+    assert main(["episodes", "--collection", manifest, "--strategy", "grid",
+                 "--context-enlarge", enlarge, "--episodes", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: context_enlarge must be finite and >= 1")
+    assert not out.exists()
+
+
 def test_episodes_without_queries_rejected(tmp_path, capsys):
     manifest = _gen_collection(tmp_path)
     assert main(["episodes", "--collection", manifest, "--q", "0"]) == 1

@@ -256,6 +256,16 @@ def test_train_projection_lr_zero_bitwise():
     assert len(m0.loss_curve) == 3
 
 
+@pytest.mark.parametrize("out_dim", [0, -1])
+def test_train_projection_rejects_out_dim_below_one(out_dim):
+    col = generate(SynthSpec(class_count=5, sets_per_class=5, spatial=(2, 2),
+                             channels=6, cluster_sep=4.0, seed=14))
+    with pytest.raises(ValueError, match=f"out_dim must be >= 1, got {out_dim}"):
+        train_projection(col, epochs=1, out_dim=out_dim)
+    assert train_projection(col, epochs=0, out_dim=None).weight.shape == (6, 6)
+    assert train_projection(col, epochs=0, out_dim=3).weight.shape == (6, 3)
+
+
 def test_train_projection_deterministic():
     col = generate(SynthSpec(class_count=5, sets_per_class=5, spatial=(2, 2),
                              channels=6, cluster_sep=4.0, seed=15))

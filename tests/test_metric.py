@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import emdflow
 from emdflow import metric, transport
 from emdflow.metric import (
-    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _pair_score, _relaxed_bounds, _stack,
-    _stacked_forward, _Stack, _weights, best_match, cost_matrix, cross_reference_weights,
-    emd_similarity, extract, extract_pyramid, pair_similarity, similarity_matrix,
-    similarity_node_grads,
+    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _pair_score, _relaxed_bounds, _relevance,
+    _stack, _stacked_forward, _stacked_weights, _Stack, _weights, best_match, cost_matrix,
+    cross_reference_weights, emd_similarity, extract, extract_pyramid, pair_similarity,
+    similarity_matrix, similarity_node_grads,
 )
 from emdflow.diff import envelope_grads
 from emdflow.tensor_io import DenseTensor
@@ -154,14 +154,9 @@ def _pair_bound(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> flo
 
 
 def _stacked_bounds(queries, refs, weighting):
-    """best_match's bounds and supply totals of every pair, and the P x G mask
-    of the pairs it bounds by +inf (its stacked weights may not be exact)."""
+    """best_match's bounds and supply totals of every pair."""
     xs, ys = _stack(queries), _stack(refs)
-    forward = _stacked_forward(xs, ys, queries, refs, weighting)
-    unsure = forward[-1]
-    if unsure is None:
-        unsure = np.zeros((len(queries), len(refs)), dtype=bool)
-    return (*_relaxed_bounds(xs, ys, *forward), unsure)
+    return _relaxed_bounds(xs, ys, *_stacked_forward(xs, ys, queries, refs, weighting))
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,7 +165,7 @@ def _stacked_bounds(queries, refs, weighting):
        st.sampled_from(["cross_reference", "equal", "given"]), st.integers(-12, 12))
 def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weighting, log_mass):
     """best_match's stacked relaxed bound is never below the solved
-    similarity, and, unless it is +inf, it is the per-pair formula's.
+    similarity, and it is the per-pair formula's.
 
     Random vectors leave zero-mass nodes under the cross-reference ReLU;
     signed axis vectors give tied integer costs 0, 1 and 2; ``copy`` makes
@@ -196,11 +191,10 @@ def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weightin
     wa, wb = _weights(q, r, weighting)
     cost = cost_matrix(q, r)
     sim = emd_similarity(q.with_weights(wa), r.with_weights(wb))[0]
-    bounds, _, unsure = _stacked_bounds([q], [r], weighting)
+    bounds, _ = _stacked_bounds([q], [r], weighting)
     assert bounds[0, 0] >= sim - 1e-12 * wa.sum()
     assert _pair_bound(cost, wa, wb) >= sim - 1e-12 * wa.sum()
-    assert bounds[0, 0] == np.inf if unsure[0, 0] else (
-        abs(bounds[0, 0] - _pair_bound(cost, wa, wb)) <= 1e-12 * wa.sum())
+    assert abs(bounds[0, 0] - _pair_bound(cost, wa, wb)) <= 1e-12 * wa.sum()
 
 
 def _argmax_rows(sims):
@@ -299,6 +293,31 @@ def _bytes(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), channels=st.sampled_from([1, 3, 8, 64, 65, 130]),
+       members=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+       mean_count=st.integers(1, 4), log_scale=st.floats(-3, 3))
+def test_property_relevance_does_not_depend_on_the_stack(seed, channels, members,
+                                                         mean_count, log_scale):
+    """_relevance of a stack of node sets against a stack of means is, member
+    by member and mean by mean, byte for byte that member's own relevance
+    against that mean alone, zero rows included: the stacked forward's
+    weights are then every pair's own."""
+    rng = np.random.default_rng(seed)
+    mats = [10.0 ** log_scale * rng.standard_normal((n, channels)) for n in members]
+    for mat in mats:
+        mat[rng.random(len(mat)) < 0.2] = 0.0
+    means = rng.standard_normal((mean_count, channels)) * 10.0 ** rng.uniform(-3, 3, (mean_count, 1))
+    stacked = _relevance(np.concatenate(mats), means)
+    assert stacked.shape == (mean_count, sum(members))
+    start = 0
+    for mat in mats:
+        for g in range(mean_count):
+            alone = _relevance(mat.copy(), means[g].copy())
+            assert _bytes(stacked[g, start:start + len(mat)]) == _bytes(alone)
+        start += len(mat)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000),
        weighting=st.sampled_from(["cross_reference", "equal", "given"]),
@@ -342,26 +361,29 @@ def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solve
        edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]),
        log_mass=st.integers(-12, 12))
 def test_property_stacked_bounds_cover_every_pair(seed, weighting, edge, log_mass):
-    """Every stacked bound is at least the pair's similarity, and it (unless
-    it is +inf) and the pair's total supply agree with the per-pair formula,
-    to 1e-12 of the mass.  ``given`` weights are scaled to a total of
+    """Every pair's slices of the stacked weights are its own weights byte
+    for byte; every stacked bound is at least the pair's similarity, and it
+    and the pair's total supply agree with the per-pair formula, to 1e-12
+    of the mass, also where a set's relevances are rounding
+    (``orthogonal``).  ``given`` weights are scaled to a total of
     1e-12...1e12."""
     sets = _forward_sets(np.random.default_rng(seed), edge)
     if weighting == "given":
         sets = [s.with_weights(10.0 ** log_mass * s.weights) for s in sets]
     queries = sets[:2]
-    bounds, supply, unsure = _stacked_bounds(queries, sets, weighting)
+    bounds, supply = _stacked_bounds(queries, sets, weighting)
     assert bounds.shape == supply.shape == (len(queries), len(sets))
-    if edge != "orthogonal":  # clamped sides are no reason to solve
-        assert not unsure.any()
+    xs, ys = _stack(queries), _stack(sets)
+    w_x, w_y = _stacked_weights(xs, ys, queries, sets, weighting)
     for p, q in enumerate(queries):
         for g, r in enumerate(sets):
             wa, wb = _weights(q, r, weighting)
+            assert _bytes(w_x[g, xs.starts[p]:xs.starts[p + 1]]) == _bytes(wa)
+            assert _bytes(w_y[p, ys.starts[g]:ys.starts[g + 1]]) == _bytes(wb)
             mass = float(wa.sum())
             sim = pair_similarity(q, r, weighting=weighting)[0]
             assert bounds[p, g] >= sim - 1e-12 * mass
-            assert bounds[p, g] == np.inf if unsure[p, g] else (
-                abs(bounds[p, g] - _pair_bound(cost_matrix(q, r), wa, wb)) <= 1e-12 * mass)
+            assert abs(bounds[p, g] - _pair_bound(cost_matrix(q, r), wa, wb)) <= 1e-12 * mass
             assert abs(supply[p, g] - mass) <= 1e-12 * mass
 
 
@@ -369,13 +391,9 @@ def test_property_stacked_bounds_cover_every_pair(seed, weighting, edge, log_mas
 @given(seed=st.integers(0, 10_000), solver=st.sampled_from(["simplex", "ipm"]))
 def test_property_near_orthogonal_sets_match_the_argmax(seed, solver):
     """Where a set's cross-reference relevances are rounding of either sign,
-    the stacked and exact forwards may weight it apart; best_match still
-    gives the argmax of pair_similarity byte for byte, also without the
-    query itself among the references."""
+    best_match still gives the argmax of pair_similarity byte for byte,
+    also without the query itself among the references."""
     sets = _forward_sets(np.random.default_rng(seed), "orthogonal")
-    others = [g for g in range(len(sets)) if g != 1]
-    unsure = _stacked_bounds(sets, sets, "cross_reference")[2]
-    assert unsure[1, others].all() and unsure[others, 1].all()
     want = np.array([[pair_similarity(q, r, solver=solver)[0] for r in sets] for q in sets])
     for left_out in range(len(sets)):
         keep = [g for g in range(len(sets)) if g != left_out]
@@ -765,6 +783,20 @@ def test_pyramid_level_exceeds_extent():
     arr = np.ones((3, 3, 1))
     with pytest.raises(ValueError):
         extract_pyramid(DenseTensor.from_array(arr), [4])
+
+
+@pytest.mark.parametrize("level", [0, -2])
+def test_pyramid_level_below_one_is_named_as_such(level):
+    arr = np.ones((3, 3, 1))
+    with pytest.raises(ValueError, match=f"pyramid levels must be >= 1, got {level}"):
+        extract_pyramid(DenseTensor.from_array(arr), [2, level])
+
+
+@pytest.mark.parametrize("enlarge", [np.inf, np.nan, 0.5])
+def test_extraction_config_rejects_enlarge_that_is_not_finite_and_at_least_one(enlarge):
+    with pytest.raises(ValueError, match="context_enlarge must be finite and >= 1"):
+        ExtractionConfig("grid", context_enlarge=enlarge)
+    assert ExtractionConfig("grid", context_enlarge=1.0).context_enlarge == 1.0
 
 
 def test_cosine_collapse():
