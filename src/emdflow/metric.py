@@ -9,12 +9,14 @@ and multi-scale pyramids).
 Public entry points (:func:`emd_similarity`, :func:`pair_similarity`,
 :func:`similarity_node_grads`) certify their solve; batched paths never do
 for the simplex, which solves each pair's mass support as solve_simplex does.
+Every weight, of one pair or of every pair of two stacks, comes from
+:func:`_side_weights`; a node's relevance is its own dot product, so a
+pair's slice of stacked weights is bit-equal to its own.
 :func:`similarity_matrix` and :func:`best_match` stack the references once
-per call and the queries in chunks.  Every pair's weights are slices of the
-stacked weights, bit-equal to a pair's own (a node's relevance is its own
-dot product); only a solved pair's cost block is its own product, so every
-score is bit-equal to :func:`pair_similarity`.  :func:`best_match` orders
-and prunes the pairs by relaxed bounds from one stacked cost per chunk.
+per call and the queries in chunks; only a solved pair's cost block is its
+own product, so every score is bit-equal to :func:`pair_similarity`.
+:func:`best_match` orders and prunes the pairs by relaxed bounds from one
+stacked forward (:class:`_Pairs`) per chunk.
 """
 
 from __future__ import annotations
@@ -49,14 +51,16 @@ class EmbeddingSet:
 
     ``vectors`` is M x C; ``weights`` is length M and nonnegative.  Fresh
     extractions carry unit weights; call :func:`cross_reference_weights`
-    (or normalize explicitly) before solving.
+    (or normalize explicitly) before solving.  ``vectors`` is kept
+    C-contiguous (a C-ordered float64 input is not copied), so a set's node
+    mean and relevances have the same bits whatever the caller's layout.
     """
 
     vectors: np.ndarray
     weights: np.ndarray = None
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=np.float64)
+        vec = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if vec.ndim != 2 or vec.shape[0] < 1 or vec.shape[1] < 1:
             raise ValueError(f"vectors must be M x C with M,C >= 1, got {vec.shape}")
         if not np.all(np.isfinite(vec)):
@@ -141,12 +145,6 @@ def _relevance(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.maximum(np.matmul(means[..., None, None, :], X[:, :, None])[..., 0, 0], 0.0)
 
 
-def _normalize(raw: np.ndarray):
-    """(raw / sum(raw), sum(raw)); an all-zero side falls back to uniform."""
-    total = raw.sum()
-    return (raw / total if total > 0 else np.full(raw.size, 1.0 / raw.size)), total
-
-
 def cost_matrix(a: EmbeddingSet, b: EmbeddingSet) -> np.ndarray:
     """Cosine ground cost c_ij = 1 - cos(u_i, v_j), in [0, 2].
 
@@ -178,24 +176,10 @@ def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
 
 
 def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
-    """Both sets' weights under ``weighting`` (cross_reference | equal | given).
-
-    Cross-reference weights score each set against the other's node mean.
-    Equal and given weights do not depend on the partner (:func:`_own_weights`).
-    """
-    if weighting == "cross_reference":
-        return (_normalize(_relevance(a.vectors, b.vectors.mean(axis=0)))[0],
-                _normalize(_relevance(b.vectors, a.vectors.mean(axis=0)))[0])
-    return _own_weights(a, weighting), _own_weights(b, weighting)
-
-
-def _own_weights(s: EmbeddingSet, weighting: str) -> np.ndarray:
-    """One set's equal (uniform, summing to 1.0) or given (its own) weights."""
-    if weighting == "equal":
-        return np.full(s.node_count, 1.0 / s.node_count)
-    if weighting == "given":
-        return s.weights
-    raise ValueError(f"unknown weighting {weighting!r}")
+    """Both sets' weights under ``weighting`` (cross_reference | equal | given):
+    :func:`_side_weights` of the 1 x 1 stacks, each side against the other."""
+    xs, ys = _stack([a]), _stack([b])
+    return _side_weights(xs, ys, weighting)[0][0], _side_weights(ys, xs, weighting)[0][0]
 
 
 def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_reference",
@@ -215,14 +199,15 @@ def _check_sets(queries, refs):
 
 
 def _stack(sets) -> _Stack:
-    """The node sets stacked by rows, one member each, in a buffer of their own.
+    """The node sets stacked by rows, one member each, in a buffer of their
+    own, with their own weights (for ``given`` weighting).
 
     Queries and references are stacked apart even when they are one list: a
     block of one buffer times itself would take BLAS's syrk path and round
     differently from :func:`cost_matrix`.
     """
     mats = [s.vectors for s in sets]
-    return _Stack(np.concatenate(mats), _starts(mats))
+    return _Stack(np.concatenate(mats), _starts(mats), np.concatenate([s.weights for s in sets]))
 
 
 def _pair_cost(xs: _Stack, p: int, ys: _Stack, g: int) -> np.ndarray:
@@ -261,10 +246,11 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     (j > i with ``skip_diagonal``) and each result is copied to (j, i).
     The references are stacked once and the queries in chunks
     (:func:`_chunks`); a solved pair's weights are slices of the chunk's
-    :func:`_stacked_weights` and its cost is its own block
-    (:func:`_pair_cost`), so every entry is bit-equal to
-    :func:`pair_similarity`'s.  Each query's solved pairs have their masses
-    checked in one batch, as :class:`TransportProblem` checks one pair.
+    :func:`_side_weights`, taken without the stacked cosine :class:`_Pairs`
+    would add, and its cost is its own block (:func:`_pair_cost`), so every
+    entry is bit-equal to :func:`pair_similarity`'s.  Each query's solved
+    pairs have their masses checked in one batch, as
+    :class:`TransportProblem` checks one pair.
     """
     sim = np.full((len(queries), len(refs)), -np.inf)
     if len(refs) == 0:
@@ -274,7 +260,7 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     ys = _stack(refs)
     for lo, hi in _chunks(queries, ys.vectors.shape[0]):
         xs = _stack(queries[lo:hi])
-        w_x, w_y = _stacked_weights(xs, ys, queries[lo:hi], refs, weighting)
+        w_x, w_y = _side_weights(xs, ys, weighting)[0], _side_weights(ys, xs, weighting)[0]
         for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
             i = lo + p
             js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
@@ -293,35 +279,10 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     return sim
 
 
-def _stacked_weights(xs: _Stack, ys: _Stack, queries, refs, weighting: str):
-    """Every pair's weights in :class:`_Pairs`' layout: w_x (G x M), xs's
-    against each ys member, and w_y (P x N), ys's against each xs member.
-
-    xs and ys stack ``queries`` and ``refs``.  Pair (p, g)'s slices are
-    bit-equal to :func:`_weights`' of (queries[p], refs[g]): the stacks'
-    node means are the sets' own, :func:`_relevance` is per node and
-    :func:`_normalize_segments` is :func:`_normalize` per member.  Equal and
-    given weights do not depend on the partner, so their rows repeat.
-    """
-    if weighting == "cross_reference":
-        return (_normalize_segments(_relevance(xs.vectors, ys.means), xs.starts)[0],
-                _normalize_segments(_relevance(ys.vectors, xs.means), ys.starts)[0])
-    return (np.tile(np.concatenate([_own_weights(q, weighting) for q in queries]), (len(refs), 1)),
-            np.tile(np.concatenate([_own_weights(r, weighting) for r in refs]), (len(queries), 1)))
-
-
-def _stacked_forward(xs: _Stack, ys: _Stack, queries, refs, weighting: str):
-    """The stacked cost (M x N) and :func:`_stacked_weights` (w_x, w_y) of
-    every pair of ``xs`` x ``ys``, every pair's masses checked."""
-    w_x, w_y = _stacked_weights(xs, ys, queries, refs, weighting)
-    _check_members(w_x, w_y, xs, ys)
-    return _cosine(xs.unit, ys.unit)[1], w_x, w_y
-
-
-def _relaxed_bounds(xs: _Stack, ys: _Stack, cost, w_x, w_y):
+def _relaxed_bounds(xs: _Stack, ys: _Stack, pairs: _Pairs):
     """Upper bounds on every pair's similarity without a solve, and each
-    pair's total supply: two P x G arrays, from :func:`_stacked_forward`'s
-    output.
+    pair's total supply: two P x G arrays, from the stacked forward
+    ``pairs`` of xs x ys.
 
     On a pair's mass support, u_i = min_j c_ij with v = 0 is dual-feasible,
     so the EMD is at least sum_i a_i min_j c_ij, and likewise with the sides
@@ -331,6 +292,7 @@ def _relaxed_bounds(xs: _Stack, ys: _Stack, cost, w_x, w_y):
     and sums round ~1e-16 of the mass away from a pair's own, so the bounds
     only order and prune (``PRUNE_RTOL``).
     """
+    cost, w_x, w_y = pairs.cost, pairs.w_x, pairs.w_y
     x0, y0 = xs.starts[:-1], ys.starts[:-1]
     row_min = np.minimum.reduceat(
         np.where(np.repeat(w_y > 0, np.diff(xs.starts), axis=0), cost, np.inf), y0, axis=1)
@@ -362,9 +324,9 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     exact ties to the lowest index, but solves only the pairs that can
     still win.  The queries are stacked in chunks of at most
     ``_BOUND_CELLS`` cost cells against all references stacked once; per
-    chunk, :func:`_stacked_forward` gives every pair's cost and weights and
-    checks every pair's masses, and :func:`_relaxed_bounds` bounds every
-    pair without a solve.  Per query, pairs are solved in descending bound
+    chunk, :class:`_Pairs` gives every pair's cost and weights and checks
+    every pair's masses, and :func:`_relaxed_bounds` bounds every pair
+    without a solve.  Per query, pairs are solved in descending bound
     order, ties by index, until the next bound is more than ``PRUNE_RTOL``
     of the total mass below the best similarity so far.  A solved pair's
     weights are slices of the stacked ones and its cost is its own block
@@ -378,18 +340,17 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     index, best = np.empty(len(queries), dtype=np.intp), np.empty(len(queries))
     ys = _stack(refs)
     for lo, hi in _chunks(queries, ys.vectors.shape[0]):
-        chunk = queries[lo:hi]
-        xs = _stack(chunk)
-        cost, w_x, w_y = _stacked_forward(xs, ys, chunk, refs, weighting)
-        bounds, supply = _relaxed_bounds(xs, ys, cost, w_x, w_y)
+        xs = _stack(queries[lo:hi])
+        pairs = _Pairs(xs, ys, weighting)
+        bounds, supply = _relaxed_bounds(xs, ys, pairs)
         for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
             bound, mass = bounds[p].tolist(), supply[p].tolist()
             best_j, best_sim = -1, -np.inf
             for j in np.argsort(-bounds[p], kind="stable").tolist():
                 if bound[j] < best_sim - PRUNE_RTOL * mass[j]:
                     break
-                sim = _pair_score(_pair_cost(xs, p, ys, j), w_x[j, xa:xb],
-                                  w_y[p, ys.starts[j]:ys.starts[j + 1]], solver)
+                sim = _pair_score(_pair_cost(xs, p, ys, j), pairs.w_x[j, xa:xb],
+                                  pairs.w_y[p, ys.starts[j]:ys.starts[j + 1]], solver)
                 if sim > best_sim or (sim == best_sim and j < best_j):
                     best_j, best_sim = j, sim
             index[lo + p], best[lo + p] = best_j, best_sim
@@ -403,20 +364,22 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
 
 class _Stack:
     """Node matrices stacked by rows, with their unit rows (zero rows stay
-    zero), norms and each member's node mean.
+    zero), norms, each member's node mean and, when given, the members'
+    own node weights (``given`` weighting; else None).
 
     Member g is rows ``starts[g]:starts[g + 1]``, one member unless
     ``starts`` splits them; members may differ in node count.  A non-finite
     entry raises ValueError, as in :class:`EmbeddingSet`.
     """
 
-    __slots__ = ("vectors", "starts", "unit", "norms", "means")
+    __slots__ = ("vectors", "starts", "unit", "norms", "means", "weights")
 
-    def __init__(self, vectors: np.ndarray, starts=None):
+    def __init__(self, vectors: np.ndarray, starts=None, weights=None):
         if not np.all(np.isfinite(vectors)):
             raise ValueError("non-finite node vector")
         self.vectors = vectors
         self.starts = [0, vectors.shape[0]] if starts is None else starts
+        self.weights = weights
         self.unit, self.norms = _unit_rows(vectors)
         self.means = np.array([vectors[s:e].mean(axis=0)
                                for s, e in zip(self.starts, self.starts[1:])])
@@ -434,8 +397,9 @@ def _segment_sums(a: np.ndarray, starts) -> np.ndarray:
 
 
 def _normalize_segments(raw: np.ndarray, starts):
-    """:func:`_normalize` of every last-axis segment of raw, bit for bit:
-    (weights, segment totals), the totals with one entry per segment."""
+    """Every last-axis segment of raw divided by its sum, an all-zero segment
+    falling back to uniform: (weights, segment totals), the totals with one
+    entry per segment."""
     counts = np.diff(starts)
     total = _segment_sums(raw, starts)
     per_node = np.repeat(total, counts, axis=-1)
@@ -443,34 +407,54 @@ def _normalize_segments(raw: np.ndarray, starts):
     return np.where(per_node > 0, raw / np.where(per_node > 0, per_node, 1.0), uniform), total
 
 
+def _side_weights(xs: _Stack, ys: _Stack, weighting: str):
+    """xs's weights against each member of ys under ``weighting``
+    (cross_reference | equal | given): (w, raw, total), w G x M.
+
+    Cross-reference weights are each x member's clamped relevances ``raw``
+    (G x M) to a y member's node mean, divided by their per-member totals
+    ``total`` (G x P), an all-zero member falling back to uniform; row g of
+    member p is bit-equal to the 1 x 1 stacks' (:func:`_relevance` is per
+    node).  Equal and given weights do not depend on the partner, so their
+    rows repeat and raw and total are None.  Call as (ys, xs) for ys's side.
+    """
+    if weighting == "cross_reference":
+        raw = _relevance(xs.vectors, ys.means)
+        w, total = _normalize_segments(raw, xs.starts)
+        return w, raw, total
+    if weighting == "equal":
+        counts = np.diff(xs.starts)
+        own = np.repeat(1.0 / counts, counts)
+    elif weighting == "given":
+        own = xs.weights
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    return np.tile(own, (len(ys.starts) - 1, 1)), None, None
+
+
 class _Pairs:
-    """Every member p of a stack xs against every member g of a stack ys.
+    """Every member p of a stack xs against every member g of a stack ys:
+    the one stacked forward.
 
     ``cos`` and ``cost`` are M x N; pair (p, g) is the block of p's rows and
-    g's columns.  ``w_x`` / ``raw_x`` (G x M) hold xs's cross-reference
-    weights against each y member, normalized over each x member's rows,
-    with totals ``tot_x`` (G x P); ``w_y`` / ``raw_y`` (P x N) and ``tot_y``
-    (P x G) are ys's against each x member.  An all-zero side keeps its
-    uniform fallback.  The masses of all P x G problems are checked at once
-    (:func:`_check_members`).
+    g's columns.  ``w_x`` (G x M) holds xs's weights against each y member,
+    ``w_y`` (P x N) ys's against each x member, both from
+    :func:`_side_weights`; under cross_reference weighting ``raw_x`` /
+    ``tot_x`` (G x M, G x P) and ``raw_y`` / ``tot_y`` (P x N, P x G) are
+    the relevances and per-member totals the backward needs.  The masses of
+    all P x G problems are checked at once, as
+    :func:`~emdflow.transport.check_masses` checks one problem.
     """
 
     __slots__ = ("cos", "cost", "w_x", "raw_x", "tot_x", "w_y", "raw_y", "tot_y")
 
-    def __init__(self, xs: _Stack, ys: _Stack):
+    def __init__(self, xs: _Stack, ys: _Stack, weighting: str = "cross_reference"):
         self.cos, self.cost = _cosine(xs.unit, ys.unit)
-        self.raw_x = _relevance(xs.vectors, ys.means)
-        self.raw_y = _relevance(ys.vectors, xs.means)
-        self.w_x, self.tot_x = _normalize_segments(self.raw_x, xs.starts)
-        self.w_y, self.tot_y = _normalize_segments(self.raw_y, ys.starts)
-        _check_members(self.w_x, self.w_y, xs, ys)
-
-
-def _check_members(w_x, w_y, xs: _Stack, ys: _Stack):
-    """Check the masses of all P x G member pairs in :class:`_Pairs`' layout
-    at once, as :func:`~emdflow.transport.check_masses` checks one problem."""
-    check_masses(w_x, w_y, totals=(_segment_sums(w_x, xs.starts).T.ravel().tolist(),
-                                   _segment_sums(w_y, ys.starts).ravel().tolist()))
+        self.w_x, self.raw_x, self.tot_x = _side_weights(xs, ys, weighting)
+        self.w_y, self.raw_y, self.tot_y = _side_weights(ys, xs, weighting)
+        check_masses(self.w_x, self.w_y,
+                     totals=(_segment_sums(self.w_x, xs.starts).T.ravel().tolist(),
+                             _segment_sums(self.w_y, ys.starts).ravel().tolist()))
 
 
 class _WarmStarts:

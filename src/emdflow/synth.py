@@ -36,8 +36,8 @@ class SynthSpec:
             raise ValueError("spatial extent must be >= 1 in both axes")
         if not (0 <= self.background_fraction < 1):
             raise ValueError("background_fraction must lie in [0, 1)")
-        if self.cluster_sep < 0 or self.background_scale < 0:
-            raise ValueError("cluster_sep and background_scale must be >= 0")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.cluster_sep, self.background_scale)):
+            raise ValueError("cluster_sep and background_scale must be finite and >= 0")
         if self.channels < self.class_count:
             raise ValueError(
                 f"need channels >= class_count for orthogonal class means "

@@ -199,6 +199,17 @@ def test_gen_rejects_missing_out_before_generating(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: gen requires --out\n"
 
 
+@pytest.mark.parametrize("flags", [["--sep", "inf"], ["--sep", "nan"],
+                                   ["--background-scale", "nan", "--background-fraction", "0.5"],
+                                   ["--background-scale", "-inf"]])
+def test_gen_rejects_non_finite_scales(tmp_path, capsys, flags):
+    out = tmp_path / "col"
+    assert main(["gen", "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == (
+        "error: cluster_sep and background_scale must be finite and >= 0\n")
+    assert not out.exists()
+
+
 def _gen_collection(tmp_path, **overrides):
     out = tmp_path / "col"
     args = {"--classes": "5", "--sets-per-class": "6", "--height": "2",

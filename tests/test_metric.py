@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import emdflow
 from emdflow import metric, transport
 from emdflow.metric import (
-    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _pair_score, _relaxed_bounds, _relevance,
-    _stack, _stacked_forward, _stacked_weights, _Stack, _weights, best_match, cost_matrix,
-    cross_reference_weights, emd_similarity, extract, extract_pyramid, pair_similarity,
-    similarity_matrix, similarity_node_grads,
+    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _pair_score, _Pairs, _relaxed_bounds,
+    _relevance, _stack, _Stack, _weights, best_match, cost_matrix, cross_reference_weights,
+    emd_similarity, extract, extract_pyramid, pair_similarity, similarity_matrix,
+    similarity_node_grads,
 )
 from emdflow.diff import envelope_grads
 from emdflow.tensor_io import DenseTensor
@@ -156,7 +156,7 @@ def _pair_bound(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> flo
 def _stacked_bounds(queries, refs, weighting):
     """best_match's bounds and supply totals of every pair."""
     xs, ys = _stack(queries), _stack(refs)
-    return _relaxed_bounds(xs, ys, *_stacked_forward(xs, ys, queries, refs, weighting))
+    return _relaxed_bounds(xs, ys, _Pairs(xs, ys, weighting))
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,7 +266,7 @@ def _forward_sets(rng, edge):
     product of two equal copies, which the forward must not take.  With
     ``orthogonal``, set 1 spans only directions orthogonal to every other
     set's node mean, so its cross-reference relevances are rounding of
-    either sign.
+    either sign.  With ``fortran``, every other set is stored Fortran-ordered.
     """
     channels = int(rng.choice([4, 40]))
     direction = rng.standard_normal(channels)
@@ -286,6 +286,9 @@ def _forward_sets(rng, edge):
         span = np.linalg.qr(others.T, mode="complete")[0][:, len(others):]
         vectors = rng.standard_normal((sets[1].node_count, span.shape[1])) @ span.T
         sets[1] = EmbeddingSet(vectors, weights=sets[1].weights)
+    if edge == "fortran":
+        sets = [EmbeddingSet(np.asfortranarray(s.vectors), weights=s.weights) if g % 2 else s
+                for g, s in enumerate(sets)]
     return sets
 
 
@@ -322,7 +325,8 @@ def test_property_relevance_does_not_depend_on_the_stack(seed, channels, members
 @given(seed=st.integers(0, 10_000),
        weighting=st.sampled_from(["cross_reference", "equal", "given"]),
        solver=st.sampled_from(["simplex", "ipm"]),
-       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]))
+       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal",
+                             "fortran"]))
 def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solver, edge):
     """similarity_matrix (mirrored, a distinct list, skip_diagonal) and
     best_match give pair_similarity's similarity byte for byte."""
@@ -374,7 +378,8 @@ def test_property_stacked_bounds_cover_every_pair(seed, weighting, edge, log_mas
     bounds, supply = _stacked_bounds(queries, sets, weighting)
     assert bounds.shape == supply.shape == (len(queries), len(sets))
     xs, ys = _stack(queries), _stack(sets)
-    w_x, w_y = _stacked_weights(xs, ys, queries, sets, weighting)
+    pairs = _Pairs(xs, ys, weighting)
+    w_x, w_y = pairs.w_x, pairs.w_y
     for p, q in enumerate(queries):
         for g, r in enumerate(sets):
             wa, wb = _weights(q, r, weighting)
@@ -411,7 +416,7 @@ def test_best_match_one_query_per_chunk_changes_nothing(monkeypatch, weighting):
                for _ in range(7)]
     refs = [EmbeddingSet(rng.standard_normal((int(rng.integers(1, 7)), 5)))
             for _ in range(4)]
-    stacked = counted_calls(monkeypatch, metric, "_stacked_forward")
+    stacked = counted_calls(monkeypatch, metric, "_Pairs")
     solves = counted_calls(monkeypatch, transport, "_simplex")
     want = best_match(queries, refs, weighting=weighting)
     assert len(stacked) == 1
@@ -531,6 +536,20 @@ def test_stack_rejects_non_finite_nodes(bad):
         _Stack(vectors, [0, 2, 4])
     with pytest.raises(ValueError, match="non-finite node vector"):
         EmbeddingSet(vectors)
+
+
+def test_fortran_ordered_vectors_score_as_their_c_copy():
+    """EmbeddingSet keeps its vectors C-contiguous (a C-ordered float64 input
+    is not copied), so a Fortran-ordered copy of a set has the same node
+    mean and scores byte for byte as the set."""
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        a, b = _sets(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)),
+                     int(rng.choice([4, 40])))
+        assert EmbeddingSet(a.vectors).vectors is a.vectors
+        fa = EmbeddingSet(np.asfortranarray(a.vectors))
+        assert fa.vectors.flags.c_contiguous
+        assert pair_similarity(fa, b)[0] == pair_similarity(a, b)[0]
 
 
 # ---------------------------------------------------------------------------

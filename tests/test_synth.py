@@ -70,3 +70,7 @@ def test_invalid_specs_rejected():
         SynthSpec(class_count=10, channels=4)
     with pytest.raises(ValueError):
         SynthSpec(spatial=(0, 3))
+    for field in ("cluster_sep", "background_scale"):
+        for value in (np.nan, np.inf, -np.inf, -1.0):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                SynthSpec(**{field: value})
