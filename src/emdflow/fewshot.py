@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_io import LabeledSetCollection
-from .metric import (EmbeddingSet, ExtractionConfig, _fused_step, _Stack, _starts,
-                     _WarmStarts, best_match, extract, similarity_matrix)
+from .metric import (EmbeddingSet, ExtractionConfig, _fused_step, _row_norms, _Stack,
+                     _starts, _WarmStarts, best_match, extract, similarity_matrix)
 from .metric import pair_similarity, similarity_node_grads  # noqa: F401  (kept: perfbench/tracer.py patches them)
 
 KSHOT_METHODS = ("sfc", "nn", "fusion", "merge", "prototype")
@@ -32,10 +32,10 @@ class InsufficientDataError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Optimization produced a non-finite loss."""
+    """Optimization produced a non-finite loss, or a parameter row norm that overflows."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"loss became non-finite at iteration {iteration}")
+        super().__init__(f"training diverged at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -163,10 +163,6 @@ def classify_1shot(ep: Episode, weighting: str = "cross_reference",
     return preds, _accuracy(ep, preds)
 
 
-def _global_mean(es: EmbeddingSet) -> np.ndarray:
-    return es.vectors.mean(axis=0)
-
-
 def _cross_entropy(sims: np.ndarray, labels, temperature: float):
     """Softmax cross-entropy of each row of the P x G sims / temperature
     against its label, the label probability floored at 1e-300, summed in
@@ -243,6 +239,8 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
             raise DivergenceError(it)
         result.loss_curve.append(batch_loss)
         stacked -= learning_rate * grad / batch_size  # the per_class views follow
+        if not np.isfinite(_row_norms(stacked)).all():
+            raise DivergenceError(it)
     result.solves, result.pivots, result.warm_starts = warm.solves, warm.pivots, warm.warm
     return result
 
@@ -251,10 +249,12 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
                    sfc_kwargs: dict = None) -> float:
     """Accuracy of a k-shot classification rule on the episode's queries.
 
-    ``sfc``, ``merge`` and ``nn`` predict the best-matching reference
-    (:func:`~emdflow.metric.best_match`), so they solve only the pairs
-    that can still win; ``fusion`` sums scores and needs all of them.
-    Ties go to the lowest class id.  ``sfc_kwargs`` go to :func:`fit_sfc`
+    ``sfc``, ``merge``, ``nn`` and ``prototype`` predict the best-matching
+    reference (:func:`~emdflow.metric.best_match`), so they solve only the
+    pairs that can still win; ``fusion`` sums scores and needs all of them.
+    ``prototype`` matches one-node sets of global means (a class's is the
+    mean of its supports'), whose EMD is the means' cosine.  Ties go to the
+    lowest class id.  ``sfc_kwargs`` go to :func:`fit_sfc`
     and apply only to ``sfc``; the fit's solver is ``solver``.
     """
     if method not in KSHOT_METHODS:
@@ -266,35 +266,30 @@ def classify_kshot(ep: Episode, method: str = "sfc", solver: str = "simplex",
                          "fits and scores")
     groups = ep.support_by_class()
     queries = [q for _, q in ep.query]
-
-    if method == "sfc":
-        fitted = fit_sfc(ep, solver=solver, **(sfc_kwargs or {}))
-        preds, _ = best_match(queries, [EmbeddingSet(vectors=p) for p in fitted.per_class],
-                              solver=solver)
-    elif method == "merge":
-        merged = [EmbeddingSet(vectors=np.concatenate([es.vectors for es in sets]))
-                  for sets in groups]
-        preds, _ = best_match(queries, merged, solver=solver)
-    elif method == "nn":
-        # The supports are in class order, k_shot each, so the lowest index
-        # among the best supports belongs to the lowest class among the best.
-        best, _ = best_match(queries, [es for sets in groups for es in sets], solver=solver)
-        preds = best // ep.k_shot
-    elif method == "prototype":
-        means = [np.mean([_global_mean(es) for es in sets], axis=0) for sets in groups]
-
-        def score(q, c):
-            qm = _global_mean(q)
-            denom = np.linalg.norm(qm) * np.linalg.norm(means[c])
-            return float(qm @ means[c] / denom) if denom > 0 else 0.0
-        preds = np.argmax([[score(q, c) for c in range(ep.n_way)] for q in queries], axis=1)
-    else:
-        # fusion: total over each class's supports, summed in support order.
+    if method == "fusion":
+        # Total over each class's supports, summed in support order.
         per_support = similarity_matrix(queries, [es for sets in groups for es in sets],
                                         solver=solver)
         splits = np.cumsum([len(sets) for sets in groups])[:-1]
         preds = np.argmax([[sum(part) for part in np.split(row, splits)]
                            for row in per_support], axis=1)
+        return _accuracy(ep, preds)
+    if method == "sfc":
+        fitted = fit_sfc(ep, solver=solver, **(sfc_kwargs or {}))
+        refs = [EmbeddingSet(vectors=p) for p in fitted.per_class]
+    elif method == "merge":
+        refs = [EmbeddingSet(vectors=np.concatenate([es.vectors for es in sets]))
+                for sets in groups]
+    elif method == "nn":
+        refs = [es for sets in groups for es in sets]
+    else:  # prototype
+        queries = [EmbeddingSet(vectors=q.vectors.mean(axis=0)[None]) for q in queries]
+        refs = [EmbeddingSet(vectors=np.mean([es.vectors.mean(axis=0) for es in sets],
+                                             axis=0)[None]) for sets in groups]
+    best, _ = best_match(queries, refs, solver=solver)
+    # nn's supports are in class order, k_shot each, so the lowest index
+    # among the best supports belongs to the lowest class among the best.
+    preds = best // ep.k_shot if method == "nn" else best
     return _accuracy(ep, preds)
 
 
@@ -350,6 +345,8 @@ def train_projection(train_col: LabeledSetCollection, epochs: int = 20,
         model.loss_curve.append(loss)
         if lr != 0.0:
             model.weight = model.weight - lr * grad
+            if not np.isfinite(_row_norms(model.weight)).all():
+                raise DivergenceError(epoch)
     return model
 
 

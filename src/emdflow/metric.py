@@ -12,9 +12,10 @@ for the simplex, which solves each pair's mass support as solve_simplex does.
 Every weight, of one pair or of every pair of two stacks, comes from
 :func:`_side_weights`; a node's relevance is its own dot product, so a
 pair's slice of stacked weights is bit-equal to its own.
-:func:`similarity_matrix` and :func:`best_match` stack the references once
-per call and the queries in chunks; only a solved pair's cost block is its
-own product, so every score is bit-equal to :func:`pair_similarity`.
+:func:`similarity_matrix` and :func:`best_match` share one scan of query
+chunks against the references stacked once (:func:`_query_chunks`); only a
+solved pair's cost block is its own product, so every score is bit-equal to
+:func:`pair_similarity`.
 :func:`best_match` orders and prunes the pairs by relaxed bounds from one
 stacked forward (:class:`_Pairs`) per chunk.
 """
@@ -36,12 +37,12 @@ from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py 
 # rounding of bound and score and the interior point's objective error.
 PRUNE_RTOL = 1e-6
 
-# similarity_matrix and best_match stack the queries in consecutive chunks
-# of at most this many query node x reference node cells (one query at
-# least), so their memory does not grow with Q.  best_match's stacked cost
-# and bounds hold ~24 bytes of temporaries per cell, so ~6 MiB here; on
-# 400 x 26 sets of 25 x 64 nodes (2-vCPU host) a pair's bound cost about the
-# same at 2^16...2^20 cells and 1.4-1.6x as much unchunked (6.5M cells).
+# _query_chunks stacks the queries in consecutive chunks of at most this
+# many query node x reference node cells (one query at least), so memory
+# does not grow with Q.  best_match's stacked cost and bounds hold ~24 bytes
+# of temporaries per cell, so ~6 MiB here; on 400 x 26 sets of 25 x 64 nodes
+# (2-vCPU host) a pair's bound cost about the same at 2^16...2^20 cells and
+# 1.4-1.6x as much unchunked (6.5M cells).
 _BOUND_CELLS = 1 << 18
 
 
@@ -120,9 +121,18 @@ def _check_channels(a: EmbeddingSet, b: EmbeddingSet):
         raise ValueError(f"channel mismatch: {a.channels} vs {b.channels}")
 
 
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm, inf where its sum of squares overflows float64."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(mat, axis=1)
+
+
 def _unit_rows(mat: np.ndarray):
-    """Row-normalize, mapping zero rows to zero (treated as orthogonal)."""
-    norms = np.linalg.norm(mat, axis=1)
+    """Row-normalize, mapping zero rows to zero (treated as orthogonal); a
+    norm that overflows raises ValueError, as its unit row would be zero."""
+    norms = _row_norms(mat)
+    if not np.isfinite(norms).all():
+        raise ValueError("node vector norm overflows float64; rescale the vectors")
     safe = np.where(norms > 0, norms, 1.0)
     return mat / safe[:, None], norms
 
@@ -190,14 +200,6 @@ def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_re
     return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
 
 
-def _check_sets(queries, refs):
-    """Raise unless every query and reference has the first reference's channels."""
-    for r in refs:
-        _check_channels(refs[0], r)
-    for q in queries:
-        _check_channels(q, refs[0])
-
-
 def _stack(sets) -> _Stack:
     """The node sets stacked by rows, one member each, in a buffer of their
     own, with their own weights (for ``given`` weighting).
@@ -235,6 +237,26 @@ def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
     return float(np.sum((1.0 - cost) * flows))
 
 
+def _query_chunks(queries, refs):
+    """(lo, xs, ys) per consecutive chunk of queries: xs their stack (query lo
+    first; at most ``_BOUND_CELLS`` cells against ys, one query at least), ys
+    the references', stacked once.  Raises ValueError unless every
+    reference, then every query, has the first reference's channels."""
+    for r in refs:
+        _check_channels(refs[0], r)
+    for q in queries:
+        _check_channels(q, refs[0])
+    ys = _stack(refs)
+    lo = rows = 0
+    for i, q in enumerate(queries):
+        if i > lo and (rows + q.node_count) * ys.vectors.shape[0] > _BOUND_CELLS:
+            yield lo, _stack(queries[lo:i]), ys
+            lo, rows = i, 0
+        rows += q.node_count
+    if lo < len(queries):
+        yield lo, _stack(queries[lo:]), ys
+
+
 def similarity_matrix(queries, refs, weighting: str = "cross_reference",
                       solver: str = "simplex", skip_diagonal: bool = False) -> np.ndarray:
     """:func:`pair_similarity` of every query x reference pair, as a Q x R array.
@@ -244,22 +266,18 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     hold -inf.  When ``refs`` is ``queries`` (the same sequence object) the
     score is symmetric in the pair, so only the pairs j >= i are solved
     (j > i with ``skip_diagonal``) and each result is copied to (j, i).
-    The references are stacked once and the queries in chunks
-    (:func:`_chunks`); a solved pair's weights are slices of the chunk's
-    :func:`_side_weights`, taken without the stacked cosine :class:`_Pairs`
-    would add, and its cost is its own block (:func:`_pair_cost`), so every
-    entry is bit-equal to :func:`pair_similarity`'s.  Each query's solved
-    pairs have their masses checked in one batch, as
-    :class:`TransportProblem` checks one pair.
+    Per chunk of queries (:func:`_query_chunks`), a solved pair's weights
+    are slices of the chunk's :func:`_side_weights`, taken without the
+    stacked cosine :class:`_Pairs` would add, and its cost is its own block
+    (:func:`_pair_cost`), so every entry is bit-equal to
+    :func:`pair_similarity`'s.  Each query's solved pairs have their masses
+    checked in one batch, as :class:`TransportProblem` checks one pair.
     """
     sim = np.full((len(queries), len(refs)), -np.inf)
     if len(refs) == 0:
         return sim
-    _check_sets(queries, refs)
     mirror = queries is refs
-    ys = _stack(refs)
-    for lo, hi in _chunks(queries, ys.vectors.shape[0]):
-        xs = _stack(queries[lo:hi])
+    for lo, xs, ys in _query_chunks(queries, refs):
         w_x, w_y = _side_weights(xs, ys, weighting)[0], _side_weights(ys, xs, weighting)[0]
         for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
             i = lo + p
@@ -304,28 +322,14 @@ def _relaxed_bounds(xs: _Stack, ys: _Stack, pairs: _Pairs):
     return supply - emd, supply
 
 
-def _chunks(queries, columns: int):
-    """Consecutive (lo, hi) runs of queries whose stacked rows times
-    ``columns`` stay within ``_BOUND_CELLS``, one query at least."""
-    lo = rows = 0
-    for i, q in enumerate(queries):
-        if i > lo and (rows + q.node_count) * columns > _BOUND_CELLS:
-            yield lo, i
-            lo, rows = i, 0
-        rows += q.node_count
-    if lo < len(queries):
-        yield lo, len(queries)
-
-
 def best_match(queries, refs, weighting: str = "cross_reference", solver: str = "simplex"):
     """Per query, the most similar reference and its exact similarity.
 
     Equal to the ``np.argmax`` of each row of :func:`similarity_matrix`,
     exact ties to the lowest index, but solves only the pairs that can
-    still win.  The queries are stacked in chunks of at most
-    ``_BOUND_CELLS`` cost cells against all references stacked once; per
-    chunk, :class:`_Pairs` gives every pair's cost and weights and checks
-    every pair's masses, and :func:`_relaxed_bounds` bounds every pair
+    still win.  Per chunk of queries (:func:`_query_chunks`),
+    :class:`_Pairs` gives every pair's cost and weights and checks every
+    pair's masses, and :func:`_relaxed_bounds` bounds every pair
     without a solve.  Per query, pairs are solved in descending bound
     order, ties by index, until the next bound is more than ``PRUNE_RTOL``
     of the total mass below the best similarity so far.  A solved pair's
@@ -336,11 +340,8 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     """
     if len(refs) == 0:
         raise ValueError("best_match needs at least one reference")
-    _check_sets(queries, refs)
     index, best = np.empty(len(queries), dtype=np.intp), np.empty(len(queries))
-    ys = _stack(refs)
-    for lo, hi in _chunks(queries, ys.vectors.shape[0]):
-        xs = _stack(queries[lo:hi])
+    for lo, xs, ys in _query_chunks(queries, refs):
         pairs = _Pairs(xs, ys, weighting)
         bounds, supply = _relaxed_bounds(xs, ys, pairs)
         for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):

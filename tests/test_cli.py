@@ -384,6 +384,14 @@ def test_train(tmp_path, capsys):
     assert (out / "projection.dtn").exists()
 
 
+def test_train_divergence_exits_2(tmp_path, capsys):
+    """A learning rate whose first step overflows the projection is a
+    numerical failure (exit 2), not a run that reports a loss."""
+    manifest = _gen_collection(tmp_path, **{"--sets-per-class": "4"})
+    assert main(["train", "--collection", manifest, "--epochs", "4", "--lr", "1e300"]) == 2
+    assert "diverged at iteration 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--temperature", "-0.1"), ("--temperature", "0"),
                                          ("--lr", "nan"), ("--epochs", "-1"),
                                          ("--lr", "-1e-3"), ("--lr", "-inf")])

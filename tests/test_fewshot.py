@@ -3,7 +3,7 @@ import pytest
 
 from emdflow import metric, transport
 from emdflow.fewshot import (
-    Episode, InsufficientDataError, _cross_entropy, classify_1shot,
+    DivergenceError, Episode, InsufficientDataError, _cross_entropy, classify_1shot,
     classify_kshot, episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
 )
 from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
@@ -214,6 +214,47 @@ def test_prototype_method_separable(separable_col):
     assert classify_kshot(ep, "prototype") >= 0.9
 
 
+def _global_mean_cosine(ep):
+    """Reference for ``prototype``, written out: the cosine of a query's
+    global mean and each class's mean of its supports' global means, 0
+    where either mean is zero, argmax to the lowest class.  Returns
+    (predictions, accuracy)."""
+    means = [np.mean([es.vectors.mean(axis=0) for es in sets], axis=0)
+             for sets in ep.support_by_class()]
+
+    def score(q, c):
+        qm = q.vectors.mean(axis=0)
+        denom = np.linalg.norm(qm) * np.linalg.norm(means[c])
+        return float(qm @ means[c] / denom) if denom > 0 else 0.0
+    preds = np.argmax([[score(q, c) for c in range(ep.n_way)] for _, q in ep.query], axis=1)
+    return preds, np.count_nonzero(preds == [label for label, _ in ep.query]) / len(ep.query)
+
+
+@pytest.mark.parametrize("solver", ["simplex", "ipm"])
+def test_prototype_is_the_global_mean_cosine(solver):
+    """prototype, the EMD of one-node global-mean sets, keeps the cosine
+    rule's answers on every episode (accuracies 0.2-0.7 on these); a query
+    whose global mean is zero scores 0 against every class and so goes to
+    class 0, its label."""
+    col = generate(SynthSpec(class_count=6, sets_per_class=10, spatial=(2, 2), channels=8,
+                             cluster_sep=1.5, background_fraction=0.25,
+                             background_scale=2.0, seed=2))
+    for seed in range(24):
+        ep = sample_episode(col, 5, 3, 2, seed=seed)
+        assert classify_kshot(ep, "prototype", solver=solver) == _global_mean_cosine(ep)[1]
+    ep = sample_episode(col, 5, 3, 2, seed=0)
+    label, q = ep.query[0]
+    assert label == 0
+    # Each node followed by its negation: the running sum returns to 0 exactly.
+    zero_mean = EmbeddingSet(np.stack([q.vectors, -q.vectors], axis=1).reshape(-1, q.channels))
+    assert not zero_mean.vectors.mean(axis=0).any()
+    ep = Episode(n_way=5, k_shot=3, q_per_class=2, support=ep.support,
+                 query=((0, zero_mean),) + ep.query[1:])
+    preds, acc = _global_mean_cosine(ep)
+    assert preds[0] == 0
+    assert classify_kshot(ep, "prototype", solver=solver) == acc
+
+
 def test_unknown_method(separable_col):
     ep = sample_episode(separable_col, 3, 1, 1, seed=0)
     with pytest.raises(ValueError):
@@ -362,6 +403,22 @@ def test_fit_sfc_rejects_settings(separable_col, kwargs, match):
 def test_train_projection_rejects_settings(separable_col, kwargs, match):
     with pytest.raises(ValueError, match=match):
         train_projection(separable_col, **{"epochs": 1, **kwargs})
+
+
+def test_fit_sfc_raises_where_a_step_overflows_the_prototypes(separable_col):
+    """A step that leaves a prototype node whose norm overflows float64 is a
+    divergence at that iteration, not a fit whose costs read every node as
+    zero (every loss then ln n_way)."""
+    ep = sample_episode(separable_col, 5, 3, 1, seed=0)
+    with pytest.raises(DivergenceError) as info:
+        fit_sfc(ep, learning_rate=1e300, iterations=5)
+    assert info.value.iteration == 0
+
+
+def test_train_projection_raises_where_a_step_overflows_the_weight(separable_col):
+    with pytest.raises(DivergenceError) as info:
+        train_projection(separable_col, epochs=4, lr=1e300)
+    assert info.value.iteration == 0
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,31 @@ def test_cost_zero_norm_treated_orthogonal():
     assert cost_matrix(a, b)[0, 0] == pytest.approx(1.0)
 
 
+_OVERFLOWING = {
+    "cost_matrix": cost_matrix,
+    "cross_reference_weights": cross_reference_weights,
+    # The set against its own rows reversed, uniform weights: similarity 1.
+    "emd_similarity": lambda a, b: emd_similarity(
+        a.with_weights(np.full(3, 1 / 3)), EmbeddingSet(a.vectors[::-1], np.full(3, 1 / 3))),
+    "pair_similarity": pair_similarity,
+    "similarity_node_grads": similarity_node_grads,
+    "similarity_matrix": lambda a, b: similarity_matrix([a], [b]),
+    "best_match": lambda a, b: best_match([a], [b]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OVERFLOWING))
+def test_overflowing_norms_raise(entry):
+    """Node vectors whose norm overflows float64 raise a ValueError naming
+    the overflow: an inf norm would make a unit row zero and every cost,
+    weight and score built on it silently wrong (a RuntimeWarning is an
+    error under pytest, so it must not pass through one either)."""
+    a, b = _sets(np.random.default_rng(3), 3, 4, 4)
+    huge = EmbeddingSet(1e160 * a.vectors), EmbeddingSet(1e160 * b.vectors)
+    with pytest.raises(ValueError, match="overflows"):
+        _OVERFLOWING[entry](*huge)
+
+
 def test_weights_orthogonal_fallback_uniform():
     a = EmbeddingSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     b = EmbeddingSet(np.array([[0.0, 1.0]]))
@@ -427,6 +452,28 @@ def test_best_match_one_query_per_chunk_changes_nothing(monkeypatch, weighting):
     assert len(solves) == 2 * want_solves
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["mirrored", "mirrored_skip", "distinct_skip", "fewer_queries"])
+def test_similarity_matrix_one_query_per_chunk_changes_nothing(monkeypatch, case):
+    """A cell budget of one stacks each query alone: same bytes, same solves,
+    with the references mirrored or not and the diagonal skipped or not."""
+    rng = np.random.default_rng(13)
+    sets = [EmbeddingSet(rng.standard_normal((int(rng.integers(1, 7)), 5))) for _ in range(6)]
+    queries, refs, skip = {"mirrored": (sets, sets, False),
+                           "mirrored_skip": (sets, sets, True),
+                           "distinct_skip": (list(sets), sets, True),
+                           "fewer_queries": (sets[:3], sets, False)}[case]
+    stacks = counted_calls(monkeypatch, metric, "_stack")
+    solves = counted_calls(monkeypatch, transport, "_simplex")
+    want = similarity_matrix(queries, refs, skip_diagonal=skip)
+    assert len(stacks) == 2
+    want_solves = len(solves)
+    monkeypatch.setattr(metric, "_BOUND_CELLS", 1)
+    got = similarity_matrix(queries, refs, skip_diagonal=skip)
+    assert len(stacks) == 2 + 1 + len(queries)
+    assert len(solves) == 2 * want_solves
+    assert got.tobytes() == want.tobytes()
 
 
 def _per_pair_best_match(queries, refs, weighting="cross_reference", solver="simplex"):
@@ -835,5 +882,6 @@ def test_global_scaling_invariance():
     rng = np.random.default_rng(14)
     a, b = _sets(rng, 4, 5, 3)
     s1, _ = pair_similarity(a, b)
-    s2, _ = pair_similarity(EmbeddingSet(3.7 * a.vectors), EmbeddingSet(3.7 * b.vectors))
-    assert s1 == pytest.approx(s2, abs=1e-10)
+    for scale in (3.7, 1e150):  # 1e150: norms just short of overflowing float64
+        s2, _ = pair_similarity(EmbeddingSet(scale * a.vectors), EmbeddingSet(scale * b.vectors))
+        assert s1 == pytest.approx(s2, abs=1e-10)
