@@ -416,12 +416,17 @@ def _side_weights(xs: _Stack, ys: _Stack, weighting: str):
     (G x M) to a y member's node mean, divided by their per-member totals
     ``total`` (G x P), an all-zero member falling back to uniform; row g of
     member p is bit-equal to the 1 x 1 stacks' (:func:`_relevance` is per
-    node).  Equal and given weights do not depend on the partner, so their
-    rows repeat and raw and total are None.  Call as (ys, xs) for ys's side.
+    node).  A relevance or total that overflows float64 raises ValueError,
+    as an overflowing norm does in :func:`_unit_rows`.  Equal and given
+    weights do not depend on the partner, so their rows repeat and raw and
+    total are None.  Call as (ys, xs) for ys's side.
     """
     if weighting == "cross_reference":
-        raw = _relevance(xs.vectors, ys.means)
-        w, total = _normalize_segments(raw, xs.starts)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            raw = _relevance(xs.vectors, ys.means)
+            w, total = _normalize_segments(raw, xs.starts)
+        if not np.isfinite(total).all():  # an inf total would make every weight 0
+            raise ValueError("relevance total overflows float64; rescale the vectors")
         return w, raw, total
     if weighting == "equal":
         counts = np.diff(xs.starts)

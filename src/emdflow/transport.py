@@ -12,9 +12,12 @@ Three routes to the same optimum:
   ended on.
 * :func:`solve_interior_point` — primal-dual path following with
   Mehrotra-style centering.  Its normal equations are built from the row
-  and column sums of the m x k grid, never from the incidence matrix, and it
-  iterates on mass and cost scaled to unit size, stopping on the largest of
-  the primal and dual residuals and the duality gap Σ x∘z.
+  and column sums of the m x k grid, never from the incidence matrix, and
+  solved through the (k-1)² Schur complement of their diagonal supplier
+  block, with a least-squares fallback on that complement where its
+  Cholesky factor fails.  It iterates on mass and cost scaled to unit size,
+  stopping on the largest of the primal and dual residuals and the duality
+  gap Σ x∘z.
 * :func:`solve_oracle` — exhaustive spanning-tree enumeration for tiny
   instances; the verification reference for both solvers above.
 
@@ -34,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 BALANCE_RTOL = 1e-9
 DEGENERATE_RTOL = 1e-9  # basic flows below this share of total mass count as zero
@@ -41,6 +45,7 @@ COMPLEMENTARITY_GATE = 1e-8  # min(x/mass + lambda/max|cost|) at or below this: 
 ORACLE_MAX_CELLS = 16
 MAX_PIVOTS = 100_000  # a simplex run past this many pivots raises CyclingError
 SIMPLEX_TOL = 1e-10  # default pricing tolerance: optimal when every reduced cost >= -tol max|cost|
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 class UnbalancedProblemError(ValueError):
@@ -146,9 +151,10 @@ class SolveStats(NamedTuple):
     support for the simplex, the whole problem otherwise.  The simplex
     reports its ``pivots``, how many of them moved less than 1e-12 of the
     total mass (``degenerate_pivots``) and whether Bland's rule took over
-    (``bland``); the interior point its ``ipm_iterations`` and the stopping
-    measure it ended on (``residual``).  Fields a solver does not report
-    stay None.
+    (``bland``); the interior point its ``ipm_iterations``, the stopping
+    measure it ended on (``residual``) and how many iterations found no
+    Cholesky factor and took the least-squares fallback (``ipm_fallbacks``).
+    Fields a solver does not report stay None.
     """
 
     kept: tuple
@@ -157,6 +163,7 @@ class SolveStats(NamedTuple):
     bland: bool = None
     ipm_iterations: int = None
     residual: float = None
+    ipm_fallbacks: int = None
 
 
 @dataclass(frozen=True)
@@ -608,6 +615,45 @@ def _simplex(cost, supply, demand, tol=SIMPLEX_TOL, start=None):
 # primal-dual interior point
 
 
+def _normal_solver(d):
+    """Solver for the normal equations A diag(d) A^T dy = r of the m x k grid ``d``.
+
+    A is :func:`reduced_incidence`, so A diag(d) A^T has the diagonal supplier
+    block diag(dr), dr the row sums of d, beside B = d[:, :k-1] and
+    diag(column sums of B).  Eliminating the supplier block leaves the
+    (k-1)² Schur complement S = diag(B.sum(0)) - B^T diag(1/dr) B, factored
+    once here: dy2 = S^-1 (r2 - B^T (r1/dr)) and dy1 = (r1 - B dy2) / dr.
+    A row whose d sum underflowed (below the smallest normal float) gets
+    dy1 = 0, the minimum-norm value.  Where the Cholesky factor of S fails,
+    each solve takes S's least squares instead (gelsy, a complete orthogonal
+    factorization: about a third of an SVD's time).  Returns (solve,
+    factored), factored False on that fallback.
+    """
+    m, k = d.shape
+    dr = d.sum(axis=1)
+    inv_dr = np.divide(1.0, dr, out=np.zeros(m), where=dr >= _TINY)
+    B = d[:, :k - 1]
+    Bt_dr = B.T * inv_dr
+    # S_jj = sum_i B_ij (dr_i - B_ij) / dr_i: the sum of row j of W = B^T diag(1/dr) d
+    # off its diagonal, which has no cancellation where B_ij dominates its row.
+    W = Bt_dr @ d
+    np.fill_diagonal(W, 0.0)
+    S = -W[:, :k - 1]
+    np.fill_diagonal(S, W.sum(axis=1))
+    factor, info = dpotrf(S, clean=0)  # info > 0: S not numerically positive definite
+
+    def solve(r):
+        r1 = r[:m]
+        r2 = r[m:] - Bt_dr @ r1
+        if info:
+            dy2 = scipy.linalg.lstsq(S, r2, lapack_driver="gelsy", check_finite=False)[0]
+        else:
+            dy2 = dpotrs(factor, r2)[0] if k > 1 else r2  # LAPACK takes no 0 x 0
+        return np.concatenate([(r1 - B @ dy2) * inv_dr, dy2])
+
+    return solve, info == 0
+
+
 def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
                          max_iter: int = 200) -> TransportSolution:
     """Mehrotra-style predictor-corrector on the reduced equality system.
@@ -617,8 +663,13 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     built.  On the m x k grid, A x is the row sums of X followed by the column
     sums of X[:, :k-1], and A^T y is u_i + v_j with v_k = 0.  So the normal
     matrix A D A^T has the blocks diag(row sums of D), D[:, :k-1] and
-    diag(column sums of D[:, :k-1]); its Cholesky factor, taken once per
-    iteration and shared by predictor and corrector, is the only cubic term.
+    diag(column sums of D[:, :k-1]).  Its supplier block is diagonal, so each
+    Newton system is solved through the (k-1)² Schur complement of that
+    block (:func:`_normal_solver`): one Cholesky factor per iteration, shared
+    by predictor and corrector, is the only cubic term.  Where that factor
+    fails (near the optimum, D spans many orders of magnitude), both steps
+    take the least-squares solution of the Schur system instead, and
+    ``stats.ipm_fallbacks`` counts those iterations.
 
     The iteration runs on mass divided by its total and cost divided by
     max|cost|, and stops once the largest primal residual, the largest dual
@@ -655,7 +706,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     x = np.outer(supply, demand) + 1e-2 / n
     y = np.zeros(m + k - 1)
     z = np.ones((m, k))
-    M = np.zeros((m + k - 1, m + k - 1))  # normal matrix; only its blocks change
+    fallbacks = 0
 
     for iterations in range(max_iter):
         rb, rc, residual = residuals(x, y, z)
@@ -665,33 +716,29 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
         mu = float(xz.sum()) / n
 
         d = x / z
-        M[:m, m:] = d[:, :k - 1]
-        M[m:, :m] = d[:, :k - 1].T
-        np.fill_diagonal(M, a_dot(d))
-        try:
-            cho = scipy.linalg.cho_factor(M, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            cho = None  # numerically singular near the optimum: least squares instead
+        solve_normal, factored = _normal_solver(d)
+        fallbacks += not factored
+        # A Newton step on the complementarity residual x∘z + w∘z (w = 0 for
+        # the predictor) solves A D A^T dy = A(x - d∘rc + w) - rb, then takes
+        # dz = -rc - A^T dy and dx = -x - d∘dz - w; the w-free part is shared.
+        rhs = a_dot(x - d * rc) - rb
 
-        def newton(r_xz):
-            rhs = a_dot((r_xz - x * rc) / z) - rb
-            if cho is None:  # gelsy (complete orthogonal factorization): ~1/3 of SVD's time
-                dy = scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy", check_finite=False)[0]
-            else:
-                dy = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        def newton(rhs, w):
+            dy = solve_normal(rhs)
             dz = -rc - at_dot(dy)
-            dx = -(r_xz + x * dz) / z
+            dx = -x - d * dz - w
             return dx, dy, dz
 
         # Predictor
-        dx_a, dy_a, dz_a = newton(xz)
+        dx_a, dy_a, dz_a = newton(rhs, 0.0)
         ap = min(1.0, max_step(x, dx_a))
         ad = min(1.0, max_step(z, dz_a))
         mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a))) / n
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector
-        dx, dy, dz = newton(xz + dx_a * dz_a - sigma * mu)
+        w = (dx_a * dz_a - sigma * mu) / z
+        dx, dy, dz = newton(rhs + a_dot(w), w)
         eta = 0.99
         ap = min(1.0, eta * max_step(x, dx))
         ad = min(1.0, eta * max_step(z, dz))
@@ -720,7 +767,8 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
         duals_ineq=duals_ineq,
         solver_tag="interior_point",
         degenerate=degenerate,
-        stats=SolveStats(kept=(m, k), ipm_iterations=iterations, residual=float(residual)),
+        stats=SolveStats(kept=(m, k), ipm_iterations=iterations, residual=float(residual),
+                         ipm_fallbacks=fallbacks),
     )
 
 

@@ -42,10 +42,14 @@ def test_solve_writes_stats(tmp_path, solver):
         assert stats["pivots"] >= 0 and stats["bland"] is False
         assert 0 <= stats["degenerate_pivots"] <= stats["pivots"]
         assert stats["ipm_iterations"] is None and stats["residual"] is None
+        assert stats["ipm_fallbacks"] is None
     else:
         assert stats["kept"] == [2, 3]
         assert stats["ipm_iterations"] > 0 and 0 <= stats["residual"] <= 1e-9
+        assert 0 <= stats["ipm_fallbacks"] <= stats["ipm_iterations"]
         assert stats["pivots"] is None and stats["degenerate_pivots"] is None
+    assert set(stats) == {"kept", "pivots", "degenerate_pivots", "bland", "ipm_iterations",
+                          "residual", "ipm_fallbacks"}
 
 
 def test_solve_cross_solver_agreement(tmp_path, capsys):
@@ -455,9 +459,10 @@ def test_flows_writes_stats(tmp_path, solver):
     kept = [int(np.count_nonzero(payload["weights_a"])), int(np.count_nonzero(payload["weights_b"]))]
     if solver == "simplex":
         assert stats["kept"] == kept and stats["pivots"] >= 0
-        assert stats["ipm_iterations"] is None
+        assert stats["ipm_iterations"] is None and stats["ipm_fallbacks"] is None
     else:
         assert stats["kept"] == [6, 6] and stats["ipm_iterations"] > 0
+        assert 0 <= stats["ipm_fallbacks"] <= stats["ipm_iterations"]
         assert stats["pivots"] is None
 
 

@@ -74,6 +74,20 @@ def test_overflowing_norms_raise(entry):
         _OVERFLOWING[entry](*huge)
 
 
+@pytest.mark.parametrize("entry", ["cross_reference_weights", "pair_similarity",
+                                   "similarity_node_grads", "similarity_matrix", "best_match"])
+def test_overflowing_relevance_totals_raise(entry):
+    """Finite norms whose relevance totals overflow raise a ValueError naming
+    the overflow, not all-zero weights (and no RuntimeWarning): each node's
+    relevance is 4 * 6e153**2 = 1.44e308, so four or three of them overflow."""
+    a, b = EmbeddingSet(np.full((4, 4), 6e153)), EmbeddingSet(np.full((3, 4), 6e153))
+    with pytest.raises(ValueError, match="relevance total overflows"):
+        _OVERFLOWING[entry](a, b)
+    wa, wb = cross_reference_weights(EmbeddingSet(np.full((4, 4), 1e153)),
+                                     EmbeddingSet(np.full((3, 4), 1e153)))
+    assert wa.tolist() == [0.25] * 4 and wb.tolist() == [1 / 3] * 3
+
+
 def test_weights_orthogonal_fallback_uniform():
     a = EmbeddingSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     b = EmbeddingSet(np.array([[0.0, 1.0]]))

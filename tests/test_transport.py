@@ -10,8 +10,9 @@ from emdflow.transport import (
     DEGENERATE_RTOL, MAX_PIVOTS, BasisError, CyclingError, InstanceTooLargeError,
     IterationLimitError, TransportProblem, UnbalancedProblemError, reduced_incidence, solve,
     solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _Forest, _least_cost_start,
-    _optimal_basis, _simplex,
+    _normal_solver, _optimal_basis, _simplex,
 )
+import emdflow.transport as transport
 
 from conftest import random_problem
 
@@ -425,6 +426,48 @@ def test_interior_point_edge_shapes(m, k):
         assert sol.degenerate == ref.degenerate
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       shape=st.sampled_from([(12, 2), (30, 3), (2, 12), (3, 30), (1, 6), (6, 1), (1, 1), (5, 5)]),
+       zero_row=st.booleans())
+def test_property_normal_solver_matches_dense(seed, shape, zero_row):
+    """The Schur-complement Newton solve equals the dense A diag(d) A^T solve;
+    a row of d at 0 gets the minimum-norm solution, dy 0 on that row."""
+    rng = np.random.default_rng(seed)
+    m, k = shape
+    d = rng.uniform(0.05, 2.0, (m, k))
+    if zero_row:
+        d[rng.integers(m)] = 0.0
+    A = reduced_incidence(m, k)
+    r = rng.standard_normal(m + k - 1)
+    want = np.linalg.lstsq(A @ (d.ravel()[:, None] * A.T), r, rcond=None)[0]
+    solve_normal, factored = _normal_solver(d)
+    assert factored or (zero_row and m == 1)
+    assert np.linalg.norm(solve_normal(r) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_interior_point_counts_fallbacks(monkeypatch):
+    """``ipm_fallbacks`` counts the iterations whose Schur factor failed."""
+    factored = []
+    real = transport._normal_solver
+
+    def recorded(d):
+        solve_normal, ok = real(d)
+        factored.append(ok)
+        return solve_normal, ok
+
+    monkeypatch.setattr(transport, "_normal_solver", recorded)
+    total = 0
+    for seed in range(10):
+        factored.clear()
+        stats = solve_interior_point(_zero_mass_problem(np.random.default_rng(seed),
+                                                        "last_demander")).stats
+        assert stats.ipm_fallbacks == factored.count(False)
+        assert len(factored) == stats.ipm_iterations
+        total += stats.ipm_fallbacks
+    assert total > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), exponent=st.floats(-12.0, 12.0),
        side=st.sampled_from(["mass", "cost"]))
@@ -832,12 +875,15 @@ def test_solver_stats():
     assert sol.stats.pivots >= 0 and sol.stats.bland is False
     assert 0 <= sol.stats.degenerate_pivots <= sol.stats.pivots
     assert sol.stats.ipm_iterations is None and sol.stats.residual is None
+    assert sol.stats.ipm_fallbacks is None
     ipm = solve_interior_point(random_problem(rng, 3, 4), tol=1e-9)
     assert ipm.stats.kept == (3, 4) and ipm.stats.pivots is None
     assert ipm.stats.degenerate_pivots is None
     assert ipm.stats.ipm_iterations > 0 and 0 <= ipm.stats.residual <= 1e-9
+    assert 0 <= ipm.stats.ipm_fallbacks <= ipm.stats.ipm_iterations
     oracle = solve_oracle(random_problem(rng, 2, 2)).stats
     assert oracle.kept == (2, 2) and oracle.degenerate_pivots is None
+    assert oracle.ipm_fallbacks is None
 
 
 def test_basis_error_names_its_gate():
