@@ -15,9 +15,12 @@ Three routes to the same optimum:
   and column sums of the m x k grid, never from the incidence matrix, and
   solved through the (k-1)² Schur complement of their diagonal supplier
   block, with a least-squares fallback on that complement where its
-  Cholesky factor fails.  It iterates on mass and cost scaled to unit size,
-  stopping on the largest of the primal and dual residuals and the duality
-  gap Σ x∘z.
+  Cholesky factor fails.  That complement is grounded on a demander with
+  mass (the largest, where the last demand is 0), so the fallback fires on
+  no tested input.  Each solve allocates its m x k work grids once and
+  forms every grid quantity once per iteration, in place.  It iterates on
+  mass and cost scaled to unit size, stopping on the largest of the primal
+  and dual residuals and the duality gap Σ x∘z.
 * :func:`solve_oracle` — exhaustive spanning-tree enumeration for tiny
   instances; the verification reference for both solvers above.
 
@@ -671,90 +674,127 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     take the least-squares solution of the Schur system instead, and
     ``stats.ipm_fallbacks`` counts those iterations.
 
+    The dropped row pins its demander's potential, so that demander must
+    keep weight: where the last demand is 0 its d = x/z goes to 0 and the
+    Schur complement loses its ground below rounding.  There the largest
+    demander's column is swapped with the last for the solve, swapped back
+    after, and the duals are shifted (u + v_k, v - v_k) to report v_k = 0;
+    with that ground the fallback fires on no tested input.  Otherwise the
+    last demander is the ground, as in :func:`reduced_incidence`.  The duals
+    of zero-mass nodes stay unbounded: one tested 3 x 4 problem with a zero
+    supply as well reaches a residual of ~2e-9 by iteration 8-14 with
+    either ground, then diverges to the iteration limit.
+
+    Each solve allocates its m x k work grids once (-rc, x∘z, d, -x, dx,
+    dz, w and a scratch grid), and each iteration forms every grid quantity
+    once, into them: Σ x∘z serves both the stopping gap and μ, and -rc and
+    -x are shared by predictor and corrector.
+
     The iteration runs on mass divided by its total and cost divided by
     max|cost|, and stops once the largest primal residual, the largest dual
     residual and the duality gap Σ x∘z are all at most ``tol`` in those
     units.  Flows and duals are scaled back on output, and the objective is
     taken on the caller's cost.  The reported equality duals are y (marginal
-    prices), with the dropped last demand row pinning its potential to 0.
+    prices), with the last demand potential at 0.
     """
     _check_tol(tol)
     m, k = p.m, p.k
     n = m * k
     mass = float(p.supply.sum())
     scale = float(np.abs(p.cost).max()) or 1.0
-    supply, demand = p.supply / mass, p.demand / mass
+    cols = np.arange(k)  # solve order of the demand columns; a swap is its own inverse
+    if p.demand[-1] == 0:
+        ground = int(p.demand.argmax())
+        cols[[ground, -1]] = cols[[-1, ground]]
+    supply, demand = p.supply / mass, p.demand[cols] / mass
     b = np.concatenate([supply, demand[:k - 1]])
-    c = p.cost / scale
+    c = p.cost[:, cols] / scale
 
-    def a_dot(X):
-        return np.concatenate([X.sum(axis=1), X[:, :k - 1].sum(axis=0)])
+    neg_rc, xz, d, neg_x, dx, dz, w, tmp = np.empty((8, m, k))
+    rb, rhs, rhs_w = np.empty((3, m + k - 1))
 
-    def at_dot(y):
-        return np.add.outer(y[:m], np.append(y[m:], 0.0))
+    def a_dot(X, out):  # A x into ``out``: row sums, then the first k-1 column sums
+        X.sum(axis=1, out=out[:m])
+        X[:, :k - 1].sum(axis=0, out=out[m:])
+        return out
 
-    def residuals(x, y, z):
-        rb = a_dot(x) - b
-        rc = at_dot(y) + z - c
-        return rb, rc, max(np.abs(rb).max(), np.abs(rc).max(), float(np.sum(x * z)))
+    def at_dot(y, out):  # A^T y into the grid ``out``; y holds v_k = 0 at its end
+        return np.add(y[:m, None], y[m:], out=out)
 
-    def max_step(w, dw):  # longest step keeping w + step * dw >= 0, for w > 0
-        shrink = float(np.min(dw / w))
+    def residuals():  # rb, -rc and x∘z at (x, y, z); returns the stopping measure and Σ x∘z
+        np.subtract(a_dot(x, rb), b, out=rb)
+        np.add(at_dot(y, neg_rc), z, out=neg_rc)
+        np.negative(np.subtract(neg_rc, c, out=neg_rc), out=neg_rc)
+        gap = float(np.multiply(x, z, out=xz).sum())
+        return max(np.abs(rb).max(), np.abs(neg_rc, out=tmp).max(), gap), gap
+
+    def max_step(v, dv):  # longest step keeping v + step * dv >= 0, for v > 0
+        shrink = float(np.divide(dv, v, out=tmp).min())
         return -1.0 / shrink if shrink < 0 else np.inf
+
+    def newton(solve_normal, r, w=None):
+        # A Newton step on the complementarity residual x∘z + w∘z (w = 0 for
+        # the predictor) solves A D A^T dy = A(x - d∘rc + w) - rb = r, then
+        # takes dz = -rc - A^T dy and dx = -x - d∘dz - w, into dy, dz and dx.
+        dy[:-1] = solve_normal(r)
+        np.subtract(neg_rc, at_dot(dy, dz), out=dz)
+        np.subtract(neg_x, np.multiply(d, dz, out=dx), out=dx)
+        if w is not None:
+            np.subtract(dx, w, out=dx)
 
     # Strictly interior start: product-form feasible point plus a shift.
     x = np.outer(supply, demand) + 1e-2 / n
-    y = np.zeros(m + k - 1)
+    y, dy = np.zeros((2, m + k))  # their last entry, v_k, stays 0
     z = np.ones((m, k))
     fallbacks = 0
 
     for iterations in range(max_iter):
-        rb, rc, residual = residuals(x, y, z)
+        residual, gap = residuals()
         if residual <= tol:
             break
-        xz = x * z
-        mu = float(xz.sum()) / n
+        mu = gap / n
 
-        d = x / z
+        np.divide(x, z, out=d)
         solve_normal, factored = _normal_solver(d)
         fallbacks += not factored
-        # A Newton step on the complementarity residual x∘z + w∘z (w = 0 for
-        # the predictor) solves A D A^T dy = A(x - d∘rc + w) - rb, then takes
-        # dz = -rc - A^T dy and dx = -x - d∘dz - w; the w-free part is shared.
-        rhs = a_dot(x - d * rc) - rb
-
-        def newton(rhs, w):
-            dy = solve_normal(rhs)
-            dz = -rc - at_dot(dy)
-            dx = -x - d * dz - w
-            return dx, dy, dz
+        np.negative(x, out=neg_x)
+        np.add(x, np.multiply(d, neg_rc, out=tmp), out=tmp)
+        np.subtract(a_dot(tmp, rhs), rb, out=rhs)
 
         # Predictor
-        dx_a, dy_a, dz_a = newton(rhs, 0.0)
-        ap = min(1.0, max_step(x, dx_a))
-        ad = min(1.0, max_step(z, dz_a))
-        mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a))) / n
+        newton(solve_normal, rhs)
+        ap = min(1.0, max_step(x, dx))
+        ad = min(1.0, max_step(z, dz))
+        np.add(x, np.multiply(ap, dx, out=tmp), out=tmp)
+        tmp *= np.add(z, np.multiply(ad, dz, out=w), out=w)
+        mu_aff = float(tmp.sum()) / n
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector
-        w = (dx_a * dz_a - sigma * mu) / z
-        dx, dy, dz = newton(rhs + a_dot(w), w)
+        np.multiply(dx, dz, out=w)
+        w -= sigma * mu
+        w /= z
+        newton(solve_normal, np.add(rhs, a_dot(w, rhs_w), out=rhs_w), w)
         eta = 0.99
         ap = min(1.0, eta * max_step(x, dx))
         ad = min(1.0, eta * max_step(z, dz))
-        x = x + ap * dx
-        y = y + ad * dy
-        z = z + ad * dz
+        x += np.multiply(ap, dx, out=dx)
+        y += ad * dy
+        z += np.multiply(ad, dz, out=dz)
     else:
-        residual = residuals(x, y, z)[2]
+        residual = residuals()[0]
         raise IterationLimitError(
             f"interior point did not reach tol {tol} in {max_iter} iterations "
             f"(residual {residual:.3e})",
             residual=residual,
         )
 
-    flows = mass * x
-    duals_ineq = scale * z
+    flows = mass * x[:, cols]
+    duals_ineq = scale * z[:, cols]
+    duals_eq = scale * y
+    duals_eq[m:] = duals_eq[m + cols]
+    duals_eq[:m] += duals_eq[-1]  # 0 unless another demander was the ground
+    duals_eq[m:] -= duals_eq[-1]
     try:
         _optimal_basis(p, flows, duals_ineq)
         degenerate = False
@@ -763,7 +803,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     return TransportSolution(
         flows=flows,
         objective=float(np.sum(p.cost * flows)),
-        duals_eq=scale * np.append(y, 0.0),
+        duals_eq=duals_eq,
         duals_ineq=duals_ineq,
         solver_tag="interior_point",
         degenerate=degenerate,

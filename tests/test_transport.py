@@ -447,25 +447,67 @@ def test_property_normal_solver_matches_dense(seed, shape, zero_row):
 
 
 def test_interior_point_counts_fallbacks(monkeypatch):
-    """``ipm_fallbacks`` counts the iterations whose Schur factor failed."""
+    """``ipm_fallbacks`` counts the iterations whose Schur factor failed, and
+    the least-squares steps of those iterations still reach the optimum.
+
+    No tested input fails the factor, so it is made to fail on every third
+    iteration."""
     factored = []
-    real = transport._normal_solver
+    real_solver, real_dpotrf = transport._normal_solver, transport.dpotrf
 
     def recorded(d):
-        solve_normal, ok = real(d)
+        solve_normal, ok = real_solver(d)
         factored.append(ok)
         return solve_normal, ok
 
+    def failing(S, clean=0):  # len(factored) is the current iteration
+        factor, info = real_dpotrf(S, clean=clean)
+        return factor, 1 if len(factored) % 3 == 0 else info
+
     monkeypatch.setattr(transport, "_normal_solver", recorded)
+    monkeypatch.setattr(transport, "dpotrf", failing)
     total = 0
     for seed in range(10):
         factored.clear()
-        stats = solve_interior_point(_zero_mass_problem(np.random.default_rng(seed),
-                                                        "last_demander")).stats
+        p = _zero_mass_problem(np.random.default_rng(seed), "last_demander")
+        sol = solve_interior_point(p)
+        stats = sol.stats
         assert stats.ipm_fallbacks == factored.count(False)
         assert len(factored) == stats.ipm_iterations
+        assert sol.objective == pytest.approx(solve_simplex(p).objective, rel=1e-8)
         total += stats.ipm_fallbacks
     assert total > 0
+
+
+def test_interior_point_grounds_on_a_positive_mass_demander():
+    """A zero last demand does not pin the reduced system: the largest
+    demander does, and the duals come back shifted to v_k = 0."""
+    p = TransportProblem(cost=np.array([[0.1, 0.8, 0.6], [0.9, 0.2, 0.3], [0.5, 0.4, 0.7]]),
+                         supply=np.array([0.3, 0.3, 0.4]), demand=np.array([0.6, 0.4, 0.0]))
+    sol = solve_interior_point(p)
+    assert sol.stats.ipm_fallbacks == 0
+    assert sol.duals_eq[-1] == 0.0
+    assert sol.objective == pytest.approx(solve_simplex(p).objective, rel=1e-8)
+    assert sum(solve_interior_point(_zero_mass_problem(np.random.default_rng(seed), pattern))
+               .stats.ipm_fallbacks for pattern in PATTERNS for seed in range(30)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), pattern=st.sampled_from(PATTERNS))
+def test_property_interior_point_column_permutation_equivariance(seed, pattern):
+    """Permuting the demand columns permutes the flows and keeps the
+    objective and the dual certificate, whichever demander is the ground.
+    The multipliers of zero-mass lines are not unique, so they are checked
+    as the reduced costs of the reported potentials."""
+    rng = np.random.default_rng(seed)
+    p = _zero_mass_problem(rng, pattern)
+    perm = rng.permutation(p.k)
+    q = TransportProblem(cost=p.cost[:, perm], supply=p.supply, demand=p.demand[perm])
+    ref, sol = solve_interior_point(p), solve_interior_point(q)
+    assert np.allclose(sol.flows, ref.flows[:, perm], rtol=0.0, atol=1e-8)
+    _assert_certifies_full_problem(q, sol, ref, rtol=1e-8)
+    u, v = sol.duals_eq[:q.m], sol.duals_eq[q.m:]
+    assert np.allclose(sol.duals_ineq, q.cost - u[:, None] - v, rtol=0.0, atol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
