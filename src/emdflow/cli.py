@@ -4,7 +4,7 @@ Subcommands: solve, gradcheck, gen, episodes, retrieve, train, flows,
 bench; ``--tol`` is honoured only by solve and gradcheck, and rejected by
 the others.  Structured results go to JSON, tabular results to CSV; both
 carry a format_version field.  Exit codes: 0 success, 1 validation failure,
-2 numerical failure (divergence / singular KKT / iteration limit).
+2 numerical failure (divergence / degenerate optimum / iteration limit).
 """
 
 from __future__ import annotations
@@ -43,15 +43,17 @@ def _load_problem(path) -> transport.TransportProblem:
         raise ValueError(f"{path}: problem file needs cost/supply/demand arrays") from exc
 
 
+def _json_text(payload: dict) -> str:
+    # No bare NaN/Infinity tokens: strict JSON parsers reject them.
+    return json.dumps({"format_version": FORMAT_VERSION, **payload}, indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
 def _write_json(payload: dict, out_dir, name: str):
-    payload = {"format_version": FORMAT_VERSION, **payload}
     if out_dir:
-        # No bare NaN/Infinity tokens: strict JSON parsers reject them.
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return payload
+            fh.write(_json_text(payload) + "\n")
 
 
 def _write_csv(rows, header, out_dir, name: str):
@@ -289,19 +291,19 @@ def cmd_flows(args) -> int:
                                      solver=args.solver)
     # A node of weight 0 carries no flow, so it matches nothing: -1.
     best = np.where(wa > 0, np.argmax(sol.flows, axis=1), -1)
-    payload = _write_json({
+    payload = {
         "nodes_a": a.vectors.tolist(), "nodes_b": b.vectors.tolist(),
         "weights_a": wa.tolist(), "weights_b": wb.tolist(),
         "flow_matrix": sol.flows.tolist(),
         "best_match": best.tolist(),
         "similarity": sim,
         "stats": sol.stats._asdict(),
-    }, args.out, "flows.json")
-    if not args.out:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
+    }
+    if args.out:
+        _write_json(payload, args.out, "flows.json")
         print(f"similarity {sim:.6f}")
+    else:
+        print(_json_text(payload))  # the text --out writes
     return 0
 
 

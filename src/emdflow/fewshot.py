@@ -297,12 +297,15 @@ def episode_loss_and_grad(weight: np.ndarray, ep: Episode,
                           temperature: float = 0.1, solver: str = "simplex"):
     """Query cross-entropy with the projection applied, plus d loss / d weight.
 
+    ``ep`` must be 1-shot (ValueError otherwise), as for :func:`classify_1shot`.
     Supports and queries are projected node-wise, each side in one
     product.  The episode takes one fused step, every query against every
-    support, solved cold (a fresh :class:`~emdflow.metric._WarmStarts`, one
-    key per query); the loss is each query's cross-entropy, summed, and the
-    node gradients of both sides chain back through the shared linear map.
+    class's support, solved cold (a fresh :class:`~emdflow.metric._WarmStarts`,
+    one key per query); the loss is each query's cross-entropy, summed, and
+    the node gradients of both sides chain back through the shared linear map.
     """
+    if ep.k_shot != 1:
+        raise ValueError(f"episode_loss_and_grad requires k_shot = 1, got {ep.k_shot}")
     weight = np.asarray(weight, dtype=float)
     supports = [sets[0].vectors for sets in ep.support_by_class()]
     queries = [q.vectors for _, q in ep.query]

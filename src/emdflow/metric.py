@@ -7,8 +7,9 @@ feature map into a node set (dense, grid-pooled, randomly sampled patches,
 and multi-scale pyramids).
 
 Public entry points (:func:`emd_similarity`, :func:`pair_similarity`,
-:func:`similarity_node_grads`) certify their solve; batched paths never do
-for the simplex, which solves each pair's mass support as solve_simplex does.
+:func:`similarity_node_grads`) certify their solve (:func:`_solve_score`);
+batched paths never do for the simplex, which solves each pair's mass
+support as solve_simplex does (:func:`_pair_score`).
 Every weight, of one pair or of every pair of two stacks, comes from
 :func:`_side_weights`; a node's relevance is its own dot product, so a
 pair's slice of stacked weights is bit-equal to its own.
@@ -175,14 +176,18 @@ def cross_reference_weights(a: EmbeddingSet, b: EmbeddingSet):
     return _weights(a, b, "cross_reference")
 
 
+def _solve_score(cost: np.ndarray, supply, demand, solver: str):
+    """Certified solve of one block: (sum((1 - c) * flows), solution)."""
+    sol = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver)
+    return float(np.sum((1.0 - cost) * sol.flows)), sol
+
+
 def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
     """Similarity sum((1 - c) * flows) under the sets' current weights.
 
     Weights must be balanced (equal totals).  Returns (similarity, solution).
     """
-    cost = cost_matrix(a, b)
-    sol = solve(TransportProblem(cost=cost, supply=a.weights, demand=b.weights), solver)
-    return float(np.sum((1.0 - cost) * sol.flows)), sol
+    return _solve_score(cost_matrix(a, b), a.weights, b.weights, solver)
 
 
 def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
@@ -194,10 +199,11 @@ def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
 
 def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_reference",
                     solver: str = "simplex"):
-    """Weight both sets (cross_reference | equal | given) and score them."""
+    """Weight both sets (cross_reference | equal | given) and score them on
+    their 1 x 1 :class:`_Pairs`, whose cost is :func:`cost_matrix`'s."""
     _check_channels(a, b)
-    wa, wb = _weights(a, b, weighting)
-    return emd_similarity(a.with_weights(wa), b.with_weights(wb), solver=solver)
+    pairs = _Pairs(_stack([a]), _stack([b]), weighting)
+    return _solve_score(pairs.cost, pairs.w_x[0], pairs.w_y[0], solver)
 
 
 def _stack(sets) -> _Stack:
@@ -212,28 +218,19 @@ def _stack(sets) -> _Stack:
     return _Stack(np.concatenate(mats), _starts(mats), np.concatenate([s.weights for s in sets]))
 
 
-def _pair_cost(xs: _Stack, p: int, ys: _Stack, g: int) -> np.ndarray:
-    """Pair (p, g)'s cost block as its own product of the stacks' unit rows.
-
-    It has the array shapes of :func:`cost_matrix`, so it is bit-equal to
-    that, as a block of one stacked product would not be; unit rows are per
-    row, so the stacks' serve.
-    """
-    return _cosine(xs.unit[xs.starts[p]:xs.starts[p + 1]],
-                   ys.unit[ys.starts[g]:ys.starts[g + 1]])[1]
-
-
-def _pair_score(cost: np.ndarray, supply, demand, solver: str) -> float:
-    """:func:`emd_similarity` of one checked block, bit for bit.
-
-    The simplex solves the mass support as ``solve_simplex`` does, with no
-    certificate (``transport._solve_support``); others go through :func:`solve`.
-    """
-    if solver == "simplex":
-        flows = np.zeros(cost.shape)
-        _solve_support(cost, supply, demand, flows)
-    else:
-        flows = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver).flows
+def _pair_score(xs: _Stack, p: int, ys: _Stack, g: int, w_x, w_y, solver: str) -> float:
+    """:func:`pair_similarity` of pair (p, g) of a query chunk, bit for bit:
+    its weights are slices of the checked ``w_x`` and ``w_y``, its cost its
+    own product of the stacks' unit rows with :func:`cost_matrix`'s shapes
+    (a block of one stacked product rounds differently).  The simplex solves
+    the mass support with no certificate (``transport._solve_support``)."""
+    xa, xb, ya, yb = xs.starts[p], xs.starts[p + 1], ys.starts[g], ys.starts[g + 1]
+    cost = _cosine(xs.unit[xa:xb], ys.unit[ya:yb])[1]
+    supply, demand = w_x[g, xa:xb], w_y[p, ya:yb]
+    if solver != "simplex":
+        return _solve_score(cost, supply, demand, solver)[0]
+    flows = np.zeros(cost.shape)
+    _solve_support(cost, supply, demand, flows)
     return float(np.sum((1.0 - cost) * flows))
 
 
@@ -269,7 +266,7 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     Per chunk of queries (:func:`_query_chunks`), a solved pair's weights
     are slices of the chunk's :func:`_side_weights`, taken without the
     stacked cosine :class:`_Pairs` would add, and its cost is its own block
-    (:func:`_pair_cost`), so every entry is bit-equal to
+    (:func:`_pair_score`), so every entry is bit-equal to
     :func:`pair_similarity`'s.  Each query's solved pairs have their masses
     checked in one batch, as :class:`TransportProblem` checks one pair.
     """
@@ -289,8 +286,7 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
             check_masses(np.concatenate(supplies), np.concatenate(demands),
                          totals=([float(w.sum()) for w in supplies],
                                  [float(w.sum()) for w in demands]))
-            sim[i, js] = [_pair_score(_pair_cost(xs, p, ys, j), supply, demand, solver)
-                          for j, supply, demand in zip(js, supplies, demands)]
+            sim[i, js] = [_pair_score(xs, p, ys, j, w_x, w_y, solver) for j in js]
     if mirror:
         lower = np.tril_indices(len(refs), -1)
         sim[lower] = sim.T[lower]
@@ -334,7 +330,7 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     order, ties by index, until the next bound is more than ``PRUNE_RTOL``
     of the total mass below the best similarity so far.  A solved pair's
     weights are slices of the stacked ones and its cost is its own block
-    (:func:`_pair_cost`), so every similarity is bit-equal to
+    (:func:`_pair_score`), so every similarity is bit-equal to
     :func:`similarity_matrix`'s.  Returns (indices, similarities), two
     arrays of length Q.
     """
@@ -344,14 +340,13 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     for lo, xs, ys in _query_chunks(queries, refs):
         pairs = _Pairs(xs, ys, weighting)
         bounds, supply = _relaxed_bounds(xs, ys, pairs)
-        for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
+        for p in range(len(xs.starts) - 1):
             bound, mass = bounds[p].tolist(), supply[p].tolist()
             best_j, best_sim = -1, -np.inf
             for j in np.argsort(-bounds[p], kind="stable").tolist():
                 if bound[j] < best_sim - PRUNE_RTOL * mass[j]:
                     break
-                sim = _pair_score(_pair_cost(xs, p, ys, j), pairs.w_x[j, xa:xb],
-                                  pairs.w_y[p, ys.starts[j]:ys.starts[j + 1]], solver)
+                sim = _pair_score(xs, p, ys, j, pairs.w_x, pairs.w_y, solver)
                 if sim > best_sim or (sim == best_sim and j < best_j):
                     best_j, best_sim = j, sim
             index[lo + p], best[lo + p] = best_j, best_sim
@@ -593,12 +588,11 @@ def _solve_members(pairs: _Pairs, xs: _Stack, ys: _Stack, solver: str, warm: _Wa
             if solver == "simplex":
                 run, rows, cols, cost = warm.solve((keys[p], g), cost, supply, demand,
                                                    flows[xa:xb, ya:yb])
-                flow, pot = run.flows, run.pot
+                sims[p, g], pot = float(np.sum((1.0 - cost) * run.flows)), run.pot
             else:
-                sol = solve(TransportProblem(cost=cost, supply=supply, demand=demand), solver)
-                flows[xa:xb, ya:yb] = flow = sol.flows
+                sims[p, g], sol = _solve_score(cost, supply, demand, solver)
+                flows[xa:xb, ya:yb] = sol.flows
                 rows, cols, pot = np.arange(xb - xa), np.arange(yb - ya), sol.duals_eq
-            sims[p, g] = float(np.sum((1.0 - cost) * flow))
             u[g, xa:xb][rows] = pot[:rows.size]
             v[p, ya:yb][cols] = pot[rows.size:]
     env = envelope_grads(1.0, flows, u, v)
@@ -687,13 +681,12 @@ def similarity_node_grads(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simpl
     _check_channels(a, b)
     x, y = _Stack(a.vectors), _Stack(b.vectors)
     pairs = _Pairs(x, y)
-    sol = solve(TransportProblem(cost=pairs.cost, supply=pairs.w_x[0], demand=pairs.w_y[0]),
-                solver)
+    sim, sol = _solve_score(pairs.cost, pairs.w_x[0], pairs.w_y[0], solver)
     m = pairs.cost.shape[0]
     env = envelope_grads(1.0, sol.flows, sol.duals_eq[:m], sol.duals_eq[m:])
     grad_a, grad_b = _member_grads(x, y, pairs, -env.d_cost, env.d_supply[None],
                                    env.d_demand[None], np.ones((1, 1)), want_x=True)
-    return float(np.sum((1.0 - pairs.cost) * sol.flows)), sol, grad_a, grad_b
+    return sim, sol, grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,22 @@ def test_flows_writes_stats(tmp_path, solver):
         assert stats["pivots"] is None
 
 
+def test_flows_stdout_is_the_out_files_text(tmp_path, capsys):
+    """Without --out, flows prints the strict JSON text --out writes."""
+    rng = np.random.default_rng(4)
+    paths = []
+    for name in ("a.dtn", "b.dtn"):
+        paths.append(str(tmp_path / name))
+        save_tensor(DenseTensor.from_array(rng.standard_normal((2, 2, 3))), paths[-1])
+    capsys.readouterr()
+    assert main(["flows", *paths]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "fl"
+    assert main(["flows", *paths, "--out", str(out)]) == 0
+    assert printed == (out / "flows.json").read_text()
+    assert _strict_json(out / "flows.json")["format_version"] == 1
+
+
 def test_bench_csv(tmp_path, capsys):
     out = tmp_path / "bench"
     assert main(["bench", "--sizes", "3", "--dims", "16", "--repeats", "2",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,7 @@ def test_global_scale_leaves_predictions(separable_col):
 def test_sfc_init_law(background_col):
     ep = sample_episode(background_col, 4, 3, 1, seed=7)
     fitted = fit_sfc(ep, iterations=0)
+    assert fitted.n_way == 4
     groups = ep.support_by_class()
     for c in range(4):
         expect = np.mean([es.vectors for es in groups[c]], axis=0)
@@ -288,6 +291,16 @@ def test_projection_rejects_non_finite_weight():
         episode_loss_and_grad(W, ep)
 
 
+def test_projection_step_rejects_kshot_episodes():
+    """The step scores one support per class, so a 2-shot episode raises
+    rather than silently dropping every support after each class's first."""
+    col = generate(SynthSpec(class_count=4, sets_per_class=6, spatial=(2, 2),
+                             channels=5, cluster_sep=3.0, seed=13))
+    ep = sample_episode(col, 3, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="requires k_shot = 1, got 2"):
+        episode_loss_and_grad(np.eye(5), ep)
+
+
 def test_train_projection_lr_zero_bitwise():
     col = generate(SynthSpec(class_count=5, sets_per_class=5, spatial=(2, 2),
                              channels=6, cluster_sep=4.0, seed=14))
@@ -314,6 +327,8 @@ def test_train_projection_deterministic():
     m1 = train_projection(col, epochs=3, lr=0.05, seed=4)
     assert np.array_equal(m0.weight, m1.weight)
     assert m0.loss_curve == m1.loss_curve
+    es = EmbeddingSet(np.arange(12.0).reshape(2, 6))
+    assert np.array_equal(m0.apply(es).vectors, es.vectors @ m0.weight)
 
 
 def test_mean_ci95():
@@ -470,6 +485,12 @@ def _episode(rng, nodes, offsets, k_shot=3, channels=6, zero_row=False):
                    query=tuple(item(c) for c in range(n_way)))
 
 
+def _one_shot(ep):
+    """ep with only each class's first support: the projection step is 1-shot."""
+    return replace(ep, k_shot=1,
+                   support=[(c, sets[0]) for c, sets in enumerate(ep.support_by_class())])
+
+
 def _sfc_case(name):
     rng = np.random.default_rng(31)
     direction = np.zeros(6)
@@ -589,6 +610,7 @@ def test_fused_projection_step_matches_per_pair_loop(case):
     """One fused step per query equals the per-pair loop up to rounding: the
     supports are projected and compared in one stacked product each."""
     ep, kwargs = _sfc_case(case)
+    ep = _one_shot(ep)
     solver = kwargs.get("solver", "simplex")
     weight = np.eye(6) + 0.05 * np.random.default_rng(4).standard_normal((6, 6))
     loss, grad = episode_loss_and_grad(weight, ep, solver=solver)
@@ -646,7 +668,7 @@ def test_sfc_counts_certified_restarts_as_warm_solves(monkeypatch, background_co
     monkeypatch.setattr(metric, "_Forest", refuse)
     calls.clear()
     steps.clear()
-    episode_loss_and_grad(np.eye(ep.support[0][1].channels), ep)
+    episode_loss_and_grad(np.eye(ep.support[0][1].channels), _one_shot(ep))
     assert steps == [(0, 0)] and len(calls) == len(ep.query) * ep.n_way
 
 
@@ -661,7 +683,7 @@ def test_batched_simplex_paths_build_no_transport_problem(monkeypatch, backgroun
     with pytest.raises(AssertionError, match="TransportProblem built"):
         metric.pair_similarity(sets[0], sets[1])  # the patch is live
     fit_sfc(ep, iterations=3)
-    episode_loss_and_grad(np.eye(sets[0].channels), ep)
+    episode_loss_and_grad(np.eye(sets[0].channels), _one_shot(ep))
     metric.similarity_matrix(sets, sets)
     metric.best_match(sets, sets)
 
@@ -715,9 +737,9 @@ def test_kernel_only_ever_sees_the_mass_support(monkeypatch):
     assert (fitted.solves, fitted.pivots, fitted.warm_starts) == counts
 
     weight = np.eye(6) + 0.05 * np.random.default_rng(4).standard_normal((6, 6))
-    loss, grad = episode_loss_and_grad(weight, ep)
+    loss, grad = episode_loss_and_grad(weight, _one_shot(ep))
     support_only()
-    ref_loss, ref_grad = _reference_episode_loss_and_grad(weight, ep)
+    ref_loss, ref_grad = _reference_episode_loss_and_grad(weight, _one_shot(ep))
     support_only()
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))

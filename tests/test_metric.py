@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import emdflow
 from emdflow import metric, transport
 from emdflow.metric import (
-    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _pair_score, _Pairs, _relaxed_bounds,
+    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _Pairs, _relaxed_bounds,
     _relevance, _stack, _Stack, _weights, best_match, cost_matrix, cross_reference_weights,
     emd_similarity, extract, extract_pyramid, pair_similarity, similarity_matrix,
     similarity_node_grads,
@@ -368,9 +368,16 @@ def test_property_relevance_does_not_depend_on_the_stack(seed, channels, members
                              "fortran"]))
 def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solver, edge):
     """similarity_matrix (mirrored, a distinct list, skip_diagonal) and
-    best_match give pair_similarity's similarity byte for byte."""
+    best_match give pair_similarity's similarity byte for byte; under given
+    weights, so does emd_similarity, flows too (the 1 x 1 _Pairs' cost is
+    cost_matrix's)."""
     sets = _forward_sets(np.random.default_rng(seed), edge)
     n = len(sets)
+    for q in sets if weighting == "given" else ():
+        for r in sets:
+            (sim, sol), (ref, ref_sol) = (pair_similarity(q, r, "given", solver),
+                                          emd_similarity(q, r, solver))
+            assert _bytes(sim) == _bytes(ref) and sol.flows.tobytes() == ref_sol.flows.tobytes()
     want = np.array([[pair_similarity(q, r, weighting=weighting, solver=solver)[0]
                       for r in sets] for q in sets])
     upper = np.triu_indices(n)
@@ -502,7 +509,7 @@ def _per_pair_best_match(queries, refs, weighting="cross_reference", solver="sim
             cost, wa, wb = blocks[j]
             if bounds[j] < best_sim - PRUNE_RTOL * float(wa.sum()):
                 break
-            sim = _pair_score(cost, wa, wb, solver)
+            sim = pair_similarity(q, refs[j], weighting, solver)[0]
             if sim > best_sim or (sim == best_sim and j < best_j):
                 best_j, best_sim = int(j), sim
         index.append(best_j)
