@@ -46,6 +46,9 @@ PRUNE_RTOL = 1e-6
 # 1.4-1.6x as much unchunked (6.5M cells).
 _BOUND_CELLS = 1 << 18
 
+# A row norm below this has a sum of squares below the smallest normal float.
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class EmbeddingSet:
@@ -129,11 +132,19 @@ def _row_norms(mat: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(mat: np.ndarray):
-    """Row-normalize, mapping zero rows to zero (treated as orthogonal); a
-    norm that overflows raises ValueError, as its unit row would be zero."""
+    """Row-normalize, mapping zero rows to zero (treated as orthogonal).
+
+    A norm that overflows raises ValueError, as its unit row would be zero.
+    So does a nonzero row whose norm is below sqrt(smallest normal float):
+    its sum of squares is subnormal or has underflowed to 0, so its unit row
+    would lose digits or be zero.  Only such small rows are looked at again.
+    """
     norms = _row_norms(mat)
     if not np.isfinite(norms).all():
         raise ValueError("node vector norm overflows float64; rescale the vectors")
+    small = norms < _SQRT_TINY
+    if small.any() and mat[small].any():
+        raise ValueError("node vector norm underflows float64; rescale the vectors")
     safe = np.where(norms > 0, norms, 1.0)
     return mat / safe[:, None], norms
 
@@ -267,8 +278,9 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     are slices of the chunk's :func:`_side_weights`, taken without the
     stacked cosine :class:`_Pairs` would add, and its cost is its own block
     (:func:`_pair_score`), so every entry is bit-equal to
-    :func:`pair_similarity`'s.  Each query's solved pairs have their masses
-    checked in one batch, as :class:`TransportProblem` checks one pair.
+    :func:`pair_similarity`'s.  Each chunk's solved pairs have their masses
+    checked in one batch, as :class:`TransportProblem` checks one pair,
+    before any of them is scored.
     """
     sim = np.full((len(queries), len(refs)), -np.inf)
     if len(refs) == 0:
@@ -276,20 +288,16 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     mirror = queries is refs
     for lo, xs, ys in _query_chunks(queries, refs):
         w_x, w_y = _side_weights(xs, ys, weighting)[0], _side_weights(ys, xs, weighting)[0]
-        for p, (xa, xb) in enumerate(zip(xs.starts, xs.starts[1:])):
-            i = lo + p
-            js = [j for j in range(i if mirror else 0, len(refs)) if not (skip_diagonal and j == i)]
-            if not js:
-                continue
-            supplies = [w_x[j, xa:xb] for j in js]
-            demands = [w_y[p, ys.starts[j]:ys.starts[j + 1]] for j in js]
-            check_masses(np.concatenate(supplies), np.concatenate(demands),
-                         totals=([float(w.sum()) for w in supplies],
-                                 [float(w.sum()) for w in demands]))
-            sim[i, js] = [_pair_score(xs, p, ys, j, w_x, w_y, solver) for j in js]
-    if mirror:
-        lower = np.tril_indices(len(refs), -1)
-        sim[lower] = sim.T[lower]
+        solved = [(p, j) for p in range(len(xs.starts) - 1)
+                  for j in range(lo + p if mirror else 0, len(refs))
+                  if not (skip_diagonal and j == lo + p)]
+        ps, js = np.array(solved, dtype=np.intp).reshape(-1, 2).T
+        check_masses(w_x, w_y, totals=(_segment_sums(w_x, xs.starts)[js, ps].tolist(),
+                                       _segment_sums(w_y, ys.starts)[ps, js].tolist()))
+        for p, j in solved:
+            sim[lo + p, j] = _pair_score(xs, p, ys, j, w_x, w_y, solver)
+            if mirror:
+                sim[j, lo + p] = sim[lo + p, j]
     return sim
 
 

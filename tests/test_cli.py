@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from emdflow import synth
+from emdflow import synth, transport
 from emdflow.cli import main
 from emdflow.tensor_io import DenseTensor, save_tensor
 
@@ -85,6 +85,35 @@ def test_solve_nonfinite_mass_rejected(tmp_path, capsys, supply):
                                      "supply": supply, "demand": [1.0, 1.0]})
     assert main(["solve", prob]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["cost", "supply", "demand"])
+def test_solve_problem_without_an_array_exits_1(tmp_path, capsys, missing):
+    payload = {"cost": [[0.5]], "supply": [1.0], "demand": [1.0]}
+    del payload[missing]
+    assert main(["solve", _write_problem(tmp_path, payload)]) == 1
+    assert "problem file needs cost/supply/demand arrays" in capsys.readouterr().err
+
+
+def test_solve_exits_2_past_the_pivot_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(transport, "MAX_PIVOTS", 0)
+    prob = _write_problem(tmp_path, {"cost": [[0.1, 0.9], [0.8, 0.2]],
+                                     "supply": [0.5, 0.5], "demand": [0.5, 0.5]})
+    assert main(["solve", prob]) == 2
+    assert "simplex exceeded pivot limit" in capsys.readouterr().err
+
+
+def test_flows_of_sets_whose_norms_underflow_exits_1(tmp_path, capsys):
+    """Node vectors at 1e-170 have a sum of squares that underflows float64:
+    an error, not a similarity of 0."""
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("a.dtn", "b.dtn"):
+        save_tensor(DenseTensor.from_array(1e-170 * rng.standard_normal((2, 2, 8))),
+                    tmp_path / name)
+        paths.append(str(tmp_path / name))
+    assert main(["flows", *paths]) == 1
+    assert "underflows" in capsys.readouterr().err
 
 
 def test_gradcheck_full_passes(capsys):

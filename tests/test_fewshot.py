@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emdflow import metric, transport
+from emdflow import fewshot, metric, transport
 from emdflow.fewshot import (
     DivergenceError, Episode, InsufficientDataError, _cross_entropy, classify_1shot,
     classify_kshot, episode_loss_and_grad, fit_sfc, mean_ci95, sample_episode, train_projection,
@@ -11,6 +11,7 @@ from emdflow.fewshot import (
 from emdflow.metric import (EmbeddingSet, ExtractionConfig, cross_reference_weights,
                             similarity_matrix, similarity_node_grads)
 from emdflow.synth import SynthSpec, generate
+from emdflow.tensor_io import LabeledSetCollection
 
 from conftest import counted_calls
 
@@ -743,3 +744,35 @@ def test_kernel_only_ever_sees_the_mass_support(monkeypatch):
     support_only()
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_episode_label_out_of_range(label):
+    es = EmbeddingSet(np.ones((1, 2)))
+    with pytest.raises(ValueError, match=f"label {label} outside \\[0, 2\\)"):
+        Episode(n_way=2, k_shot=1, q_per_class=1, support=[(0, es), (label, es)],
+                query=[(0, es), (1, es)])
+
+
+@pytest.mark.parametrize("train", [
+    lambda col: fit_sfc(sample_episode(col, 5, 2, 1, seed=0), iterations=3),
+    lambda col: train_projection(col, epochs=3),
+])
+def test_non_finite_step_loss_diverges(separable_col, monkeypatch, train):
+    """A step loss that is not finite stops the fit or the trainer at that
+    step with DivergenceError."""
+    monkeypatch.setattr(fewshot, "_cross_entropy",
+                        lambda sims, labels, temperature: (np.nan, np.zeros_like(sims)))
+    with pytest.raises(DivergenceError, match="diverged at iteration 0") as info:
+        train(separable_col)
+    assert info.value.iteration == 0
+
+
+def test_train_projection_on_an_empty_collection():
+    with pytest.raises(InsufficientDataError, match="empty collection"):
+        train_projection(LabeledSetCollection(), epochs=1)
+
+
+def test_mean_ci95_of_nothing_is_nan():
+    mean, ci = mean_ci95([])
+    assert np.isnan(mean) and np.isnan(ci)

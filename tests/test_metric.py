@@ -906,3 +906,138 @@ def test_global_scaling_invariance():
     for scale in (3.7, 1e150):  # 1e150: norms just short of overflowing float64
         s2, _ = pair_similarity(EmbeddingSet(scale * a.vectors), EmbeddingSet(scale * b.vectors))
         assert s1 == pytest.approx(s2, abs=1e-10)
+
+
+@pytest.mark.parametrize("entry", sorted(_OVERFLOWING))
+def test_underflowing_norms_raise(entry):
+    """Node vectors whose sum of squares underflows float64 raise a
+    ValueError naming the underflow in every entry of the overflow test: a
+    norm of 0 would make a nonzero row read as a zero vector (cost 1,
+    relevance 0) and every score 0."""
+    a, b = _sets(np.random.default_rng(3), 3, 4, 4)
+    tiny = EmbeddingSet(1e-170 * a.vectors), EmbeddingSet(1e-170 * b.vectors)
+    with pytest.raises(ValueError, match="node vector norm underflows"):
+        _OVERFLOWING[entry](*tiny)
+
+
+@pytest.mark.parametrize("scales", [(1e-160, 1e-160), (1e-170, 1e-170), (1e-300, 1e-300),
+                                    (1e-170, 1.0), (1e-120, 1e-200)])
+def test_scales_whose_norms_underflow_raise(scales):
+    """Both sets at 1e-160 scored off by 1.4e-3, the others as 0.0, with no
+    warning; a norm of a row in range is untouched (next test)."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((4, 8)), rng.standard_normal((5, 8))
+    with pytest.raises(ValueError, match="underflows"):
+        pair_similarity(EmbeddingSet(scales[0] * a), EmbeddingSet(scales[1] * b))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-154])
+def test_small_scales_with_normal_norms_score_as_scale_one(scale):
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((4, 8)), rng.standard_normal((5, 8))
+    want = pair_similarity(EmbeddingSet(a), EmbeddingSet(b))[0]
+    got = pair_similarity(EmbeddingSet(scale * a), EmbeddingSet(scale * b))[0]
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+_SCALED = {
+    "pair_similarity": lambda a, b: pair_similarity(a, b)[0],
+    "similarity_matrix": lambda a, b: similarity_matrix([a], [b])[0, 0],
+    "best_match": lambda a, b: best_match([a], [b])[1][0],
+    "similarity_node_grads": lambda a, b: similarity_node_grads(a, b)[0],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_s=st.floats(-300, 300), log_t=st.floats(-300, 300),
+       entry=st.sampled_from(sorted(_SCALED)))
+def test_property_scaled_sets_score_as_scale_one_or_raise(log_s, log_t, entry):
+    """The cosine cost and the normalized cross-reference weights do not
+    depend on a positive scale of either set, so (s A, t B) scores as (A, B)
+    to 1e-12 or raises ValueError (an overflowing or underflowing norm or
+    relevance total); a RuntimeWarning is an error under pytest.  Scales in
+    1e-100...1e100 keep every norm and relevance normal, so they score."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((4, 8)), rng.standard_normal((5, 8))
+    want = _SCALED[entry](EmbeddingSet(a), EmbeddingSet(b))
+    scaled = EmbeddingSet(10.0 ** log_s * a), EmbeddingSet(10.0 ** log_t * b)
+    if max(abs(log_s), abs(log_t)) <= 100:
+        assert _SCALED[entry](*scaled) == pytest.approx(want, abs=1e-12)
+        return
+    try:
+        got = _SCALED[entry](*scaled)
+    except ValueError:
+        return
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_similarity_matrix_checks_a_chunk_s_masses_once(monkeypatch):
+    """A 15-set gallery of 25-node sets is one query chunk, and its solved
+    pairs (j > i, mirrored) have their masses checked in one batch, over the
+    chunk's whole weight arrays (one call per query with pairs before)."""
+    col = emdflow.generate(emdflow.SynthSpec(class_count=5, sets_per_class=3, spatial=(5, 5),
+                                             channels=64, seed=4))
+    sets = [extract(t, ExtractionConfig()) for _, t in col.sets]
+    checks = counted_calls(monkeypatch, metric, "check_masses")
+    sim = similarity_matrix(sets, sets, skip_diagonal=True)
+    assert len(checks) == 1
+    assert checks[0][0].shape == checks[0][1].shape == (15, 15 * 25)
+    assert np.all(np.diag(sim) == -np.inf) and np.array_equal(sim, sim.T)
+
+
+def test_mass_error_raises_before_its_chunk_is_scored(monkeypatch):
+    """Only the second query's pairs are unbalanced; none of the chunk's
+    pairs is solved, the first query's neither."""
+    rng = np.random.default_rng(10)
+
+    def weighted(total):
+        return EmbeddingSet(rng.standard_normal((3, 4)), weights=np.full(3, total / 3))
+
+    queries, refs = [weighted(1.0), weighted(2.0)], [weighted(1.0), weighted(1.0)]
+    solves = counted_calls(monkeypatch, transport, "_simplex")
+    with pytest.raises(UnbalancedProblemError, match="total supply 2.0 vs total demand 1.0"):
+        similarity_matrix(queries, refs, weighting="given")
+    assert solves == []
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"vectors": np.ones(3)}, "vectors must be M x C"),
+    ({"vectors": np.ones((0, 3))}, "vectors must be M x C"),
+    ({"vectors": np.ones((2, 3)), "weights": np.ones(3)}, "weights shape"),
+    ({"vectors": np.ones((2, 3)), "weights": np.array([0.5, -0.5])}, "finite and >= 0"),
+])
+def test_embedding_set_rejects(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        EmbeddingSet(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"strategy": "bogus"}, "unknown strategy"),
+    ({"grid_rows": 0}, "grid dimensions and patch_count"),
+    ({"grid_cols": 0}, "grid dimensions and patch_count"),
+    ({"patch_count": 0}, "grid dimensions and patch_count"),
+    ({"patch_scale_range": (0.0, 0.5)}, "patch_scale_range"),
+    ({"patch_scale_range": (0.6, 0.5)}, "patch_scale_range"),
+    ({"patch_scale_range": (0.5, 1.5)}, "patch_scale_range"),
+])
+def test_extraction_config_rejects(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ExtractionConfig(**kwargs)
+
+
+def test_unknown_weighting_is_named():
+    a, b = _sets(np.random.default_rng(0), 2, 3, 4)
+    with pytest.raises(ValueError, match="unknown weighting 'bogus'"):
+        pair_similarity(a, b, weighting="bogus")
+
+
+@pytest.mark.parametrize("extractor", [lambda m: extract(m, ExtractionConfig()),
+                                       lambda m: extract_pyramid(m, [1])])
+def test_feature_map_must_be_three_dimensional(extractor):
+    with pytest.raises(ValueError, match="feature map must be H x W x C"):
+        extractor(np.ones((4, 4)))
+
+
+def test_pyramid_needs_a_level():
+    with pytest.raises(ValueError, match="at least one level"):
+        extract_pyramid(np.ones((2, 2, 3)), [])

@@ -164,3 +164,14 @@ def test_similarity_matrix_mirror_keeps_the_diagonal(monkeypatch):
     assert len(calls) == n * (n + 1) // 2
     assert np.allclose(np.diag(sim), 1.0, atol=1e-12)
     assert np.array_equal(sim, sim.T)
+
+
+@pytest.mark.parametrize("query_labels, gallery_labels, ranking, match", [
+    ([0, 1, 0], [0, 1, 1], [[0, 1, 2], [1, 0, 2]], "label/similarity shape mismatch"),
+    ([0, 1], [0, 1], [[0, 1, 2], [1, 0, 2]], "label/similarity shape mismatch"),
+    ([0, 1], [0, 1, 1], [[0, 1, 2]], "ranking shape mismatch"),
+])
+def test_retrieval_run_rejects_shapes(query_labels, gallery_labels, ranking, match):
+    with pytest.raises(ValueError, match=match):
+        RetrievalRun(query_labels=np.array(query_labels), gallery_labels=np.array(gallery_labels),
+                     similarity=np.zeros((2, 3)), ranking=np.array(ranking))

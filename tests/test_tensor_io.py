@@ -117,3 +117,29 @@ def test_manifest_relative_paths(tmp_path):
     manifest = save_collection(LabeledSetCollection(sets=((0, t),), class_count=1), sub)
     # load via a relative-looking manifest path from another cwd
     assert load_collection(manifest).sets[0][1] == t
+
+
+def test_negative_dimension_rejected():
+    with pytest.raises(TensorFormatError, match="negative dimension"):
+        DenseTensor(shape=(2, -1), data=np.zeros(0))
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"DTN1" + struct.pack("<I", 0), "rank 0 tensor"),
+    (b"DTN1" + struct.pack("<I", 3) + struct.pack("<2Q", 1, 1), "header truncated"),
+])
+def test_bad_header_rejected(tmp_path, raw, match):
+    path = tmp_path / "t.dtn"
+    path.write_bytes(raw)
+    with pytest.raises(TensorFormatError, match=match):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("label, match", [("x", "bad label 'x'"), ("1.5", "bad label '1.5'"),
+                                          ("-1", "negative label")])
+def test_manifest_rejects_labels(tmp_path, label, match):
+    save_tensor(DenseTensor.from_array(np.ones((1, 1, 2))), tmp_path / "t.dtn")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{label}\tt.dtn\n")
+    with pytest.raises(ManifestError, match=match):
+        load_collection(manifest)

@@ -942,3 +942,30 @@ def test_basis_error_names_its_gate():
     with pytest.raises(BasisError) as tied:
         _optimal_basis(p, sol.flows, sol.duals_ineq)
     assert tied.value.gate == "complementarity" and tied.value.gap == 0.0
+
+
+def test_negative_masses_rejected():
+    with pytest.raises(ValueError, match="must be non-negative"):
+        transport.check_masses(np.array([1.5, -0.5]), np.array([1.0]))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        transport.check_masses(np.array([1.0]), np.array([-0.5, 1.5]))
+
+
+@pytest.mark.parametrize("cost, supply, demand, match", [
+    (np.ones(2), np.ones(2), np.ones(2), "cost must be m x k"),
+    (np.ones((0, 2)), np.ones(0), np.ones(2), "cost must be m x k"),
+    (np.ones((2, 2)), np.full(3, 1 / 3), np.full(2, 0.5), "lengths must match"),
+    (np.ones((2, 2)), np.full(2, 0.5), np.ones(1), "lengths must match"),
+    (np.array([[0.5, np.nan], [0.5, 0.5]]), np.full(2, 0.5), np.full(2, 0.5), "must be finite"),
+])
+def test_problem_rejects_bad_arrays(cost, supply, demand, match):
+    with pytest.raises(ValueError, match=match):
+        TransportProblem(cost=cost, supply=supply, demand=demand)
+
+
+def test_pivot_limit_raises_cycling_error(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_PIVOTS", 0)
+    p = TransportProblem(cost=np.array([[0.1, 0.9], [0.8, 0.2]]), supply=np.full(2, 0.5),
+                         demand=np.full(2, 0.5))
+    with pytest.raises(CyclingError, match="pivot limit"):
+        solve_simplex(p)
