@@ -387,16 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--method", default="1shot",
                    choices=["1shot", *fewshot.KSHOT_METHODS])
-    p.add_argument("--weighting", default="cross_reference",
-                   choices=["cross_reference", "equal"])
+    p.add_argument("--weighting", default="cross_reference", choices=metric.WEIGHTINGS)
     _add_extraction_flags(p)
     _global_flags(p, suppress=True)
     p.set_defaults(func=cmd_episodes)
 
     p = sub.add_parser("retrieve", help="rank a collection against itself")
     p.add_argument("--collection", required=True)
-    p.add_argument("--weighting", default="cross_reference",
-                   choices=["cross_reference", "equal"])
+    p.add_argument("--weighting", default="cross_reference", choices=metric.WEIGHTINGS)
     _add_extraction_flags(p)
     _global_flags(p, suppress=True)
     p.set_defaults(func=cmd_retrieve)

@@ -28,8 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor_io import DenseTensor
-from .transport import (SIMPLEX_TOL, TransportProblem, _Forest, _solve_support, check_masses,
-                        solve)
+from .transport import SIMPLEX_TOL, SOLVERS, TransportProblem, _Forest, _solve_support, solve
 from .diff import envelope_grads
 from .diff import backward_similarity  # noqa: F401  (kept: perfbench/tracer.py patches it)
 
@@ -49,14 +48,19 @@ _BOUND_CELLS = 1 << 18
 # A row norm below this has a sum of squares below the smallest normal float.
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
+# The node weightings of pair_similarity and the batched entries: DeepEMD's
+# cross-reference relevances, and uniform weights as its ablation.
+WEIGHTINGS = ("cross_reference", "equal")
+
 
 @dataclass(frozen=True)
 class EmbeddingSet:
     """A weighted collection of node vectors sharing one channel dim.
 
     ``vectors`` is M x C; ``weights`` is length M and nonnegative.  Fresh
-    extractions carry unit weights; call :func:`cross_reference_weights`
-    (or normalize explicitly) before solving.  ``vectors`` is kept
+    extractions carry unit weights.  Only :func:`emd_similarity` reads
+    them (normalize them, e.g. with :func:`cross_reference_weights`,
+    first); the other entries weight by ``weighting``.  ``vectors`` is kept
     C-contiguous (a C-ordered float64 input is not copied), so a set's node
     mean and relevances have the same bits whatever the caller's layout.
     """
@@ -202,7 +206,7 @@ def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
 
 
 def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
-    """Both sets' weights under ``weighting`` (cross_reference | equal | given):
+    """Both sets' weights under ``weighting`` (one of ``WEIGHTINGS``):
     :func:`_side_weights` of the 1 x 1 stacks, each side against the other."""
     xs, ys = _stack([a]), _stack([b])
     return _side_weights(xs, ys, weighting)[0][0], _side_weights(ys, xs, weighting)[0][0]
@@ -210,7 +214,7 @@ def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
 
 def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_reference",
                     solver: str = "simplex"):
-    """Weight both sets (cross_reference | equal | given) and score them on
+    """Weight both sets (cross_reference | equal) and score them on
     their 1 x 1 :class:`_Pairs`, whose cost is :func:`cost_matrix`'s."""
     _check_channels(a, b)
     pairs = _Pairs(_stack([a]), _stack([b]), weighting)
@@ -218,20 +222,19 @@ def pair_similarity(a: EmbeddingSet, b: EmbeddingSet, weighting: str = "cross_re
 
 
 def _stack(sets) -> _Stack:
-    """The node sets stacked by rows, one member each, in a buffer of their
-    own, with their own weights (for ``given`` weighting).
+    """The node sets stacked by rows, one member each, in a buffer of their own.
 
     Queries and references are stacked apart even when they are one list: a
     block of one buffer times itself would take BLAS's syrk path and round
     differently from :func:`cost_matrix`.
     """
     mats = [s.vectors for s in sets]
-    return _Stack(np.concatenate(mats), _starts(mats), np.concatenate([s.weights for s in sets]))
+    return _Stack(np.concatenate(mats), _starts(mats))
 
 
 def _pair_score(xs: _Stack, p: int, ys: _Stack, g: int, w_x, w_y, solver: str) -> float:
     """:func:`pair_similarity` of pair (p, g) of a query chunk, bit for bit:
-    its weights are slices of the checked ``w_x`` and ``w_y``, its cost its
+    its weights are slices of ``w_x`` and ``w_y``, its cost its
     own product of the stacks' unit rows with :func:`cost_matrix`'s shapes
     (a block of one stacked product rounds differently).  The simplex solves
     the mass support with no certificate (``transport._solve_support``)."""
@@ -278,10 +281,10 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
     are slices of the chunk's :func:`_side_weights`, taken without the
     stacked cosine :class:`_Pairs` would add, and its cost is its own block
     (:func:`_pair_score`), so every entry is bit-equal to
-    :func:`pair_similarity`'s.  Each chunk's solved pairs have their masses
-    checked in one batch, as :class:`TransportProblem` checks one pair,
-    before any of them is scored.
+    :func:`pair_similarity`'s.  An unknown ``weighting`` or ``solver``
+    raises ValueError, also when there is no pair to score.
     """
+    _check_names(weighting, solver)
     sim = np.full((len(queries), len(refs)), -np.inf)
     if len(refs) == 0:
         return sim
@@ -291,9 +294,6 @@ def similarity_matrix(queries, refs, weighting: str = "cross_reference",
         solved = [(p, j) for p in range(len(xs.starts) - 1)
                   for j in range(lo + p if mirror else 0, len(refs))
                   if not (skip_diagonal and j == lo + p)]
-        ps, js = np.array(solved, dtype=np.intp).reshape(-1, 2).T
-        check_masses(w_x, w_y, totals=(_segment_sums(w_x, xs.starts)[js, ps].tolist(),
-                                       _segment_sums(w_y, ys.starts)[ps, js].tolist()))
         for p, j in solved:
             sim[lo + p, j] = _pair_score(xs, p, ys, j, w_x, w_y, solver)
             if mirror:
@@ -332,16 +332,17 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
     Equal to the ``np.argmax`` of each row of :func:`similarity_matrix`,
     exact ties to the lowest index, but solves only the pairs that can
     still win.  Per chunk of queries (:func:`_query_chunks`),
-    :class:`_Pairs` gives every pair's cost and weights and checks every
-    pair's masses, and :func:`_relaxed_bounds` bounds every pair
-    without a solve.  Per query, pairs are solved in descending bound
-    order, ties by index, until the next bound is more than ``PRUNE_RTOL``
-    of the total mass below the best similarity so far.  A solved pair's
-    weights are slices of the stacked ones and its cost is its own block
-    (:func:`_pair_score`), so every similarity is bit-equal to
-    :func:`similarity_matrix`'s.  Returns (indices, similarities), two
-    arrays of length Q.
+    :class:`_Pairs` gives every pair's cost and weights, and
+    :func:`_relaxed_bounds` bounds every pair without a solve.  Per query,
+    pairs are solved in descending bound order, ties by index, until the
+    next bound is more than ``PRUNE_RTOL`` of the total mass below the best
+    similarity so far.  A solved pair's weights are slices of the stacked
+    ones and its cost is its own block (:func:`_pair_score`), so every
+    similarity is bit-equal to :func:`similarity_matrix`'s.  Returns
+    (indices, similarities), two arrays of length Q.  An unknown
+    ``weighting`` or ``solver`` raises ValueError, also with no query.
     """
+    _check_names(weighting, solver)
     if len(refs) == 0:
         raise ValueError("best_match needs at least one reference")
     index, best = np.empty(len(queries), dtype=np.intp), np.empty(len(queries))
@@ -368,22 +369,20 @@ def best_match(queries, refs, weighting: str = "cross_reference", solver: str = 
 
 class _Stack:
     """Node matrices stacked by rows, with their unit rows (zero rows stay
-    zero), norms, each member's node mean and, when given, the members'
-    own node weights (``given`` weighting; else None).
+    zero), norms and each member's node mean.
 
     Member g is rows ``starts[g]:starts[g + 1]``, one member unless
     ``starts`` splits them; members may differ in node count.  A non-finite
     entry raises ValueError, as in :class:`EmbeddingSet`.
     """
 
-    __slots__ = ("vectors", "starts", "unit", "norms", "means", "weights")
+    __slots__ = ("vectors", "starts", "unit", "norms", "means")
 
-    def __init__(self, vectors: np.ndarray, starts=None, weights=None):
+    def __init__(self, vectors: np.ndarray, starts=None):
         if not np.all(np.isfinite(vectors)):
             raise ValueError("non-finite node vector")
         self.vectors = vectors
         self.starts = [0, vectors.shape[0]] if starts is None else starts
-        self.weights = weights
         self.unit, self.norms = _unit_rows(vectors)
         self.means = np.array([vectors[s:e].mean(axis=0)
                                for s, e in zip(self.starts, self.starts[1:])])
@@ -411,34 +410,40 @@ def _normalize_segments(raw: np.ndarray, starts):
     return np.where(per_node > 0, raw / np.where(per_node > 0, per_node, 1.0), uniform), total
 
 
+def _check_names(weighting: str, solver: str = "simplex"):
+    """Raise ValueError on a weighting not in ``WEIGHTINGS`` or a solver not
+    in ``transport.SOLVERS``, as :func:`~emdflow.transport.solve` does."""
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+
+
 def _side_weights(xs: _Stack, ys: _Stack, weighting: str):
-    """xs's weights against each member of ys under ``weighting``
-    (cross_reference | equal | given): (w, raw, total), w G x M.
+    """xs's weights against each member of ys under ``weighting`` (one of
+    ``WEIGHTINGS``): (w, raw, total), w G x M.
 
     Cross-reference weights are each x member's clamped relevances ``raw``
     (G x M) to a y member's node mean, divided by their per-member totals
     ``total`` (G x P), an all-zero member falling back to uniform; row g of
     member p is bit-equal to the 1 x 1 stacks' (:func:`_relevance` is per
     node).  A relevance or total that overflows float64 raises ValueError,
-    as an overflowing norm does in :func:`_unit_rows`.  Equal and given
-    weights do not depend on the partner, so their rows repeat and raw and
-    total are None.  Call as (ys, xs) for ys's side.
+    as an overflowing norm does in :func:`_unit_rows`.  Equal weights 1/n
+    do not depend on the partner, so their rows repeat and raw and total
+    are None.  Either way every pair's weights are finite and >= 0 and sum
+    to 1 on each side, so no batched pair needs a mass check.  Call as
+    (ys, xs) for ys's side.
     """
-    if weighting == "cross_reference":
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            raw = _relevance(xs.vectors, ys.means)
-            w, total = _normalize_segments(raw, xs.starts)
-        if not np.isfinite(total).all():  # an inf total would make every weight 0
-            raise ValueError("relevance total overflows float64; rescale the vectors")
-        return w, raw, total
+    _check_names(weighting)
     if weighting == "equal":
         counts = np.diff(xs.starts)
-        own = np.repeat(1.0 / counts, counts)
-    elif weighting == "given":
-        own = xs.weights
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    return np.tile(own, (len(ys.starts) - 1, 1)), None, None
+        return np.tile(np.repeat(1.0 / counts, counts), (len(ys.starts) - 1, 1)), None, None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        raw = _relevance(xs.vectors, ys.means)
+        w, total = _normalize_segments(raw, xs.starts)
+    if not np.isfinite(total).all():  # an inf total would make every weight 0
+        raise ValueError("relevance total overflows float64; rescale the vectors")
+    return w, raw, total
 
 
 class _Pairs:
@@ -450,9 +455,7 @@ class _Pairs:
     ``w_y`` (P x N) ys's against each x member, both from
     :func:`_side_weights`; under cross_reference weighting ``raw_x`` /
     ``tot_x`` (G x M, G x P) and ``raw_y`` / ``tot_y`` (P x N, P x G) are
-    the relevances and per-member totals the backward needs.  The masses of
-    all P x G problems are checked at once, as
-    :func:`~emdflow.transport.check_masses` checks one problem.
+    the relevances and per-member totals the backward needs.
     """
 
     __slots__ = ("cos", "cost", "w_x", "raw_x", "tot_x", "w_y", "raw_y", "tot_y")
@@ -461,9 +464,6 @@ class _Pairs:
         self.cos, self.cost = _cosine(xs.unit, ys.unit)
         self.w_x, self.raw_x, self.tot_x = _side_weights(xs, ys, weighting)
         self.w_y, self.raw_y, self.tot_y = _side_weights(ys, xs, weighting)
-        check_masses(self.w_x, self.w_y,
-                     totals=(_segment_sums(self.w_x, xs.starts).T.ravel().tolist(),
-                             _segment_sums(self.w_y, ys.starts).ravel().tolist()))
 
 
 class _WarmStarts:

@@ -90,24 +90,19 @@ class BasisError(ValueError):
         self.gate, self.gap = gate, gap
 
 
-def check_masses(supply: np.ndarray, demand: np.ndarray, totals=None) -> None:
-    """Raise unless both mass vectors are finite, >= 0, positive in total and balanced.
-
-    A batch of problems passes all its supplies and all its demands at once,
-    with ``totals`` = (supply totals, demand totals), one pair per problem.
-    """
+def check_masses(supply: np.ndarray, demand: np.ndarray) -> None:
+    """Raise unless both mass vectors are finite, >= 0, positive in total and balanced."""
     if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
         raise ValueError("cost, supply and demand entries must be finite")
     if np.any(supply < 0) or np.any(demand < 0):
         raise ValueError("supply and demand must be non-negative")
-    for ts, td in (zip(*totals) if totals is not None
-                   else [(float(supply.sum()), float(demand.sum()))]):
-        if ts <= 0 or td <= 0:
-            raise ValueError("total supply and total demand must be positive")
-        if abs(ts - td) > BALANCE_RTOL * max(ts, td):
-            raise UnbalancedProblemError(
-                f"unbalanced problem: total supply {ts} vs total demand {td}"
-            )
+    ts, td = float(supply.sum()), float(demand.sum())
+    if ts <= 0 or td <= 0:
+        raise ValueError("total supply and total demand must be positive")
+    if abs(ts - td) > BALANCE_RTOL * max(ts, td):
+        raise UnbalancedProblemError(
+            f"unbalanced problem: total supply {ts} vs total demand {td}"
+        )
 
 
 def _check_tol(tol) -> None:

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 import emdflow
 from emdflow import metric, transport
 from emdflow.metric import (
-    PRUNE_RTOL, EmbeddingSet, ExtractionConfig, _Pairs, _relaxed_bounds,
-    _relevance, _stack, _Stack, _weights, best_match, cost_matrix, cross_reference_weights,
-    emd_similarity, extract, extract_pyramid, pair_similarity, similarity_matrix,
-    similarity_node_grads,
+    PRUNE_RTOL, WEIGHTINGS, EmbeddingSet, ExtractionConfig, _Pairs, _relaxed_bounds,
+    _relevance, _side_weights, _stack, _Stack, _weights, best_match, cost_matrix,
+    cross_reference_weights, emd_similarity, extract, extract_pyramid, pair_similarity,
+    similarity_matrix, similarity_node_grads,
 )
 from emdflow.diff import envelope_grads
 from emdflow.tensor_io import DenseTensor
-from emdflow.transport import solve_oracle, TransportProblem, UnbalancedProblemError
+from emdflow.transport import solve_oracle, TransportProblem
 
 from conftest import counted_calls
 
@@ -201,15 +201,14 @@ def _stacked_bounds(queries, refs, weighting):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
        st.sampled_from(["random", "signed_axes", "copy"]),
-       st.sampled_from(["cross_reference", "equal", "given"]), st.integers(-12, 12))
-def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weighting, log_mass):
+       st.sampled_from(["cross_reference", "equal"]))
+def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weighting):
     """best_match's stacked relaxed bound is never below the solved
     similarity, and it is the per-pair formula's.
 
     Random vectors leave zero-mass nodes under the cross-reference ReLU;
     signed axis vectors give tied integer costs 0, 1 and 2; ``copy`` makes
-    the reference a copy of the query; ``given`` weights zero some nodes
-    and scale the total mass to 1e-12...1e12.
+    the reference a copy of the query.
     """
     rng = np.random.default_rng(seed)
 
@@ -218,15 +217,8 @@ def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weightin
             return np.eye(3)[rng.integers(0, 3, n)] * rng.choice([-1.0, 1.0], (n, 1))
         return rng.standard_normal((n, 3))
 
-    def masses(n):
-        w = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.6)
-        w[rng.integers(n)] += 0.5
-        return 10.0 ** log_mass * w / w.sum()
-
     q = EmbeddingSet(vectors(m))
     r = EmbeddingSet(q.vectors.copy() if nodes == "copy" else vectors(k))
-    if weighting == "given":
-        q, r = q.with_weights(masses(q.node_count)), r.with_weights(masses(r.node_count))
     wa, wb = _weights(q, r, weighting)
     cost = cost_matrix(q, r)
     sim = emd_similarity(q.with_weights(wa), r.with_weights(wb))[0]
@@ -270,23 +262,17 @@ def test_best_match_exact_tie_with_a_looser_bound_picks_the_lowest_index():
     query = EmbeddingSet(np.array([e1, -e2]), weights=half)
     refs = [EmbeddingSet(np.array([e3]), weights=np.array([1.0])),
             EmbeddingSet(np.array([e1, e2]), weights=half)]
-    bounds = _stacked_bounds([query], refs, "given")[0][0]
+    bounds = _stacked_bounds([query], refs, "equal")[0][0]
     assert bounds[1] > bounds[0]
-    full = similarity_matrix([query], refs, weighting="given")
+    full = similarity_matrix([query], refs, weighting="equal")
     assert full[0, 0] == full[0, 1]
-    idx, sims = best_match([query], refs, weighting="given")
+    idx, sims = best_match([query], refs, weighting="equal")
     assert (idx[0], sims[0]) == (0, full[0, 0])
 
 
 def test_best_match_checks_every_pair():
-    """A pair pruned by its bound is still rejected as the full matrix rejects it."""
-    rng = np.random.default_rng(9)
-    query = EmbeddingSet(rng.standard_normal((3, 4)), weights=np.full(3, 1 / 3))
-    far = EmbeddingSet(-query.vectors, weights=np.full(3, 2 / 3))
-    with pytest.raises(UnbalancedProblemError):
-        similarity_matrix([query], [query, far], weighting="given")
-    with pytest.raises(UnbalancedProblemError):
-        best_match([query], [query, far], weighting="given")
+    """No reference to match is an error, not an empty answer."""
+    query = EmbeddingSet(np.random.default_rng(9).standard_normal((3, 4)))
     with pytest.raises(ValueError, match="at least one reference"):
         best_match([query], [])
 
@@ -299,7 +285,8 @@ def test_best_match_of_no_queries_is_two_empty_arrays():
 
 def _forward_sets(rng, edge):
     """Three or four node sets of differing node counts around one direction,
-    with the edge case ``edge`` and given weights that each sum to 1.
+    with the edge case ``edge``, each carrying own weights that sum to 1
+    (only emd_similarity would read them).
 
     At 40 channels BLAS rounds x @ x.T (its syrk path) differently from the
     product of two equal copies, which the forward must not take.  With
@@ -362,21 +349,23 @@ def test_property_relevance_does_not_depend_on_the_stack(seed, channels, members
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000),
-       weighting=st.sampled_from(["cross_reference", "equal", "given"]),
+       weighting=st.sampled_from(["cross_reference", "equal"]),
        solver=st.sampled_from(["simplex", "ipm"]),
        edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal",
                              "fortran"]))
 def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solver, edge):
     """similarity_matrix (mirrored, a distinct list, skip_diagonal) and
-    best_match give pair_similarity's similarity byte for byte; under given
-    weights, so does emd_similarity, flows too (the 1 x 1 _Pairs' cost is
-    cost_matrix's)."""
+    best_match give pair_similarity's similarity byte for byte; so does
+    emd_similarity of the sets carrying the pair's weights, flows too (the
+    1 x 1 _Pairs' cost is cost_matrix's), which ``emdflow flows`` relies on."""
     sets = _forward_sets(np.random.default_rng(seed), edge)
     n = len(sets)
-    for q in sets if weighting == "given" else ():
+    for q in sets:
         for r in sets:
-            (sim, sol), (ref, ref_sol) = (pair_similarity(q, r, "given", solver),
-                                          emd_similarity(q, r, solver))
+            wa, wb = _weights(q, r, weighting)
+            (sim, sol), (ref, ref_sol) = (
+                pair_similarity(q, r, weighting, solver),
+                emd_similarity(q.with_weights(wa), r.with_weights(wb), solver))
             assert _bytes(sim) == _bytes(ref) and sol.flows.tobytes() == ref_sol.flows.tobytes()
     want = np.array([[pair_similarity(q, r, weighting=weighting, solver=solver)[0]
                       for r in sets] for q in sets])
@@ -407,19 +396,15 @@ def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solve
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000),
-       weighting=st.sampled_from(["cross_reference", "equal", "given"]),
-       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]),
-       log_mass=st.integers(-12, 12))
-def test_property_stacked_bounds_cover_every_pair(seed, weighting, edge, log_mass):
+       weighting=st.sampled_from(["cross_reference", "equal"]),
+       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]))
+def test_property_stacked_bounds_cover_every_pair(seed, weighting, edge):
     """Every pair's slices of the stacked weights are its own weights byte
     for byte; every stacked bound is at least the pair's similarity, and it
     and the pair's total supply agree with the per-pair formula, to 1e-12
     of the mass, also where a set's relevances are rounding
-    (``orthogonal``).  ``given`` weights are scaled to a total of
-    1e-12...1e12."""
+    (``orthogonal``)."""
     sets = _forward_sets(np.random.default_rng(seed), edge)
-    if weighting == "given":
-        sets = [s.with_weights(10.0 ** log_mass * s.weights) for s in sets]
     queries = sets[:2]
     bounds, supply = _stacked_bounds(queries, sets, weighting)
     assert bounds.shape == supply.shape == (len(queries), len(sets))
@@ -538,24 +523,7 @@ def test_stacked_bounds_solve_what_per_pair_bounds_solved(monkeypatch):
         solves.clear()
 
 
-def test_skipped_pair_of_a_distinct_list_is_not_mass_checked():
-    """With skip_diagonal, a distinct list's (i, i) pairs are neither solved
-    nor checked: here they are the unbalanced ones."""
-    rng = np.random.default_rng(10)
-
-    def weighted(total):
-        return EmbeddingSet(rng.standard_normal((3, 4)), weights=np.full(3, total / 3))
-
-    queries, refs = [weighted(1.0), weighted(2.0)], [weighted(2.0), weighted(1.0)]
-    with pytest.raises(UnbalancedProblemError):
-        similarity_matrix(queries, refs, weighting="given")
-    sim = similarity_matrix(queries, refs, weighting="given", skip_diagonal=True)
-    assert np.all(np.diag(sim) == -np.inf)
-    assert sim[0, 1] == pair_similarity(queries[0], refs[1], weighting="given")[0]
-    assert sim[1, 0] == pair_similarity(queries[1], refs[0], weighting="given")[0]
-
-
-@pytest.mark.parametrize("weighting", ["cross_reference", "equal", "given"])
+@pytest.mark.parametrize("weighting", ["cross_reference", "equal"])
 def test_channel_mismatch_is_named_by_every_entry(weighting):
     """A pair, a reference list whose first member is the odd one and a list
     with a later odd member each raise the mismatch, not a product's error."""
@@ -971,33 +939,15 @@ def test_property_scaled_sets_score_as_scale_one_or_raise(log_s, log_t, entry):
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_similarity_matrix_checks_a_chunk_s_masses_once(monkeypatch):
-    """A 15-set gallery of 25-node sets is one query chunk, and its solved
-    pairs (j > i, mirrored) have their masses checked in one batch, over the
-    chunk's whole weight arrays (one call per query with pairs before)."""
+def test_similarity_matrix_checks_a_chunk_s_masses_once():
+    """A 15-set gallery of 25-node sets, one query chunk, scored against
+    itself with skip_diagonal: the diagonal holds -inf and the solved pairs
+    (j > i) are mirrored."""
     col = emdflow.generate(emdflow.SynthSpec(class_count=5, sets_per_class=3, spatial=(5, 5),
                                              channels=64, seed=4))
     sets = [extract(t, ExtractionConfig()) for _, t in col.sets]
-    checks = counted_calls(monkeypatch, metric, "check_masses")
     sim = similarity_matrix(sets, sets, skip_diagonal=True)
-    assert len(checks) == 1
-    assert checks[0][0].shape == checks[0][1].shape == (15, 15 * 25)
     assert np.all(np.diag(sim) == -np.inf) and np.array_equal(sim, sim.T)
-
-
-def test_mass_error_raises_before_its_chunk_is_scored(monkeypatch):
-    """Only the second query's pairs are unbalanced; none of the chunk's
-    pairs is solved, the first query's neither."""
-    rng = np.random.default_rng(10)
-
-    def weighted(total):
-        return EmbeddingSet(rng.standard_normal((3, 4)), weights=np.full(3, total / 3))
-
-    queries, refs = [weighted(1.0), weighted(2.0)], [weighted(1.0), weighted(1.0)]
-    solves = counted_calls(monkeypatch, transport, "_simplex")
-    with pytest.raises(UnbalancedProblemError, match="total supply 2.0 vs total demand 1.0"):
-        similarity_matrix(queries, refs, weighting="given")
-    assert solves == []
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -1029,6 +979,85 @@ def test_unknown_weighting_is_named():
     a, b = _sets(np.random.default_rng(0), 2, 3, 4)
     with pytest.raises(ValueError, match="unknown weighting 'bogus'"):
         pair_similarity(a, b, weighting="bogus")
+
+
+def test_given_weighting_is_unknown():
+    """The sets' own weights are read only by emd_similarity; every entry
+    that takes a weighting rejects ``given`` by name."""
+    col = emdflow.generate(emdflow.SynthSpec(class_count=2, sets_per_class=2, spatial=(2, 2),
+                                             channels=4, seed=0))
+    ep = emdflow.sample_episode(col, 2, 1, 1, seed=0)
+    a, b = ep.query[0][1], ep.query[1][1]
+    entries = [lambda: pair_similarity(a, b, weighting="given"),
+               lambda: similarity_matrix([a], [b], weighting="given"),
+               lambda: best_match([a], [b], weighting="given"),
+               lambda: emdflow.rank_gallery(ep.query, ep.query, weighting="given"),
+               lambda: emdflow.classify_1shot(ep, weighting="given")]
+    for entry in entries:
+        with pytest.raises(ValueError, match="unknown weighting 'given'"):
+            entry()
+
+
+_NO_PAIRS = {
+    "similarity_matrix": similarity_matrix,
+    "best_match": best_match,
+    "rank_gallery": lambda qs, rs, **kw: emdflow.rank_gallery(
+        [(0, q) for q in qs], [(0, r) for r in rs], **kw),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NO_PAIRS))
+@pytest.mark.parametrize("empty", ["queries", "refs"])
+@pytest.mark.parametrize("name, value", [("weighting", "nope"), ("solver", "nope")])
+def test_unknown_names_raise_with_nothing_to_score(entry, empty, name, value):
+    """An unknown weighting or solver raises also when no pair is scored."""
+    one = [EmbeddingSet(np.eye(2))]
+    queries, refs = ([], one) if empty == "queries" else (one, [])
+    with pytest.raises(ValueError, match=f"unknown {name} 'nope'"):
+        _NO_PAIRS[entry](queries, refs, **{name: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), weighting=st.sampled_from(WEIGHTINGS),
+       edge=st.sampled_from(["none", "single_node", "zero_rows", "clamped", "orthogonal"]),
+       zero_member=st.booleans(),
+       log_scales=st.lists(st.floats(-150, 150), min_size=4, max_size=4))
+def test_property_batched_weights_pass_the_mass_checks(seed, weighting, edge, zero_member,
+                                                       log_scales):
+    """The batched entries check no masses: cross-reference and equal
+    weights of every pair of two stacks are finite and >= 0, and each
+    pair's slices pass transport.check_masses (positive, balanced totals),
+    with zero rows, an all-zero member, all-clamped members (uniform
+    fallback) and each set scaled by 1e-150...1e150."""
+    sets = [EmbeddingSet(10.0 ** log_s * s.vectors) for log_s, s
+            in zip(log_scales, _forward_sets(np.random.default_rng(seed), edge))]
+    if zero_member:
+        sets[0] = EmbeddingSet(np.zeros_like(sets[0].vectors))
+    xs, ys = _stack(sets[:2]), _stack(sets)
+    w_x, w_y = _side_weights(xs, ys, weighting)[0], _side_weights(ys, xs, weighting)[0]
+    for w in (w_x, w_y):
+        assert np.isfinite(w).all() and (w >= 0).all()
+    for p in range(len(xs.starts) - 1):
+        for g in range(len(ys.starts) - 1):
+            transport.check_masses(w_x[g, xs.starts[p]:xs.starts[p + 1]],
+                                   w_y[p, ys.starts[g]:ys.starts[g + 1]])
+
+
+def test_only_certified_solves_check_masses(monkeypatch):
+    """pair_similarity and similarity_node_grads check masses once, in their
+    certified solve; similarity_matrix and best_match on the simplex check
+    none (their weights pass by construction)."""
+    a, b, c = (EmbeddingSet(m) for m in np.random.default_rng(13).standard_normal((3, 4, 5)))
+    assert not hasattr(metric, "check_masses")  # so every check is counted here
+    checks = counted_calls(monkeypatch, transport, "check_masses")
+    pair_similarity(a, b)
+    assert len(checks) == 1
+    similarity_node_grads(a, b)
+    assert len(checks) == 2
+    checks.clear()
+    similarity_matrix([a, b, c], [a, b, c])
+    best_match([a, b, c], [a, b, c])
+    assert checks == []
 
 
 @pytest.mark.parametrize("extractor", [lambda m: extract(m, ExtractionConfig()),
