@@ -287,8 +287,7 @@ def cmd_flows(args) -> int:
     a = metric.extract(tensor_io.load_tensor(args.query), cfg)
     b = metric.extract(tensor_io.load_tensor(args.support), cfg)
     wa, wb = metric.cross_reference_weights(a, b)
-    sim, sol = metric.emd_similarity(a.with_weights(wa), b.with_weights(wb),
-                                     solver=args.solver)
+    sim, sol = metric.emd_similarity(a, b, wa, wb, solver=args.solver)
     # A node of weight 0 carries no flow, so it matches nothing: -1.
     best = np.where(wa > 0, np.argmax(sol.flows, axis=1), -1)
     payload = {
@@ -326,8 +325,7 @@ def cmd_bench(args) -> int:
                 times = []
                 for _ in range(args.repeats):
                     t0 = time.perf_counter()
-                    metric.emd_similarity(a.with_weights(wa), b.with_weights(wb),
-                                          solver=solver)
+                    metric.emd_similarity(a, b, wa, wb, solver=solver)
                     times.append(time.perf_counter() - t0)
                 med = statistics.median(times)
                 rows.append([size, dim, solver, args.repeats, f"{med * 1e3:.4f}"])

@@ -33,19 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import BasisError, TransportProblem, TransportSolution, _optimal_basis
-
-
-class SingularKktError(RuntimeError):
-    """Degenerate optimum: the flow Jacobian is not defined.
-
-    ``gate`` and ``gap`` are those of the :class:`~emdflow.transport.BasisError`
-    that tripped.
-    """
-
-    def __init__(self, message, gate=None, gap=None):
-        super().__init__(message)
-        self.gate, self.gap = gate, gap
+from .transport import SingularKktError  # noqa: F401  (re-exported)
+from .transport import TransportProblem, TransportSolution, _optimal_basis
 
 
 @dataclass(frozen=True)
@@ -57,33 +46,17 @@ class EmdGradients:
     d_demand: np.ndarray
 
 
-def grad_objective(sol: TransportSolution, p: TransportProblem) -> EmdGradients:
-    """Envelope gradient of the optimal objective value.
-
-    d objective / d cost = optimal flows; d objective / d supply and
-    demand = the equality duals (marginal prices).
-    """
-    m = p.m
-    return EmdGradients(
-        d_cost=sol.flows.copy(),
-        d_supply=sol.duals_eq[:m].copy(),
-        d_demand=sol.duals_eq[m:].copy(),
-    )
-
-
 class FlowJacobian:
     """Flow Jacobian at a nondegenerate optimum, held as its basis tree.
 
     ``apply`` maps a parameter direction to the change in the optimal
     flows; ``vjp`` maps a flow cotangent back to supply and demand.
-    Raises :class:`SingularKktError` when the degeneracy gate trips.
+    Raises :class:`~emdflow.transport.SingularKktError` when the degeneracy
+    gate trips.
     """
 
     def __init__(self, sol: TransportSolution, p: TransportProblem):
-        try:
-            self._tree = _optimal_basis(p, sol.flows, sol.duals_ineq)
-        except BasisError as exc:
-            raise SingularKktError(f"degenerate optimum: {exc}", exc.gate, exc.gap) from exc
+        self._tree = _optimal_basis(p, sol.flows, sol.duals_ineq)
 
     def apply(self, d_cost, d_supply, d_demand) -> np.ndarray:
         """First-order change in the optimal flows along a parameter direction.

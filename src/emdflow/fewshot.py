@@ -87,9 +87,6 @@ class SfcPrototypes:
     """
 
     per_class: list
-    learning_rate: float = 0.1
-    batch_size: int = 5
-    iterations: int = 100
     loss_curve: list = field(default_factory=list)
     solves: int = 0
     pivots: int = 0
@@ -205,15 +202,15 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     Each iteration is one fused step: the picked supports and the
     prototypes are stacked, with their unit rows, norms and means, and
     every picked support meets every prototype in one cosine product, one
-    relevance product per side, one mass check, one solve per (pick, class)
-    pair on its mass support, and one stacked backward.  The batch loss is
-    each pick's cross-entropy, summed.  The simplex restarts each (support,
-    class) solve from the basis that pair ended on at its last visit, while
-    its mass support is unchanged, so a support drawn twice in one iteration
-    restarts its second visit from its first.  Restarts whose kept tree is
-    still optimal are certified in one stacked pass per iteration, bit-equal
-    to the kernel's 0-pivot run; only the other pairs run the kernel.
-    ``solves``, ``pivots`` and ``warm_starts`` count both (:class:`SfcPrototypes`).
+    relevance product per side, one solve per (pick, class) pair on its
+    mass support, and one stacked backward.  The batch loss is each pick's
+    cross-entropy, summed.  The simplex restarts each (support, class) solve
+    from the basis that pair ended on at its last visit, while its mass
+    support is unchanged, so a support drawn twice in one iteration restarts
+    its second visit from its first.  Restarts whose kept tree is still
+    optimal are certified in one stacked pass per iteration, bit-equal to
+    the kernel's 0-pivot run; only the other pairs run the kernel.  The
+    fit's ``solves``, ``pivots`` and ``warm_starts`` count both.
     """
     _check_training(learning_rate, temperature, "iterations", iterations, batch_size)
     groups = ep.support_by_class()
@@ -221,9 +218,7 @@ def fit_sfc(ep: Episode, learning_rate: float = 0.1, batch_size: int = 5,
     starts = _starts(protos)
     stacked = np.concatenate(protos)
     rng = np.random.default_rng(seed)
-    result = SfcPrototypes(per_class=np.split(stacked, starts[1:-1]),
-                           learning_rate=learning_rate, batch_size=batch_size,
-                           iterations=iterations)
+    result = SfcPrototypes(per_class=np.split(stacked, starts[1:-1]))
     labels = [label for label, _ in ep.support]
     mats = [es.vectors for _, es in ep.support]
     warm = _WarmStarts()

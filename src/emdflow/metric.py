@@ -23,7 +23,7 @@ stacked forward (:class:`_Pairs`) per chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,18 +55,14 @@ WEIGHTINGS = ("cross_reference", "equal")
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """A weighted collection of node vectors sharing one channel dim.
+    """A collection of node vectors sharing one channel dim.
 
-    ``vectors`` is M x C; ``weights`` is length M and nonnegative.  Fresh
-    extractions carry unit weights.  Only :func:`emd_similarity` reads
-    them (normalize them, e.g. with :func:`cross_reference_weights`,
-    first); the other entries weight by ``weighting``.  ``vectors`` is kept
-    C-contiguous (a C-ordered float64 input is not copied), so a set's node
-    mean and relevances have the same bits whatever the caller's layout.
+    ``vectors`` is M x C, kept C-contiguous (a C-ordered float64 input is
+    not copied), so a set's node mean and relevances have the same bits
+    whatever the caller's layout.  Node weights belong to a pair, not a set.
     """
 
     vectors: np.ndarray
-    weights: np.ndarray = None
 
     def __post_init__(self):
         vec = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -74,16 +70,7 @@ class EmbeddingSet:
             raise ValueError(f"vectors must be M x C with M,C >= 1, got {vec.shape}")
         if not np.all(np.isfinite(vec)):
             raise ValueError("non-finite node vector")
-        w = self.weights
-        if w is None:
-            w = np.ones(vec.shape[0])
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (vec.shape[0],):
-            raise ValueError(f"weights shape {w.shape} does not match {vec.shape[0]} nodes")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and >= 0")
         object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "weights", w)
 
     @property
     def node_count(self) -> int:
@@ -92,9 +79,6 @@ class EmbeddingSet:
     @property
     def channels(self) -> int:
         return self.vectors.shape[1]
-
-    def with_weights(self, weights) -> "EmbeddingSet":
-        return replace(self, weights=np.asarray(weights, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -197,12 +181,14 @@ def _solve_score(cost: np.ndarray, supply, demand, solver: str):
     return float(np.sum((1.0 - cost) * sol.flows)), sol
 
 
-def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, solver: str = "simplex"):
-    """Similarity sum((1 - c) * flows) under the sets' current weights.
+def emd_similarity(a: EmbeddingSet, b: EmbeddingSet, weights_a, weights_b,
+                   solver: str = "simplex"):
+    """Similarity sum((1 - c) * flows) with node masses ``weights_a`` and
+    ``weights_b``, which :class:`~emdflow.transport.TransportProblem` checks.
 
-    Weights must be balanced (equal totals).  Returns (similarity, solution).
+    Returns (similarity, solution).
     """
-    return _solve_score(cost_matrix(a, b), a.weights, b.weights, solver)
+    return _solve_score(cost_matrix(a, b), weights_a, weights_b, solver)
 
 
 def _weights(a: EmbeddingSet, b: EmbeddingSet, weighting: str):
@@ -622,17 +608,22 @@ def _cosine_vjp(g_cos, cos, xhat, xnorm, yhat):
     return grad
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def _weight_vjp(grad_w, w, raw, total, starts):
     """Pull ``grad_w`` back through w = normalize(max(r, 0)) to r, per
     last-axis segment ``starts[s]:starts[s + 1]`` with total ``total[..., s]``.
 
     (grad_w - grad_w . w) / total where raw > 0, the dot taken per segment;
-    the uniform fallback (total 0) carries no gradient.
+    the uniform fallback (total 0) carries no gradient.  A quotient that
+    overflows (a total near the smallest normal float) raises ValueError.
     """
     counts = np.diff(starts)
     dot = np.repeat(_segment_sums(grad_w * w, starts), counts, axis=-1)
     total = np.repeat(total, counts, axis=-1)
-    return (grad_w - dot) / np.where(total > 0, total, np.inf) * (raw > 0)
+    grad = (grad_w - dot) / np.where(total > 0, total, np.inf) * (raw > 0)
+    if not np.isfinite(grad).all():
+        raise ValueError("relevance total underflows float64; rescale the vectors")
+    return grad
 
 
 def _member_grads(xs: _Stack, ys: _Stack, pairs: _Pairs, flows, d_x, d_y, upstream,
@@ -758,8 +749,7 @@ def extract(feature_map, cfg: ExtractionConfig) -> EmbeddingSet:
     ``fcn`` keeps every spatial vector (row-major); ``grid`` averages
     context-enlarged cells of a rows x cols partition; ``sampling`` averages
     seeded random rectangles.  A non-empty ``cfg.pyramid_levels`` replaces
-    the strategy with :func:`extract_pyramid`.  Weights are left at 1 for
-    every node.
+    the strategy with :func:`extract_pyramid`.
     """
     if cfg.pyramid_levels:
         return extract_pyramid(feature_map, cfg.pyramid_levels)

@@ -15,10 +15,9 @@ class RetrievalRun:
     """Similarity matrix plus the induced per-query gallery ranking.
 
     Rankings sort by descending similarity with ties broken by ascending
-    gallery index.  Self-matches (when the gallery is the query set
-    itself) carry -inf similarity so they never rank.  When the gallery is
-    the query list object itself, each unordered pair is solved once and
-    ``similarity`` is symmetric.
+    gallery index.  When the gallery is the query list object itself,
+    self-matches carry -inf similarity so they never rank, and each
+    unordered pair is solved once and ``similarity`` is symmetric.
     """
 
     query_labels: np.ndarray
@@ -43,24 +42,22 @@ def _rank_rows(similarity: np.ndarray) -> np.ndarray:
 
 
 def rank_gallery(queries, gallery, weighting: str = "cross_reference",
-                 solver: str = "simplex", self_match: bool = None) -> RetrievalRun:
+                 solver: str = "simplex") -> RetrievalRun:
     """Score every (query, gallery) pair and rank the gallery per query.
 
     ``queries`` and ``gallery`` are sequences of (label, EmbeddingSet).
-    When the gallery is the query list itself (or ``self_match`` is set),
-    index-identical pairs are excluded from the ranking.  When it is the
-    query list object itself, each unordered pair is solved once and
-    mirrored (:func:`~emdflow.metric.similarity_matrix`); an equal but
-    distinct gallery list solves every ordered pair.
+    Self-retrieval is ``gallery is queries`` (the same list object): the
+    index-identical pairs are excluded from the ranking, and each unordered
+    pair is solved once and mirrored
+    (:func:`~emdflow.metric.similarity_matrix`).  An equal but distinct
+    gallery list solves and ranks every ordered pair.
     """
-    if self_match is None:
-        self_match = queries is gallery
     q_labels = np.array([label for label, _ in queries])
     g_labels = np.array([label for label, _ in gallery])
     q_sets = [q for _, q in queries]
     g_sets = q_sets if queries is gallery else [g for _, g in gallery]
-    sim = similarity_matrix(q_sets, g_sets,
-                            weighting=weighting, solver=solver, skip_diagonal=self_match)
+    sim = similarity_matrix(q_sets, g_sets, weighting=weighting, solver=solver,
+                            skip_diagonal=queries is gallery)
     return RetrievalRun(query_labels=q_labels, gallery_labels=g_labels,
                         similarity=sim, ranking=_rank_rows(sim))
 

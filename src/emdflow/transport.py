@@ -76,8 +76,9 @@ class InstanceTooLargeError(ValueError):
     """Oracle enumeration is restricted to m*k <= 16 cells."""
 
 
-class BasisError(ValueError):
-    """No strictly complementary spanning-tree basis of the m+k nodes.
+class SingularKktError(RuntimeError):
+    """Degenerate optimum: no strictly complementary spanning-tree basis of
+    the m+k nodes, so the KKT linearization is singular.
 
     ``gate`` names the test that failed: ``"complementarity"``,
     ``"spanning_tree"`` (a node is missing) or ``"cycle"``.  ``gap`` is the
@@ -227,9 +228,9 @@ def _optimal_basis(p: TransportProblem, flows, duals_ineq) -> _BasisTree:
     total mass, exceeds their multiplier, in units of max|cost|.  Each
     zero-mass node hangs, at zero flow, from the cell of least multiplier on
     its line (a dropped supplier from a kept demander), where its completed
-    potential is tight (:func:`_complete`).  Raises :class:`BasisError` when
-    strict complementarity fails on the support or the basic cells are not
-    a spanning tree (multiple optimal flows).
+    potential is tight (:func:`_complete`).  Raises :class:`SingularKktError`
+    when strict complementarity fails on the support or the basic cells are
+    not a spanning tree (multiple optimal flows).
     """
     m, k = p.m, p.k
     rows, cols = p.supply > 0, p.demand > 0
@@ -238,7 +239,7 @@ def _optimal_basis(p: TransportProblem, flows, duals_ineq) -> _BasisTree:
     lam = duals_ineq / (np.abs(p.cost).max() or 1.0)
     gap = float(np.min((x + lam)[kept]))
     if gap <= COMPLEMENTARITY_GATE:
-        raise BasisError(
+        raise SingularKktError(
             f"strict complementarity fails (min x/mass + lambda/max|c| = {gap:.3e})",
             "complementarity", gap)
     cells = np.flatnonzero((x > lam) & kept).tolist()
@@ -248,7 +249,7 @@ def _optimal_basis(p: TransportProblem, flows, duals_ineq) -> _BasisTree:
         cells += (lam[:, drop_c].argmin(axis=0) * k + drop_c).tolist()
     try:
         return _BasisTree(m, k, cells)
-    except BasisError as exc:
+    except SingularKktError as exc:
         exc.gap = gap  # complementarity held at this gap
         raise
 
@@ -308,8 +309,8 @@ class _BasisTree:
     lists every node but the root, each after its parent; a build lists
     each node's children in the order of ``cells``.  A pivot
     (:meth:`replace_edge`) updates the tree in place but not ``order``,
-    which :meth:`relist` renews.  Raises :class:`BasisError` when the cells
-    hold a cycle or miss a node.
+    which :meth:`relist` renews.  Raises :class:`SingularKktError` when the
+    cells hold a cycle or miss a node.
     """
 
     def __init__(self, m, k, cells):
@@ -329,14 +330,15 @@ class _BasisTree:
                 if nbr == parent[node]:
                     continue
                 if nbr in seen:
-                    raise BasisError("basic cells hold a cycle, not a spanning tree", "cycle")
+                    raise SingularKktError("basic cells hold a cycle, not a spanning tree",
+                                           "cycle")
                 seen.add(nbr)
                 parent[nbr], edge[nbr], depth[nbr] = node, cell, depth[node] + 1
                 children[node].append(nbr)
                 order.append(nbr)
                 stack.append(nbr)
         if len(order) != n - 1:
-            raise BasisError("basic cells do not form a spanning tree", "spanning_tree")
+            raise SingularKktError("basic cells do not form a spanning tree", "spanning_tree")
         self.parent, self.edge, self.depth, self.children = parent, edge, depth, children
         self.order = order
 
@@ -793,7 +795,7 @@ def solve_interior_point(p: TransportProblem, tol: float = 1e-9,
     try:
         _optimal_basis(p, flows, duals_ineq)
         degenerate = False
-    except BasisError:
+    except SingularKktError:
         degenerate = True
     return TransportSolution(
         flows=flows,

@@ -54,7 +54,7 @@ _OVERFLOWING = {
     "cross_reference_weights": cross_reference_weights,
     # The set against its own rows reversed, uniform weights: similarity 1.
     "emd_similarity": lambda a, b: emd_similarity(
-        a.with_weights(np.full(3, 1 / 3)), EmbeddingSet(a.vectors[::-1], np.full(3, 1 / 3))),
+        a, EmbeddingSet(a.vectors[::-1]), np.full(3, 1 / 3), np.full(3, 1 / 3)),
     "pair_similarity": pair_similarity,
     "similarity_node_grads": similarity_node_grads,
     "similarity_matrix": lambda a, b: similarity_matrix([a], [b]),
@@ -120,11 +120,11 @@ def test_weights_normalized_and_nonnegative():
 
 
 def test_similarity_single_node_extremes():
-    a = EmbeddingSet(np.array([[1.0, 0.0]]), weights=np.array([1.0]))
-    sim, _ = emd_similarity(a, a)
+    a = EmbeddingSet(np.array([[1.0, 0.0]]))
+    sim, _ = emd_similarity(a, a, [1.0], [1.0])
     assert sim == pytest.approx(1.0, abs=1e-12)
-    anti = EmbeddingSet(np.array([[-1.0, 0.0]]), weights=np.array([1.0]))
-    sim, _ = emd_similarity(a, anti)
+    anti = EmbeddingSet(np.array([[-1.0, 0.0]]))
+    sim, _ = emd_similarity(a, anti, [1.0], [1.0])
     assert sim == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_similarity_equals_total_minus_objective():
     rng = np.random.default_rng(2)
     a, b = _sets(rng, 4, 4, 4)
     wa, wb = _weights(a, b, "equal")
-    sim, sol = emd_similarity(a.with_weights(wa), b.with_weights(wb), solver="oracle")
+    sim, sol = emd_similarity(a, b, wa, wb, solver="oracle")
     p = TransportProblem(cost=cost_matrix(a, b), supply=wa, demand=wb)
     assert sim == pytest.approx(1.0 - solve_oracle(p).objective, abs=1e-8)
 
@@ -221,7 +221,7 @@ def test_property_similarity_bound_never_below_exact(seed, m, k, nodes, weightin
     r = EmbeddingSet(q.vectors.copy() if nodes == "copy" else vectors(k))
     wa, wb = _weights(q, r, weighting)
     cost = cost_matrix(q, r)
-    sim = emd_similarity(q.with_weights(wa), r.with_weights(wb))[0]
+    sim = emd_similarity(q, r, wa, wb)[0]
     bounds, _ = _stacked_bounds([q], [r], weighting)
     assert bounds[0, 0] >= sim - 1e-12 * wa.sum()
     assert _pair_bound(cost, wa, wb) >= sim - 1e-12 * wa.sum()
@@ -258,10 +258,8 @@ def test_best_match_equals_full_argmax(weighting, solver):
 def test_best_match_exact_tie_with_a_looser_bound_picks_the_lowest_index():
     """Reference 1 has the higher bound and is solved first; both score 0."""
     e1, e2, e3 = np.eye(3)
-    half = np.array([0.5, 0.5])
-    query = EmbeddingSet(np.array([e1, -e2]), weights=half)
-    refs = [EmbeddingSet(np.array([e3]), weights=np.array([1.0])),
-            EmbeddingSet(np.array([e1, e2]), weights=half)]
+    query = EmbeddingSet(np.array([e1, -e2]))
+    refs = [EmbeddingSet(np.array([e3])), EmbeddingSet(np.array([e1, e2]))]
     bounds = _stacked_bounds([query], refs, "equal")[0][0]
     assert bounds[1] > bounds[0]
     full = similarity_matrix([query], refs, weighting="equal")
@@ -285,8 +283,7 @@ def test_best_match_of_no_queries_is_two_empty_arrays():
 
 def _forward_sets(rng, edge):
     """Three or four node sets of differing node counts around one direction,
-    with the edge case ``edge``, each carrying own weights that sum to 1
-    (only emd_similarity would read them).
+    with the edge case ``edge``.
 
     At 40 channels BLAS rounds x @ x.T (its syrk path) differently from the
     product of two equal copies, which the forward must not take.  With
@@ -304,16 +301,14 @@ def _forward_sets(rng, edge):
             vectors[rng.random(nodes) < 0.4] = 0.0
         if edge == "clamped" and g == 1:  # every relevance clamps: uniform fallback
             vectors = -3.0 * np.abs(direction) * np.sign(direction) + 0.1 * vectors
-        weights = rng.random(nodes) * (rng.random(nodes) < 0.7)
-        weights[rng.integers(nodes)] += 0.5
-        sets.append(EmbeddingSet(vectors, weights=weights / weights.sum()))
+        sets.append(EmbeddingSet(vectors))
     if edge == "orthogonal":  # set 1's relevance to any other set is rounding
         others = np.array([s.vectors.mean(axis=0) for g, s in enumerate(sets) if g != 1])
         span = np.linalg.qr(others.T, mode="complete")[0][:, len(others):]
         vectors = rng.standard_normal((sets[1].node_count, span.shape[1])) @ span.T
-        sets[1] = EmbeddingSet(vectors, weights=sets[1].weights)
+        sets[1] = EmbeddingSet(vectors)
     if edge == "fortran":
-        sets = [EmbeddingSet(np.asfortranarray(s.vectors), weights=s.weights) if g % 2 else s
+        sets = [EmbeddingSet(np.asfortranarray(s.vectors)) if g % 2 else s
                 for g, s in enumerate(sets)]
     return sets
 
@@ -356,8 +351,8 @@ def test_property_relevance_does_not_depend_on_the_stack(seed, channels, members
 def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solver, edge):
     """similarity_matrix (mirrored, a distinct list, skip_diagonal) and
     best_match give pair_similarity's similarity byte for byte; so does
-    emd_similarity of the sets carrying the pair's weights, flows too (the
-    1 x 1 _Pairs' cost is cost_matrix's), which ``emdflow flows`` relies on."""
+    emd_similarity given the pair's weights, flows too (the 1 x 1 _Pairs'
+    cost is cost_matrix's), which ``emdflow flows`` relies on."""
     sets = _forward_sets(np.random.default_rng(seed), edge)
     n = len(sets)
     for q in sets:
@@ -365,7 +360,7 @@ def test_property_forward_is_bit_equal_to_pair_similarity(seed, weighting, solve
             wa, wb = _weights(q, r, weighting)
             (sim, sol), (ref, ref_sol) = (
                 pair_similarity(q, r, weighting, solver),
-                emd_similarity(q.with_weights(wa), r.with_weights(wb), solver))
+                emd_similarity(q, r, wa, wb, solver))
             assert _bytes(sim) == _bytes(ref) and sol.flows.tobytes() == ref_sol.flows.tobytes()
     want = np.array([[pair_similarity(q, r, weighting=weighting, solver=solver)[0]
                       for r in sets] for q in sets])
@@ -762,7 +757,6 @@ def test_extract_fcn_row_major():
     es = extract(DenseTensor.from_array(arr), ExtractionConfig("fcn"))
     assert es.node_count == 25
     assert np.array_equal(es.vectors[7], arr[1, 2])
-    assert np.all(es.weights == 1.0)
 
 
 def test_extract_single_cell_any_strategy():
@@ -908,6 +902,16 @@ def test_small_scales_with_normal_norms_score_as_scale_one(scale):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_node_grads_of_subnormal_relevance_totals_raise():
+    """At 1e-154 the norms are normal and the forward scores as scale one,
+    but the relevance totals are subnormal (~2e-309): the weight pull-back
+    divides by them and would overflow, so it raises (no RuntimeWarning)."""
+    rng = np.random.default_rng(0)
+    a, b = 1e-154 * rng.standard_normal((4, 8)), 1e-154 * rng.standard_normal((5, 8))
+    with pytest.raises(ValueError, match="relevance total underflows"):
+        similarity_node_grads(EmbeddingSet(a), EmbeddingSet(b))
+
+
 _SCALED = {
     "pair_similarity": lambda a, b: pair_similarity(a, b)[0],
     "similarity_matrix": lambda a, b: similarity_matrix([a], [b])[0, 0],
@@ -953,12 +957,25 @@ def test_similarity_matrix_checks_a_chunk_s_masses_once():
 @pytest.mark.parametrize("kwargs, match", [
     ({"vectors": np.ones(3)}, "vectors must be M x C"),
     ({"vectors": np.ones((0, 3))}, "vectors must be M x C"),
-    ({"vectors": np.ones((2, 3)), "weights": np.ones(3)}, "weights shape"),
-    ({"vectors": np.ones((2, 3)), "weights": np.array([0.5, -0.5])}, "finite and >= 0"),
 ])
 def test_embedding_set_rejects(kwargs, match):
     with pytest.raises(ValueError, match=match):
         EmbeddingSet(**kwargs)
+
+
+@pytest.mark.parametrize("weights_a, weights_b, error, match", [
+    ([0.5, 0.5], [1 / 3] * 3, ValueError, "supply/demand lengths"),
+    ([0.5, 0.25, 0.25], [1.5, -0.5, 0.0], ValueError, "non-negative"),
+    ([0.5, 0.25, 0.25], [np.nan, 0.5, 0.5], ValueError, "must be finite"),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], ValueError, "must be positive"),
+    ([0.5, 0.25, 0.25], [1.0, 1.0, 1.0], transport.UnbalancedProblemError, "unbalanced"),
+], ids=["length", "negative", "non_finite", "zero_totals", "unbalanced"])
+def test_emd_similarity_checks_its_masses(weights_a, weights_b, error, match):
+    """emd_similarity's masses pass TransportProblem's checks: one per node,
+    finite, >= 0, positive and balanced totals."""
+    a, b = _sets(np.random.default_rng(5), 3, 3, 4)
+    with pytest.raises(error, match=match):
+        emd_similarity(a, b, weights_a, weights_b)
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -29,7 +29,7 @@ def test_exact_copy_ranks_first():
 def test_single_item_gallery():
     rng = np.random.default_rng(1)
     item = (0, EmbeddingSet(rng.standard_normal((2, 3))))
-    run = rank_gallery([item], [item], self_match=False)
+    run = rank_gallery([item], [item])
     assert list(run.ranking[0]) == [0]
     assert metrics(run) == (1.0, 1.0, 1.0)
 
@@ -150,9 +150,9 @@ def test_distinct_gallery_list_solves_every_ordered_pair(monkeypatch):
     items = [(i % 2, EmbeddingSet(rng.standard_normal((3, 4)))) for i in range(4)]
     n = len(items)
     calls = _counted_solves(monkeypatch)
-    run = rank_gallery(items, list(items), self_match=True)
-    assert len(calls) == n * (n - 1)
-    assert np.all(np.diag(run.similarity) == -np.inf)
+    run = rank_gallery(items, list(items))
+    assert len(calls) == n * n
+    assert np.all(np.isfinite(np.diag(run.similarity)))
 
 
 def test_similarity_matrix_mirror_keeps_the_diagonal(monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from emdflow.metric import EmbeddingSet, cost_matrix, cross_reference_weights
 from emdflow.transport import (
-    DEGENERATE_RTOL, MAX_PIVOTS, BasisError, CyclingError, InstanceTooLargeError,
-    IterationLimitError, TransportProblem, UnbalancedProblemError, reduced_incidence, solve,
+    DEGENERATE_RTOL, MAX_PIVOTS, CyclingError, InstanceTooLargeError, IterationLimitError,
+    SingularKktError, TransportProblem, UnbalancedProblemError, reduced_incidence, solve,
     solve_interior_point, solve_oracle, solve_simplex, _BasisTree, _Forest, _least_cost_start,
     _normal_solver, _optimal_basis, _simplex,
 )
@@ -646,11 +646,11 @@ def test_property_simplex_warm_start(seed, m, k, tied, integer_mass, zero_lines)
         if integer_mass:
             assert again.flows.tobytes() == cold.flows.tobytes()
     # Not a spanning tree: a node left out, or a cycle.
-    with pytest.raises(BasisError):
+    with pytest.raises(SingularKktError):
         _BasisTree(m, k, cold.basis[:-1])
     if m > 1 and k > 1:
         extra = next(c for c in range(m * k) if c not in cold.basis)
-        with pytest.raises(BasisError, match="cycle"):
+        with pytest.raises(SingularKktError, match="cycle"):
             _BasisTree(m, k, cold.basis + [extra])
 
 
@@ -676,7 +676,7 @@ class _ReferenceTree:
         self.depth = [0] * n
         self.order = self._hang(n - 1)
         if len(self.order) != n - 1:
-            raise BasisError("basic cells do not form a spanning tree", "spanning_tree")
+            raise SingularKktError("basic cells do not form a spanning tree", "spanning_tree")
 
     def _hang(self, top):
         parent, edge, depth, adj = self.parent, self.edge, self.depth, self.adj
@@ -687,7 +687,8 @@ class _ReferenceTree:
                 if nbr == parent[node]:
                     continue
                 if nbr in seen:
-                    raise BasisError("basic cells hold a cycle, not a spanning tree", "cycle")
+                    raise SingularKktError("basic cells hold a cycle, not a spanning tree",
+                                           "cycle")
                 seen.add(nbr)
                 parent[nbr], edge[nbr], depth[nbr] = node, cell, depth[node] + 1
                 hung.append(nbr)
@@ -931,15 +932,15 @@ def test_solver_stats():
 def test_basis_error_names_its_gate():
     """A missing node and a cycle are told apart as attributes, with no gap
     measured; the complementarity gate reports the gap it measured."""
-    with pytest.raises(BasisError) as missing:
+    with pytest.raises(SingularKktError) as missing:
         _BasisTree(2, 2, [0, 1])
     assert (missing.value.gate, missing.value.gap) == ("spanning_tree", None)
-    with pytest.raises(BasisError) as cycle:
+    with pytest.raises(SingularKktError) as cycle:
         _BasisTree(2, 2, [0, 1, 2, 3])
     assert (cycle.value.gate, cycle.value.gap) == ("cycle", None)
     p = TransportProblem(cost=np.ones((2, 2)), supply=np.full(2, 0.5), demand=np.full(2, 0.5))
     sol = solve_simplex(p)
-    with pytest.raises(BasisError) as tied:
+    with pytest.raises(SingularKktError) as tied:
         _optimal_basis(p, sol.flows, sol.duals_ineq)
     assert tied.value.gate == "complementarity" and tied.value.gap == 0.0
 
